@@ -15,7 +15,7 @@ from .hopf0 import HopfParams
 from .hopfp import HopfParamsP, PolyP
 from .report import VerificationReport
 from .restricted import ElementP
-from .scalars import FpElem, Rational, gen_binomial, int_coeff, n_coeff
+from .scalars import FpElem, gen_binomial, int_coeff, n_coeff
 from .series import Series
 from .uwitt import Element
 
@@ -26,7 +26,6 @@ __all__ = [
     "HopfParams",
     "HopfParamsP",
     "PolyP",
-    "Rational",
     "Series",
     "VerificationReport",
     "gen_binomial",

@@ -2,22 +2,17 @@
 
 Exit codes: 0 on success / all checks passing, 1 when any verification fails,
 2 on usage errors.  JSON output follows the canonical schema in jsonio and is
-byte-identical for identical inputs.  The WITTQ_THREADS environment variable
-optionally fans verification grids out to that many worker threads; results
-are merged in grid order either way.
+byte-identical for identical inputs.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import hopf0, hopfp, jsonio, restricted
 from .hopf0 import HopfParams
 from .hopfp import HopfParamsP
-from .report import VerificationReport
 from .scalars import is_prime
 from .uwitt import Element
 
@@ -114,31 +109,6 @@ def _require_charp(parser, args):
     return HopfParamsP(args.p, args.i, t_value)
 
 
-def _t_str(t_value) -> str:
-    return "symbolic" if t_value is None else str(t_value)
-
-
-def _structure_doc(args, name: str, payload: dict) -> dict:
-    doc = {"object": name}
-    doc.update(payload)
-    return doc
-
-
-def _run_grid(jobs):
-    """Run no-argument callables, serially or on WITTQ_THREADS workers, and
-    merge their reports in grid order."""
-    workers = int(os.environ.get("WITTQ_THREADS", "1") or "1")
-    rep = VerificationReport()
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            for part in ex.map(lambda f: f(), jobs):
-                rep.extend(part)
-    else:
-        for job in jobs:
-            rep.extend(job())
-    return rep
-
-
 def emit_tables(p: int, i: int, path: str | None) -> str:
     """Serialize the complete structure-map tables for (p, i) as one JSON doc."""
     params = HopfParamsP(p, i)
@@ -169,18 +139,15 @@ def _cmd_structure(parser, args) -> int:
             obj, rank = hopf0.antipode_closed(args.k, params), 1
         else:
             parser.error(f"unknown structure map {name}")
-        doc = _structure_doc(
-            args,
-            name,
-            {
-                "characteristic": "0",
-                "i": params.i,
-                "k": args.k,
-                "order": params.order,
-                "rank": rank,
-                "series": jsonio.series_doc(obj),
-            },
-        )
+        doc = {
+            "object": name,
+            "characteristic": "0",
+            "i": params.i,
+            "k": args.k,
+            "order": params.order,
+            "rank": rank,
+            "series": jsonio.series_doc(obj),
+        }
     else:
         params = _require_charp(parser, args)
         if name == "coproduct":
@@ -189,19 +156,16 @@ def _cmd_structure(parser, args) -> int:
             obj, rank = hopfp.antipode_p(args.k, params), 1
         else:
             parser.error(f"unknown structure map {name}")
-        doc = _structure_doc(
-            args,
-            name,
-            {
-                "characteristic": str(params.p),
-                "p": params.p,
-                "i": params.i,
-                "k": args.k % params.p,
-                "t": _t_str(params.t_value),
-                "rank": rank,
-                "polynomial": jsonio.series_doc(obj),
-            },
-        )
+        doc = {
+            "object": name,
+            "characteristic": str(params.p),
+            "p": params.p,
+            "i": params.i,
+            "k": args.k % params.p,
+            "t": hopfp.t_label(params.t_value),
+            "rank": rank,
+            "polynomial": jsonio.series_doc(obj),
+        }
     _emit(args, jsonio.dumps(doc) if args.format == "json" else str(obj) + "\n")
     return 0
 
@@ -284,7 +248,7 @@ def _cmd_verify(parser, args) -> int:
             parser.error("characteristic 0 requires --i")
         params = _require_char0(parser, args)
         ks = range(args.k_min, args.k_max + 1)
-        rep = _run_grid([lambda: hopf0.verify_all0(params, ks)])
+        rep = hopf0.verify_all0(params, ks)
     else:
         if args.i is None and not args.all_i:
             parser.error("characteristic p requires --i or --all-i")
@@ -308,11 +272,9 @@ def _cmd_verify(parser, args) -> int:
         for i in i_values:
             if i % p == 0:
                 parser.error("i must be nonzero mod p")
-        jobs = [lambda: restricted.verify_witt_iso(p)]
-        jobs += [
-            (lambda i=i: hopfp.verify_all_p(HopfParamsP(p, i), tuple(t_values))) for i in i_values
-        ]
-        rep = _run_grid(jobs)
+        rep = restricted.verify_witt_iso(p)
+        for i in i_values:
+            rep.extend(hopfp.verify_all_p(HopfParamsP(p, i), tuple(t_values)))
 
     if args.format == "json":
         _emit(args, jsonio.dumps(jsonio.report_doc(rep)))

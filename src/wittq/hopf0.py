@@ -27,7 +27,15 @@ from math import factorial
 
 from .report import VerificationReport
 from .scalars import gen_binomial, int_coeff
-from .series import Series, first_mismatch
+from .series import (
+    Series,
+    check_generator,
+    counit_slot,
+    element_image,
+    first_mismatch,
+    mono_image,
+    slot_apply,
+)
 from .uwitt import (
     Element,
     Mono,
@@ -37,7 +45,6 @@ from .uwitt import (
     e_element,
     h_plus_one_rising,
     h_rising,
-    multiply,
     word_of,
 )
 
@@ -128,11 +135,6 @@ def _twist_inverse(i: int, order: int) -> Series:
     return _twist(i, order).invert()
 
 
-def series_invert(f: Series) -> Series:
-    """Two-sided inverse of a series with unit leading coefficient."""
-    return f.invert()
-
-
 @lru_cache(maxsize=None)
 def _one_minus_et_power(q: Fraction, i: int, order: int) -> Series:
     coeffs = [gen_binomial(q, n) * Fraction(-1) ** n * e_element(i, n) for n in range(order + 1)]
@@ -166,62 +168,13 @@ def u_series(params: HopfParams) -> Series:
     return _u_series(params.i, params.order)
 
 
-# -- slot plumbing on tensor series --------------------------------------------
-
-
-def _slot_apply(s: Series, slot: int, fn) -> Series:
-    """Replace tensor factor `slot` of every term by the Series fn(mono)."""
-    sample = fn(ONE_MONO)
-    out_rank = s.rank - 1 + sample.rank
-    acc = [dict() for _ in range(s.order + 1)]
-    for d, elem in enumerate(s.coeffs):
-        for key, c in elem.terms.items():
-            sub = fn(key[slot])
-            for e in range(min(sub.order, s.order - d) + 1):
-                for skey, sc in sub.coeffs[e].terms.items():
-                    nkey = key[:slot] + skey + key[slot + 1 :]
-                    tgt = acc[d + e]
-                    tgt[nkey] = tgt.get(nkey, 0) + c * sc
-    return Series(s.order, out_rank, [Element(out_rank, terms) for terms in acc])
-
-
-def _counit_slot(s: Series, slot: int) -> Series:
-    out_rank = s.rank - 1
-    coeffs = []
-    for elem in s.coeffs:
-        terms = {}
-        for key, c in elem.terms.items():
-            if key[slot] == ONE_MONO:
-                nkey = key[:slot] + key[slot + 1 :]
-                terms[nkey] = terms.get(nkey, 0) + c
-        coeffs.append(Element(out_rank, terms))
-    return Series(s.order, out_rank, coeffs)
-
-
-def _convolve(s: Series, apode, side: str) -> Series:
-    """m o (S (x) Id) or m o (Id (x) S) on a rank-2 series; apode maps Mono -> Series."""
-    acc = [dict() for _ in range(s.order + 1)]
-    for d, elem in enumerate(s.coeffs):
-        for (m1, m2), c in elem.terms.items():
-            if side == "left":
-                sub, other, other_left = apode(m1), Element.from_mono(m2), False
-            else:
-                sub, other, other_left = apode(m2), Element.from_mono(m1), True
-            for e in range(min(sub.order, s.order - d) + 1):
-                part = other * sub.coeffs[e] if other_left else sub.coeffs[e] * other
-                for key, sc in part.terms.items():
-                    tgt = acc[d + e]
-                    tgt[key] = tgt.get(key, 0) + c * sc
-    return Series(s.order, 1, [Element(1, terms) for terms in acc])
-
-
 # -- deformed structure maps ---------------------------------------------------
 
 
 @lru_cache(maxsize=None)
 def _gen_coproduct(k: int, i: int, order: int, corrupt_term) -> Series:
     pow_k = _one_minus_et_power(Fraction(k, i), i, order)
-    out = Series(order, 2, [Element.gen(k).tensor(c) for c in pow_k.coeffs])
+    out = pow_k.tensor_left(Element.gen(k))
     for l in range(order + 1):
         c = int_coeff(i, k - i, l)
         if c == 0:
@@ -231,8 +184,7 @@ def _gen_coproduct(k: int, i: int, order: int, corrupt_term) -> Series:
             sign = -sign
         hl = h_rising(l, i)
         right = _one_minus_et_power(Fraction(-l), i, order) * Element.gen(k + l * i)
-        term = Series(order, 2, [hl.tensor(rc) for rc in right.coeffs])
-        out = out + term.shift(l) * (sign * c)
+        out = out + right.tensor_left(hl).shift(l) * (sign * c)
     return out
 
 
@@ -301,38 +253,24 @@ def antipode_general(x: Element, params: HopfParams) -> Series:
 
 @lru_cache(maxsize=None)
 def _mono_coproduct(mono: Mono, i: int, order: int, corrupt_term) -> Series:
-    out = Series.one(order, 2)
-    for k, m in mono:
-        g = _gen_coproduct(k, i, order, corrupt_term)
-        for _ in range(m):
-            out = out * g
-    return out
+    return mono_image(mono, lambda k: _gen_coproduct(k, i, order, corrupt_term), Series.one(order, 2))
 
 
 @lru_cache(maxsize=None)
 def _mono_antipode(mono: Mono, i: int, order: int) -> Series:
-    out = Series.one(order, 1)
-    for k, m in reversed(mono):
-        g = _gen_antipode(k, i, order)
-        for _ in range(m):
-            out = out * g
-    return out
+    return mono_image(mono, lambda k: _gen_antipode(k, i, order), Series.one(order, 1), anti=True)
 
 
 def coproduct_element(x: Element, params: HopfParams, corrupt_term: int | None = None) -> Series:
     """Deformed coproduct extended to arbitrary elements (algebra morphism)."""
-    out = Series.zero(params.order, 2)
-    for (mono,), c in x.terms.items():
-        out = out + _mono_coproduct(mono, params.i, params.order, corrupt_term) * c
-    return out
+    i, order = params.i, params.order
+    return element_image(x, lambda mono: _mono_coproduct(mono, i, order, corrupt_term), Series.zero(order, 2))
 
 
 def antipode_element(x: Element, params: HopfParams) -> Series:
     """Deformed antipode extended to arbitrary elements (algebra antimorphism)."""
-    out = Series.zero(params.order, 1)
-    for (mono,), c in x.terms.items():
-        out = out + _mono_antipode(mono, params.i, params.order) * c
-    return out
+    i, order = params.i, params.order
+    return element_image(x, lambda mono: _mono_antipode(mono, i, order), Series.zero(order, 1))
 
 
 # -- verifiers -------------------------------------------------------------------
@@ -353,15 +291,15 @@ def cocycle_check(params: HopfParams) -> VerificationReport:
     rep = VerificationReport()
 
     d0 = lambda mono: Series.const(_delta0_mono(mono), order)
-    one_F = Series(order, 3, [Element.one(1).tensor(c) for c in F.coeffs])
+    one_F = F.tensor_left(Element.one(1))
     F_one = Series(order, 3, [c.tensor(Element.one(1)) for c in F.coeffs])
-    lhs = _slot_apply(F, 0, d0) * F_one
-    rhs = _slot_apply(F, 1, d0) * one_F
+    lhs = slot_apply(F, 0, d0) * F_one
+    rhs = slot_apply(F, 1, d0) * one_F
     rep.add("twist-cocycle", pt, lhs == rhs, first_mismatch(lhs, rhs))
 
     unit = Series.one(order, 1)
-    left = _counit_slot(F, 0)
-    right = _counit_slot(F, 1)
+    left = counit_slot(F, 0)
+    right = counit_slot(F, 1)
     rep.add("twist-counit-left", pt, left == unit, first_mismatch(left, unit))
     rep.add("twist-counit-right", pt, right == unit, first_mismatch(right, unit))
     return rep
@@ -401,30 +339,14 @@ def verify_hopf0(params: HopfParams, k_range, corrupt_term: int | None = None) -
 
     for k in ks:
         pt = {"i": i, "order": order, "k": k}
-        dk = _gen_coproduct(k, i, order, corrupt_term)
-
-        lhs = _slot_apply(dk, 0, cp_mono)
-        rhs = _slot_apply(dk, 1, cp_mono)
-        rep.add("coassociativity", pt, lhs == rhs, first_mismatch(lhs, rhs))
-
-        want = Series.const(Element.gen(k), order)
-        cl = _counit_slot(dk, 0)
-        cr = _counit_slot(dk, 1)
-        rep.add("counit-left", pt, cl == want, first_mismatch(cl, want))
-        rep.add("counit-right", pt, cr == want, first_mismatch(cr, want))
-
-        zero = Series.zero(order, 1)
-        al = _convolve(dk, ap_mono, "left")
-        ar = _convolve(dk, ap_mono, "right")
-        rep.add("antipode-left", pt, al == zero, first_mismatch(al, zero))
-        rep.add("antipode-right", pt, ar == zero, first_mismatch(ar, zero))
+        check_generator(rep, pt, _gen_coproduct(k, i, order, corrupt_term), Element.gen(k), cp_mono, ap_mono)
 
     for k in ks:
         for l in ks:
             pt = {"i": i, "order": order, "k": k, "l": l}
             dk = _gen_coproduct(k, i, order, corrupt_term)
             dl = _gen_coproduct(l, i, order, corrupt_term)
-            prod = multiply(Element.gen(k), Element.gen(l))
+            prod = Element.gen(k) * Element.gen(l)
             lhs = coproduct_element(prod, params, corrupt_term)
             rhs = dk * dl
             rep.add("coproduct-multiplicative", pt, lhs == rhs, first_mismatch(lhs, rhs))

@@ -19,25 +19,12 @@ from __future__ import annotations
 from functools import lru_cache
 from itertools import product as iproduct
 from math import comb
-from typing import NamedTuple
 
 from .report import VerificationReport
 from .scalars import FpElem, is_prime
 
 MonoP = tuple[int, ...]
 WordP = tuple[int, ...]
-
-
-class WittBasisVector(NamedTuple):
-    """Index into the truncated-basis presentation: k in {-1, ..., p-2}."""
-
-    k: int
-    p: int
-
-    def validate(self) -> "WittBasisVector":
-        if not -1 <= self.k <= self.p - 2:
-            raise ValueError(f"index {self.k} outside {{-1, ..., {self.p - 2}}}")
-        return self
 
 
 def _check_prime(p: int):
@@ -205,6 +192,29 @@ class ElementP:
     @staticmethod
     def from_mono(p: int, mono: MonoP, coeff: int = 1) -> "ElementP":
         return ElementP(p, 1, {(mono,): coeff})
+
+    # -- ring hooks of the shared t-series layer ------------------------------
+
+    def zero_of(self, rank: int) -> "ElementP":
+        return ElementP._make(self.p, rank, {})
+
+    def one_of(self, rank: int) -> "ElementP":
+        return ElementP.one(self.p, rank)
+
+    def unit_mono(self) -> MonoP:
+        return one_mono(self.p)
+
+    def monomial(self, mono: MonoP) -> "ElementP":
+        return ElementP._make(self.p, 1, {(mono,): 1})
+
+    def runs(self, mono: MonoP) -> tuple[tuple[int, int], ...]:
+        return tuple((k, m) for k, m in enumerate(mono) if m)
+
+    def from_sums(self, rank: int, sums: dict) -> "ElementP":
+        """The element with the given integer coefficient sums, reduced mod p
+        and with zeros dropped."""
+        p = self.p
+        return ElementP._make(p, rank, {key: c % p for key, c in sums.items() if c % p})
 
     def _check(self, other: "ElementP"):
         if self.p != other.p:
@@ -385,10 +395,6 @@ def bracket_p(k, l, p: int | None = None) -> ElementP:
     return ElementP(p, 1, {(gen_mono(k + l, p),): (l - k) % p})
 
 
-def multiply_p(x: ElementP, y: ElementP) -> ElementP:
-    return x * y
-
-
 def commutator_p(x: ElementP, y: ElementP) -> ElementP:
     return x * y - y * x
 
@@ -410,7 +416,8 @@ def basis_size(p: int, materialize: bool | None = None) -> int:
 def embed_witt(k: int, p: int) -> ElementP:
     """Image of the truncated-basis generator e_k, k in {-1, ..., p-2}."""
     _check_prime(p)
-    WittBasisVector(k, p).validate()
+    if not -1 <= k <= p - 2:
+        raise ValueError(f"index {k} outside {{-1, ..., {p - 2}}}")
     terms: dict = {}
     for l in range(-1, k + 1):
         sign = -1 if l % 2 else 1  # (-1)^l, with (-1)^(-1) = -1

@@ -12,11 +12,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
-from typing import NamedTuple, Union
-
-Rational = Fraction
-
-_PRIME_CACHE: set[int] = set()
 
 
 class ExactDivisionError(ArithmeticError):
@@ -26,14 +21,11 @@ class ExactDivisionError(ArithmeticError):
 def is_prime(n: int) -> bool:
     if n < 2:
         return False
-    if n in _PRIME_CACHE:
-        return True
     d = 2
     while d * d <= n:
         if n % d == 0:
             return False
         d += 1
-    _PRIME_CACHE.add(n)
     return True
 
 
@@ -42,7 +34,8 @@ class FpElem:
 
     Immutable; all arithmetic stays inside one modulus and mixing moduli
     raises.  Plain ints are accepted on the right of arithmetic operators and
-    are reduced mod p.
+    are reduced mod p, but a residue never equals a plain int, so that equal
+    objects hash alike.
     """
 
     __slots__ = ("residue", "p")
@@ -103,8 +96,6 @@ class FpElem:
     def __eq__(self, other):
         if isinstance(other, FpElem):
             return self.p == other.p and self.residue == other.residue
-        if isinstance(other, int):
-            return self.residue == other % self.p
         return NotImplemented
 
     def __hash__(self):
@@ -124,19 +115,6 @@ class FpElem:
         return str(self.residue)
 
 
-class CoeffKey(NamedTuple):
-    """Argument triple (a, k, l) of the coefficient families."""
-
-    a: Union[int, FpElem]
-    k: Union[int, FpElem]
-    l: int
-
-    def validate(self) -> "CoeffKey":
-        if self.l < 0:
-            raise ValueError("l must be nonnegative")
-        return self
-
-
 def int_coeff(a: int, k: int, l: int) -> int:
     """The integer a^l * (k)(k+a)...(k+(l-1)a) / l!.
 
@@ -144,7 +122,8 @@ def int_coeff(a: int, k: int, l: int) -> int:
     integrality guarantee underlying every structure constant is false, so it
     raises ExactDivisionError instead of silently rounding.
     """
-    CoeffKey(a, k, l).validate()
+    if l < 0:
+        raise ValueError("l must be nonnegative")
     num = a**l
     for j in range(l):
         num *= k + j * a
@@ -180,3 +159,11 @@ def gen_binomial(q, n: int) -> Fraction:
     for j in range(n):
         out *= q - j
     return out / factorial(n)
+
+
+def rising(x, l: int):
+    """Rising factorial x(x+1)...(x+l-1) in the ring of x; empty product for l = 0."""
+    out = x**0
+    for j in range(l):
+        out = out * (x + j)
+    return out

@@ -1,33 +1,194 @@
-"""Truncated t-adic series with Element coefficients (characteristic 0).
+"""Series in t over tensor elements, and the Hopf plumbing both characteristics share.
 
-A Series of order N stores coefficients for t^0 .. t^N and silently discards
-anything beyond t^N, so every identity checked through this class is an
-identity "up to t^{N+1}".  Coefficients are rank-homogeneous Elements; the
-ring is noncommutative, and inversion uses the unit-leading-term recursion.
+A series stores the coefficients of t^0, t^1, ... as rank-homogeneous
+elements.  It is either truncated, keeping t^0 .. t^order and silently
+discarding anything beyond, so that every identity checked through it holds
+"up to t^{order+1}" (characteristic 0); or exact when order is None, a
+polynomial with trailing zero coefficients pruned (characteristic p, where
+e^p = 0 makes every structure map polynomial).  Inversion uses the
+unit-leading-term recursion and applies to truncated series only.
+
+The coefficient ring enters only through methods of the element classes:
+``zero_of``/``one_of`` a rank, ``unit_mono``, ``monomial`` (monomial to
+element), ``runs`` (monomial to (generator, exponent) pairs in PBW order) and
+``from_sums`` (raw coefficient sums to a normalized element).
+
+Below the class sit the pieces the Hopf verifiers of both characteristics
+share: applying a map to one tensor slot, the counit on one slot, antipode
+convolution, the multiplicative extension of a generator map, and the
+per-generator axiom block.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .uwitt import Element
 
 
-class Series:
-    __slots__ = ("order", "rank", "coeffs")
+def _meet(a, b):
+    """Order of a combination: the smaller truncation; exact only if both are."""
+    return b if a is None else a if b is None else min(a, b)
+
+
+class TSeries:
+    """A truncated (order >= 0) or exact (order None) series in t."""
+
+    __slots__ = ("order", "rank", "coeffs", "_zero")
+
+    def _init(self, order, rank: int, zero, coeffs, check: bool = False) -> None:
+        cs = list(coeffs)
+        if check:
+            for c in cs:
+                zero._check(c)
+        if order is None:
+            while cs and not cs[-1].terms:
+                cs.pop()
+        else:
+            del cs[order + 1 :]
+            cs += [zero] * (order + 1 - len(cs))
+        self.order = order
+        self.rank = rank
+        self.coeffs = tuple(cs)
+        self._zero = zero
+
+    def _like(self, order, rank: int, coeffs) -> "TSeries":
+        """A series of the same class and ring."""
+        out = object.__new__(type(self))
+        out._init(order, rank, self._zero if rank == self.rank else self._zero.zero_of(rank), coeffs)
+        return out
+
+    def _const(self, x) -> "TSeries":
+        return self._like(self.order, x.rank, [x])
+
+    @property
+    def degree(self) -> int:
+        return len(self.coeffs) - 1
+
+    def coeff(self, n: int):
+        return self.coeffs[n] if 0 <= n < len(self.coeffs) else self._zero
+
+    def _promote(self, other) -> "TSeries":
+        if isinstance(other, type(self)):
+            self._zero._check(other._zero)
+            return other
+        if isinstance(other, type(self._zero)):
+            return self._const(other)
+        if isinstance(other, TSeries):
+            raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
+        return self._const(self._zero.one_of(self.rank) * other)
+
+    def __add__(self, other):
+        other = self._promote(other)
+        order = _meet(self.order, other.order)
+        n = max(len(self.coeffs), len(other.coeffs))
+        if order is not None:
+            n = min(n, order + 1)
+        return self._like(order, self.rank, [self.coeff(d) + other.coeff(d) for d in range(n)])
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._like(self.order, self.rank, [-c for c in self.coeffs])
+
+    def __mul__(self, other):
+        if not isinstance(other, (TSeries, type(self._zero))):
+            return self._like(self.order, self.rank, [c * other for c in self.coeffs])
+        other = self._promote(other)
+        order = _meet(self.order, other.order)
+        n = len(self.coeffs) + len(other.coeffs) - 1
+        if order is not None:
+            n = min(n, order + 1)
+        # raw coefficient sums per degree, normalized once at the end
+        acc: list[dict] = [{} for _ in range(max(n, 0))]
+        for a, ca in enumerate(self.coeffs[:n]):
+            if not ca.terms:
+                continue
+            for b, cb in enumerate(other.coeffs[: n - a]):
+                if not cb.terms:
+                    continue
+                tgt = acc[a + b]
+                get = tgt.get
+                for key, v in (ca * cb).terms.items():
+                    tgt[key] = get(key, 0) + v
+        zero = self._zero
+        return self._like(order, self.rank, [zero.from_sums(self.rank, sums) for sums in acc])
+
+    def __rmul__(self, other):
+        if isinstance(other, type(self._zero)):
+            return self._const(other) * self
+        return self * other
+
+    def __pow__(self, n: int):
+        out = self._const(self._zero.one_of(self.rank))
+        for _ in range(n):
+            out = out * self
+        return out
+
+    def shift(self, d: int) -> "TSeries":
+        """Multiply by t^d."""
+        return self._like(self.order, self.rank, [self._zero] * d + list(self.coeffs))
+
+    def tensor_left(self, x) -> "TSeries":
+        """x (x) self, degreewise."""
+        return self._like(self.order, x.rank + self.rank, [x.tensor(c) for c in self.coeffs])
+
+    def swap(self) -> "TSeries":
+        return self._like(self.order, self.rank, [c.swap() for c in self.coeffs])
+
+    def evaluate(self, c):
+        """Specialize t to the scalar c."""
+        out = self._zero
+        power = c**0
+        for coeff in self.coeffs:
+            out = out + power * coeff
+            power = power * c
+        return out
+
+    def invert(self) -> "TSeries":
+        """Two-sided inverse of a truncated series with leading coefficient 1."""
+        if self.order is None:
+            raise ValueError("only a truncated series is inverted")
+        one = self._zero.one_of(self.rank)
+        if self.coeffs[0] != one:
+            raise ValueError("leading coefficient must be the unit")
+        inv = [one]
+        for n in range(1, self.order + 1):
+            acc = self._zero
+            for j in range(1, n + 1):
+                if self.coeffs[j].terms and inv[n - j].terms:
+                    acc = acc + self.coeffs[j] * inv[n - j]
+            inv.append(-acc)
+        return self._like(self.order, self.rank, inv)
+
+    def is_zero(self) -> bool:
+        return all(not c.terms for c in self.coeffs)
+
+    def __eq__(self, other):
+        if not isinstance(other, TSeries):
+            return NotImplemented
+        return self.order == other.order and self._zero == other._zero and self.coeffs == other.coeffs
+
+    def __hash__(self):
+        return hash((self.order, self.rank, self.coeffs))
+
+    def __str__(self):
+        lines = [f"t^{d}: {c}" for d, c in enumerate(self.coeffs) if c.terms]
+        return "\n".join(lines) if lines else "0"
+
+    __repr__ = __str__
+
+
+class Series(TSeries):
+    """Truncated t-adic series with Element coefficients (characteristic 0)."""
+
+    __slots__ = ()
 
     def __init__(self, order: int, rank: int, coeffs=()):
         if order < 0:
             raise ValueError("order must be >= 0")
-        self.order = order
-        self.rank = rank
-        cs = list(coeffs)[: order + 1]
-        for c in cs:
-            if c.rank != rank:
-                raise ValueError("coefficient rank mismatch")
-        while len(cs) < order + 1:
-            cs.append(Element.zero(rank))
-        self.coeffs = tuple(cs)
+        self._init(order, rank, Element.zero(rank), coeffs, check=True)
 
     @staticmethod
     def zero(order: int, rank: int = 1) -> "Series":
@@ -41,107 +202,127 @@ class Series:
     def const(x: Element, order: int) -> "Series":
         return Series(order, x.rank, [x])
 
-    def coeff(self, n: int) -> Element:
-        return self.coeffs[n] if 0 <= n <= self.order else Element.zero(self.rank)
 
-    def __add__(self, other):
-        other = self._promote(other)
-        n = min(self.order, other.order)
-        return Series(n, self.rank, [self.coeffs[d] + other.coeffs[d] for d in range(n + 1)])
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Series(self.order, self.rank, [-c for c in self.coeffs])
-
-    def _promote(self, other) -> "Series":
-        if isinstance(other, Series):
-            if other.rank != self.rank:
-                raise ValueError("rank mismatch")
-            return other
-        if isinstance(other, Element):
-            return Series.const(other, self.order)
-        if isinstance(other, (int, Fraction)):
-            return Series.const(Element.one(self.rank) * other, self.order)
-        raise TypeError(f"cannot combine Series with {type(other)!r}")
-
-    def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Series(self.order, self.rank, [c * other for c in self.coeffs])
-        other = self._promote(other)
-        n = min(self.order, other.order)
-        out = []
-        for d in range(n + 1):
-            acc = Element.zero(self.rank)
-            for j in range(d + 1):
-                a, b = self.coeffs[j], other.coeffs[d - j]
-                if a.terms and b.terms:
-                    acc = acc + a * b
-            out.append(acc)
-        return Series(n, self.rank, out)
-
-    def __rmul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return self * other
-        if isinstance(other, Element):
-            return Series.const(other, self.order) * self
-        return NotImplemented
-
-    def shift(self, d: int) -> "Series":
-        """Multiply by t^d."""
-        return Series(self.order, self.rank, [Element.zero(self.rank)] * d + list(self.coeffs))
-
-    def invert(self) -> "Series":
-        """Two-sided inverse of a series with leading coefficient 1."""
-        if self.coeffs[0] != Element.one(self.rank):
-            raise ValueError("leading coefficient must be the unit")
-        inv = [Element.one(self.rank)]
-        for n in range(1, self.order + 1):
-            acc = Element.zero(self.rank)
-            for j in range(1, n + 1):
-                if self.coeffs[j].terms and inv[n - j].terms:
-                    acc = acc + self.coeffs[j] * inv[n - j]
-            inv.append(-acc)
-        return Series(self.order, self.rank, inv)
-
-    def swap(self) -> "Series":
-        return Series(self.order, self.rank, [c.swap() for c in self.coeffs])
-
-    def truncate(self, order: int) -> "Series":
-        return Series(order, self.rank, self.coeffs[: order + 1])
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
-
-    def __eq__(self, other):
-        if not isinstance(other, Series):
-            return NotImplemented
-        return (
-            self.order == other.order
-            and self.rank == other.rank
-            and all(a == b for a, b in zip(self.coeffs, other.coeffs))
-        )
-
-    def __hash__(self):
-        return hash((self.order, self.rank, self.coeffs))
-
-    def __str__(self):
-        lines = [f"t^{d}: {c}" for d, c in enumerate(self.coeffs) if c.terms]
-        return "\n".join(lines) if lines else "0"
-
-    __repr__ = __str__
-
-
-def first_mismatch(a: Series, b: Series) -> str | None:
+def first_mismatch(a: TSeries, b: TSeries) -> str | None:
     """Human-readable first differing coefficient, or None if equal."""
-    n = min(a.order, b.order)
-    for d in range(n + 1):
-        ca, cb = a.coeffs[d], b.coeffs[d]
+    order = _meet(a.order, b.order)
+    n = max(len(a.coeffs), len(b.coeffs))
+    if order is not None:
+        n = min(n, order + 1)
+    for d in range(n):
+        ca, cb = a.coeff(d), b.coeff(d)
         if ca != cb:
-            keys = sorted(set(ca.terms) | set(cb.terms))
-            for key in keys:
+            for key in sorted(set(ca.terms) | set(cb.terms)):
                 va, vb = ca.coeff(key), cb.coeff(key)
                 if va != vb:
                     return f"t^{d} at {key}: {va} != {vb}"
     return None
+
+
+# -- slot plumbing on tensor series ---------------------------------------------
+
+
+def _bucket(acc: list[dict], d: int) -> dict:
+    while len(acc) <= d:
+        acc.append({})
+    return acc[d]
+
+
+def slot_apply(s: TSeries, slot: int, fn) -> TSeries:
+    """Replace tensor factor `slot` of every term of s by the series fn(mono)."""
+    out_rank = s.rank - 1 + fn(s._zero.unit_mono()).rank
+    acc: list[dict] = []
+    for d, elem in enumerate(s.coeffs):
+        room = None if s.order is None else s.order + 1 - d
+        for key, c in elem.terms.items():
+            head, tail = key[:slot], key[slot + 1 :]
+            for e, sub in enumerate(fn(key[slot]).coeffs[:room]):
+                tgt = _bucket(acc, d + e)
+                get = tgt.get
+                for skey, sc in sub.terms.items():
+                    nkey = head + skey + tail
+                    tgt[nkey] = get(nkey, 0) + c * sc
+    zero = s._zero.zero_of(out_rank)
+    return s._like(s.order, out_rank, [zero.from_sums(out_rank, sums) for sums in acc])
+
+
+def counit_slot(s: TSeries, slot: int) -> TSeries:
+    """Apply the counit to tensor factor `slot`: keep the terms with the unit there."""
+    unit = s._zero.unit_mono()
+    out_rank = s.rank - 1
+    zero = s._zero.zero_of(out_rank)
+    coeffs = []
+    for elem in s.coeffs:
+        sums: dict = {}
+        for key, c in elem.terms.items():
+            if key[slot] == unit:
+                nkey = key[:slot] + key[slot + 1 :]
+                sums[nkey] = sums.get(nkey, 0) + c
+        coeffs.append(zero.from_sums(out_rank, sums))
+    return s._like(s.order, out_rank, coeffs)
+
+
+def convolve(s: TSeries, apode, side: str) -> TSeries:
+    """m o (S (x) Id) (side "left") or m o (Id (x) S) (side "right") on a
+    rank-2 series; apode maps a monomial to the series of its antipode."""
+    zero = s._zero.zero_of(1)
+    acc: list[dict] = []
+    for d, elem in enumerate(s.coeffs):
+        room = None if s.order is None else s.order + 1 - d
+        for (m1, m2), c in elem.terms.items():
+            if side == "left":
+                sub, other, other_left = apode(m1), zero.monomial(m2), False
+            else:
+                sub, other, other_left = apode(m2), zero.monomial(m1), True
+            for e, sc_elem in enumerate(sub.coeffs[:room]):
+                part = other * sc_elem if other_left else sc_elem * other
+                tgt = _bucket(acc, d + e)
+                get = tgt.get
+                for key, sc in part.terms.items():
+                    tgt[key] = get(key, 0) + c * sc
+    return s._like(s.order, 1, [zero.from_sums(1, sums) for sums in acc])
+
+
+# -- multiplicative extension of a generator map --------------------------------
+
+
+def mono_image(mono, gen, one: TSeries, anti: bool = False) -> TSeries:
+    """Image of a monomial under the algebra morphism sending generator k to
+    gen(k), or under the antimorphism when anti is set; one is the image of 1."""
+    runs = one._zero.runs(mono)
+    out = one
+    for k, m in reversed(runs) if anti else runs:
+        g = gen(k)
+        for _ in range(m):
+            out = out * g
+    return out
+
+
+def element_image(x, mono_map, zero: TSeries) -> TSeries:
+    """Linear extension of mono_map (monomial -> series) to a rank-1 element."""
+    out = zero
+    for (mono,), c in x.terms.items():
+        out = out + mono_map(mono) * c
+    return out
+
+
+# -- the per-generator Hopf axioms ------------------------------------------------
+
+
+def check_generator(rep, pt: dict, dk: TSeries, x, coproduct_mono, antipode_mono) -> None:
+    """Add coassociativity, counit-left/right and antipode-left/right of the
+    coproduct dk of the generator x to rep, in that order; coproduct_mono and
+    antipode_mono map a monomial to its image series."""
+    lhs = slot_apply(dk, 0, coproduct_mono)
+    rhs = slot_apply(dk, 1, coproduct_mono)
+    rep.add("coassociativity", pt, lhs == rhs, first_mismatch(lhs, rhs))
+
+    want = dk._const(x)
+    for side, slot in (("left", 0), ("right", 1)):
+        got = counit_slot(dk, slot)
+        rep.add(f"counit-{side}", pt, got == want, first_mismatch(got, want))
+
+    zero = dk._like(dk.order, 1, ())
+    for side in ("left", "right"):
+        got = convolve(dk, antipode_mono, side)
+        rep.add(f"antipode-{side}", pt, got == zero, first_mismatch(got, zero))

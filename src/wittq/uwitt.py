@@ -19,6 +19,8 @@ from functools import lru_cache
 from itertools import product as iproduct
 from math import factorial
 
+from .scalars import rising
+
 Mono = tuple[tuple[int, int], ...]
 Word = tuple[int, ...]
 
@@ -129,6 +131,30 @@ class Element:
     @staticmethod
     def from_mono(mono: Mono, coeff=1) -> "Element":
         return Element(1, {(mono,): Fraction(coeff)})
+
+    # -- ring hooks of the shared t-series layer ------------------------------
+
+    def zero_of(self, rank: int) -> "Element":
+        return Element(rank)
+
+    def one_of(self, rank: int) -> "Element":
+        return Element.one(rank)
+
+    def unit_mono(self) -> Mono:
+        return ONE_MONO
+
+    def monomial(self, mono: Mono) -> "Element":
+        return Element.from_mono(mono)
+
+    def runs(self, mono: Mono) -> Mono:
+        return mono
+
+    def from_sums(self, rank: int, sums: dict) -> "Element":
+        """The element with the given Fraction coefficient sums, zeros dropped."""
+        out = Element.__new__(Element)
+        out.rank = rank
+        out.terms = {key: c for key, c in sums.items() if c}
+        return out
 
     # -- ring structure ----------------------------------------------------
 
@@ -243,10 +269,6 @@ def normal_order(word) -> Element:
     return Element(1, {(m,): Fraction(c) for m, c in straighten(tuple(word))})
 
 
-def multiply(x: Element, y: Element) -> Element:
-    return x * y
-
-
 def commutator(x: Element, y: Element) -> Element:
     return x * y - y * x
 
@@ -265,14 +287,6 @@ def h_element(i: int) -> Element:
     if i == 0:
         raise ValueError("i must be nonzero")
     return Element.from_mono(((0, 1),), Fraction(1, i))
-
-
-def rising(x: Element, l: int) -> Element:
-    """Rising factorial x(x+1)...(x+l-1); empty product for l = 0."""
-    out = Element.one()
-    for j in range(l):
-        out = out * (x + j)
-    return out
 
 
 @lru_cache(maxsize=None)

@@ -158,15 +158,6 @@ def test_verify_charp_all_i_symbolic(capsys):
     assert doc["failed"] == 0
 
 
-def test_verify_threads_match_serial(capsys, monkeypatch):
-    argv = ["verify", "--char", "p", "--p", "3", "--all-i", "--format", "json"]
-    monkeypatch.delenv("WITTQ_THREADS", raising=False)
-    _, serial = run_cli(argv, capsys)
-    monkeypatch.setenv("WITTQ_THREADS", "3")
-    _, threaded = run_cli(argv, capsys)
-    assert serial == threaded
-
-
 def test_verify_exit1_on_injected_fault(capsys, monkeypatch):
     # fault injection: corrupt the verifier the CLI dispatches to
     import wittq.cli as cli

@@ -16,14 +16,13 @@ from wittq.hopfp import (
     one_minus_et,
     power_fp,
     radford_check,
-    radford_generators,
     specialize_t,
     verify_hopf_p,
     verify_relations_preserved,
-    _convolve_p,
     _mono_antipode_p,
 )
 from wittq.restricted import ElementP
+from wittq.series import convolve
 from wittq.scalars import FpElem, int_coeff, n_coeff
 
 D = ElementP.gen
@@ -137,7 +136,7 @@ def test_antipode_convolution_all_generators():
     pp = HopfParamsP(p, i)
     ap = lambda mono: _mono_antipode_p(mono, p, i, None)
     for k in range(p):
-        conv = _convolve_p(coproduct_p(k, pp), ap, "left")
+        conv = convolve(coproduct_p(k, pp), ap, "left")
         assert conv.is_zero()
 
 
@@ -212,15 +211,15 @@ def test_radford_check():
 
 def test_radford_generators_invariants():
     for p, i in ((3, 2), (5, 4)):
-        gens = radford_generators(HopfParamsP(p, i))
-        assert (PolyP.const(gens.e) ** p).is_zero()
-        assert PolyP.const(gens.e).coeff(0) == e_element_p(p, i)
-        assert gens.alpha * one_minus_et(HopfParamsP(p, i)) == PolyP.one(p, 1)
+        h, e, a = h_element_p(p, i), e_element_p(p, i), alpha(HopfParamsP(p, i))
+        assert (PolyP.const(e) ** p).is_zero()
+        assert e == i * D(i, p)
+        assert a * one_minus_et(HopfParamsP(p, i)) == PolyP.one(p, 1)
         # h^p = h by repeated multiplication
-        hp = gens.h
+        hp = h
         for _ in range(p - 1):
-            hp = hp * gens.h
-        assert hp == gens.h
+            hp = hp * h
+        assert hp == h
 
 
 def test_noncocommutative_at_t1():

@@ -11,7 +11,6 @@ from wittq.restricted import (
     embed_witt,
     gen_mono,
     mono_mul_p,
-    multiply_p,
     p_power_map,
     straighten_p,
     verify_witt_iso,
@@ -38,11 +37,11 @@ def test_bracket_p_needs_modulus():
 
 def test_multiply_p_examples():
     # D_3 D_1 = D_1 D_3 + 3 D_4 over F_5
-    got = multiply_p(D(3, 5), D(1, 5))
+    got = D(3, 5) * D(1, 5)
     want = ElementP(5, 1, {(gen_mono(4, 5),): 3, ((0, 1, 0, 1, 0),): 1})
     assert got == want
-    assert multiply_p(D(0, 5) ** 4, D(0, 5)) == D(0, 5)
-    assert multiply_p(D(1, 5) ** 4, D(1, 5)) == ElementP.zero(5)
+    assert D(0, 5) ** 4 * D(0, 5) == D(0, 5)
+    assert D(1, 5) ** 4 * D(1, 5) == ElementP.zero(5)
 
 
 def test_multiply_p_associative_random():

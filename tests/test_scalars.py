@@ -125,6 +125,14 @@ def test_fp_elem_arithmetic():
     assert a.lift() == 3
 
 
+def test_fp_elem_hash_agrees_with_eq():
+    # a residue equals only residues, so equal objects always hash alike
+    assert FpElem(1, 3) != 4 and FpElem(0, 5) != 0
+    assert len({FpElem(1, 3), 4}) == 2
+    assert len({FpElem(1, 3), FpElem(4, 3)}) == 1
+    assert FpElem(1, 3) != FpElem(1, 5)
+
+
 def test_fp_elem_rejects_bad_modulus():
     for bad in (0, 1, 2, 4, 6, 9, 15):
         with pytest.raises(ValueError):

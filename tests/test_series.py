@@ -69,3 +69,16 @@ def test_first_mismatch_reports_degree_and_key():
 def test_swap():
     s = Series.const(L(1).tensor(L(2)), 1)
     assert s.swap().coeff(0) == L(2).tensor(L(1))
+
+
+def test_series_of_different_rings_do_not_mix():
+    from wittq.hopfp import PolyP
+
+    s, f = Series.one(2, 1), PolyP.one(5, 1)
+    for op in (lambda: s + f, lambda: s * f, lambda: f - s, lambda: f * s):
+        with pytest.raises(TypeError):
+            op()
+    with pytest.raises(ValueError):
+        PolyP.one(7, 1) + f
+    with pytest.raises(ValueError):
+        f.invert()

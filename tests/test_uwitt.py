@@ -13,7 +13,6 @@ from wittq.uwitt import (
     h_plus_one_rising,
     h_rising,
     mono_of,
-    multiply,
     normal_order,
     rising,
 )
@@ -50,7 +49,7 @@ def test_bracket_examples():
 
 
 def test_normal_order_examples():
-    assert normal_order([0, 1]) == multiply(L(0), L(1))
+    assert normal_order([0, 1]) == L(0) * L(1)
     assert normal_order([2, -1]) == Element(1, {(((-1, 1), (2, 1)),): 1, (((1, 1),),): -3})
     # frozen from the oracle: L_1 L_1 L_0 = L_0 L_1^2 - 2 L_1^2
     expect = Element(1, {(((0, 1), (1, 2)),): 1, (((1, 2),),): -2})
@@ -67,11 +66,11 @@ def test_normal_order_against_oracle_random():
 
 def test_multiply_examples():
     x = Element(1, {(((0, 1), (2, 1)),): Fraction(3, 2)})
-    assert multiply(Element.one(), x) == x
-    assert multiply(x, Element.one()) == x
+    assert Element.one() * x == x
+    assert x * Element.one() == x
     # [L_1, L_-1] = -2 L_0, so L_1 L_-1 = L_-1 L_1 - 2 L_0
-    assert multiply(L(1), L(-1)) == Element(1, {(((-1, 1), (1, 1)),): 1, (((0, 1),),): -2})
-    assert multiply(L(0), L(0)) == Element(1, {(((0, 2),),): 1})
+    assert L(1) * L(-1) == Element(1, {(((-1, 1), (1, 1)),): 1, (((0, 1),),): -2})
+    assert L(0) * L(0) == Element(1, {(((0, 2),),): 1})
 
 
 def test_multiply_associative_random():
@@ -79,7 +78,7 @@ def test_multiply_associative_random():
     for _ in range(40):
         words = [tuple(random.randint(-4, 4) for _ in range(random.randint(1, 3))) for _ in range(3)]
         x, y, z = (normal_order(w) for w in words)
-        assert multiply(multiply(x, y), z) == multiply(x, multiply(y, z))
+        assert (x * y) * z == x * (y * z)
 
 
 def test_bracket_of_elements_jacobi():
@@ -153,7 +152,7 @@ def test_grading():
         a = normal_order([random.randint(-3, 3) for _ in range(2)])
         b = normal_order([random.randint(-3, 3) for _ in range(2)])
         da, db = a.degree(), b.degree()
-        prod = multiply(a, b)
+        prod = a * b
         if da is not None and db is not None and not prod.is_zero():
             assert prod.degree() == da + db
 
