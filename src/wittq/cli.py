@@ -89,13 +89,17 @@ def _require_char0(parser, args):
     return HopfParams(args.i, order)
 
 
-def _require_charp(parser, args):
-    if args.order is not None:
+def _require_prime(parser, args):
+    if getattr(args, "order", None) is not None:
         parser.error("--order only applies in characteristic 0")
     if args.p is None:
         parser.error("characteristic p requires --p")
     if not is_prime(args.p) or args.p == 2:
         parser.error(f"--p must be an odd prime, got {args.p}")
+
+
+def _require_charp(parser, args):
+    _require_prime(parser, args)
     if args.i % args.p == 0:
         parser.error("i must be nonzero mod p")
     t_raw = getattr(args, "t", None)
@@ -107,26 +111,6 @@ def _require_charp(parser, args):
         except ValueError:
             parser.error(f"--t must be 'symbolic' or an integer, got {t_raw!r}")
     return HopfParamsP(args.p, args.i, t_value)
-
-
-def emit_tables(p: int, i: int, path: str | None) -> str:
-    """Serialize the complete structure-map tables for (p, i) as one JSON doc."""
-    params = HopfParamsP(p, i)
-    doc = {
-        "object": "tables",
-        "p": p,
-        "i": i % p,
-        "coproduct": {str(k): jsonio.series_doc(hopfp.coproduct_p(k, params)) for k in range(p)},
-        "antipode": {str(k): jsonio.series_doc(hopfp.antipode_p(k, params)) for k in range(p)},
-        "counit": {str(k): "0" for k in range(p)},
-    }
-    text = jsonio.dumps(doc)
-    if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return text
 
 
 def _cmd_structure(parser, args) -> int:
@@ -179,8 +163,6 @@ def _cmd_counit(parser, args) -> int:
         value = str(hopf0.counit(Element.gen(args.k)))
         doc = {"object": "counit", "characteristic": "0", "i": args.i, "k": args.k, "value": value}
     else:
-        args.order = None
-        args.t = None
         params = _require_charp(parser, args)
         value = str(hopfp.counit_p(restricted.ElementP.gen(args.k, params.p)))
         doc = {
@@ -232,11 +214,18 @@ def _cmd_cobracket(parser, args) -> int:
 
 
 def _cmd_tables(parser, args) -> int:
-    if not is_prime(args.p) or args.p == 2:
-        parser.error(f"--p must be an odd prime, got {args.p}")
-    if args.i % args.p == 0:
-        parser.error("i must be nonzero mod p")
-    emit_tables(args.p, args.i, args.out)
+    """Emit the complete structure-map tables for (p, i) as one JSON doc."""
+    params = _require_charp(parser, args)
+    p = params.p
+    doc = {
+        "object": "tables",
+        "p": p,
+        "i": params.i,
+        "coproduct": {str(k): jsonio.series_doc(hopfp.coproduct_p(k, params)) for k in range(p)},
+        "antipode": {str(k): jsonio.series_doc(hopfp.antipode_p(k, params)) for k in range(p)},
+        "counit": {str(k): "0" for k in range(p)},
+    }
+    _emit(args, jsonio.dumps(doc))
     return 0
 
 
@@ -252,12 +241,7 @@ def _cmd_verify(parser, args) -> int:
     else:
         if args.i is None and not args.all_i:
             parser.error("characteristic p requires --i or --all-i")
-        if args.order is not None:
-            parser.error("--order only applies in characteristic 0")
-        if args.p is None:
-            parser.error("characteristic p requires --p")
-        if not is_prime(args.p) or args.p == 2:
-            parser.error(f"--p must be an odd prime, got {args.p}")
+        _require_prime(parser, args)
         p = args.p
         if args.t in (None, "symbolic"):
             t_values = [None]

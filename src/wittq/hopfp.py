@@ -191,11 +191,6 @@ def counit_p(x: ElementP) -> FpElem:
     return FpElem(x.terms.get((one_mono(x.p),), 0), x.p)
 
 
-def specialize_t(x: PolyP, c) -> ElementP:
-    """Evaluate an exact polynomial at t = c, an int or a residue of its modulus."""
-    return x.evaluate(c)
-
-
 def _at(g: PolyP, t_value) -> PolyP:
     """g itself for symbolic t, else the constant polynomial g(t_value)."""
     return g if t_value is None else PolyP.const(g.evaluate(t_value))

@@ -9,19 +9,19 @@ entries below p.  Coefficients are residues mod p, stored as plain ints in
 Multiplication inserts one generator at a time into canonical monomials,
 applying the p-power reductions as exponents fill up; the memo for that step
 is keyed on (monomial, generator) pairs, so it never grows past the p^p basis.
-A word-level straightener that reduces only at the end is kept alongside it;
-the test suite checks the two orderings agree (the rewriting is confluent on
-everything tested) rather than assuming it.
+The product of tensors folds the right factor's generators across the whole
+left element, one tensor slot at a time; every other element operation is
+shared with characteristic 0 (tensor.py).
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import product as iproduct
 from math import comb
 
 from .report import VerificationReport
 from .scalars import FpElem, is_prime
+from .tensor import TensorElement, commutator
 
 MonoP = tuple[int, ...]
 WordP = tuple[int, ...]
@@ -38,54 +38,6 @@ def one_mono(p: int) -> MonoP:
 
 def gen_mono(k: int, p: int) -> MonoP:
     return tuple(1 if j == k % p else 0 for j in range(p))
-
-
-@lru_cache(maxsize=None)
-def _times_gen_p(word: WordP, g: int, p: int) -> tuple[tuple[WordP, int], ...]:
-    # word ascending (indices in [0, p)); result: normal form of word * D_g, no
-    # exponent reduction yet.
-    if not word or word[-1] <= g:
-        return ((word + (g,), 1),)
-    head, a = word[:-1], word[-1]
-    acc: dict[WordP, int] = {}
-    for w1, c1 in _times_gen_p(head, g, p):
-        for w2, c2 in _times_gen_p(w1, a, p):
-            acc[w2] = (acc.get(w2, 0) + c1 * c2) % p
-    merge_c = (g - a) % p
-    if merge_c:
-        for w1, c1 in _times_gen_p(head, (g + a) % p, p):
-            acc[w1] = (acc.get(w1, 0) + merge_c * c1) % p
-    return tuple(sorted((w, c) for w, c in acc.items() if c))
-
-
-def _reduce_word(word: WordP, p: int) -> MonoP | None:
-    counts = [0] * p
-    for k in word:
-        counts[k] += 1
-    while counts[0] >= p:
-        counts[0] -= p - 1
-    for k in range(1, p):
-        if counts[k] >= p:
-            return None
-    return tuple(counts)
-
-
-@lru_cache(maxsize=None)
-def straighten_p(word: WordP, p: int) -> tuple[tuple[MonoP, int], ...]:
-    """Normal form of the product D_{word[0]} ... D_{word[-1]} in U_c."""
-    acc: dict[WordP, int] = {(): 1}
-    for g in word:
-        nxt: dict[WordP, int] = {}
-        for w, c in acc.items():
-            for w2, c2 in _times_gen_p(w, g % p, p):
-                nxt[w2] = (nxt.get(w2, 0) + c * c2) % p
-        acc = {w: c for w, c in nxt.items() if c}
-    out: dict[MonoP, int] = {}
-    for w, c in acc.items():
-        mono = _reduce_word(w, p)
-        if mono is not None:
-            out[mono] = (out.get(mono, 0) + c) % p
-    return tuple(sorted((m, c) for m, c in out.items() if c))
 
 
 def _word_of(mono: MonoP) -> WordP:
@@ -126,32 +78,10 @@ def mono_times_gen_p(mono: MonoP, g: int, p: int) -> tuple[tuple[MonoP, int], ..
     return tuple(sorted((m, c) for m, c in acc.items() if c))
 
 
-@lru_cache(maxsize=1 << 18)
-def mono_mul_p(a: MonoP, b: MonoP, p: int) -> tuple[tuple[MonoP, int], ...]:
-    if not any(a):
-        return ((b, 1),)
-    acc: dict[MonoP, int] = {a: 1}
-    for g in _word_of(b):
-        nxt: dict[MonoP, int] = {}
-        get = nxt.get
-        for m, c in acc.items():
-            for m2, c2 in mono_times_gen_p(m, g, p):
-                nxt[m2] = (get(m2, 0) + c * c2) % p
-        acc = {m: c for m, c in nxt.items() if c}
-        if not acc:
-            return ()
-    return tuple(sorted(acc.items()))
-
-
-def _mono_str(mono: MonoP) -> str:
-    parts = [f"D_{k}" if m == 1 else f"D_{k}^{m}" for k, m in enumerate(mono) if m]
-    return "*".join(parts) if parts else "1"
-
-
-class ElementP:
+class ElementP(TensorElement):
     """Sparse F_p-linear combination of (tensors of) restricted monomials."""
 
-    __slots__ = ("p", "rank", "terms")
+    __slots__ = ("p",)
 
     def __init__(self, p: int, rank: int = 1, terms: dict | None = None):
         _check_prime(p)
@@ -168,14 +98,13 @@ class ElementP:
                 clean[key] = c
         self.terms = clean
 
-    @classmethod
-    def _make(cls, p: int, rank: int, terms: dict) -> "ElementP":
+    def _like(self, rank: int, terms: dict) -> "ElementP":
         # fast path: residues already reduced, zeros already pruned
-        self = cls.__new__(cls)
-        self.p = p
-        self.rank = rank
-        self.terms = terms
-        return self
+        out = ElementP.__new__(ElementP)
+        out.p = self.p
+        out.rank = rank
+        out.terms = terms
+        return out
 
     @staticmethod
     def zero(p: int, rank: int = 1) -> "ElementP":
@@ -193,159 +122,69 @@ class ElementP:
     def from_mono(p: int, mono: MonoP, coeff: int = 1) -> "ElementP":
         return ElementP(p, 1, {(mono,): coeff})
 
-    # -- ring hooks of the shared t-series layer ------------------------------
+    # -- the ring and the monomial rule ------------------------------------------
 
-    def zero_of(self, rank: int) -> "ElementP":
-        return ElementP._make(self.p, rank, {})
-
-    def one_of(self, rank: int) -> "ElementP":
-        return ElementP.one(self.p, rank)
-
-    def unit_mono(self) -> MonoP:
-        return one_mono(self.p)
-
-    def monomial(self, mono: MonoP) -> "ElementP":
-        return ElementP._make(self.p, 1, {(mono,): 1})
-
-    def runs(self, mono: MonoP) -> tuple[tuple[int, int], ...]:
-        return tuple((k, m) for k, m in enumerate(mono) if m)
+    @property
+    def char(self) -> int:
+        return self.p
 
     def from_sums(self, rank: int, sums: dict) -> "ElementP":
         """The element with the given integer coefficient sums, reduced mod p
         and with zeros dropped."""
         p = self.p
-        return ElementP._make(p, rank, {key: c % p for key, c in sums.items() if c % p})
+        return self._like(rank, {key: c % p for key, c in sums.items() if c % p})
 
-    def _check(self, other: "ElementP"):
-        if self.p != other.p:
-            raise ValueError(f"mismatched moduli {self.p} and {other.p}")
-        if self.rank != other.rank:
-            raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
+    def _scalar(self, x):
+        if isinstance(x, FpElem):
+            if x.p != self.p:
+                raise ValueError(f"mismatched moduli {self.p} and {x.p}")
+            return x.residue
+        return x % self.p if isinstance(x, int) else NotImplemented
 
-    def __add__(self, other):
-        if isinstance(other, int):
-            other = other * ElementP.one(self.p, self.rank)
-        self._check(other)
-        out = dict(self.terms)
-        get = out.get
-        for key, c in other.terms.items():
-            v = (get(key, 0) + c) % self.p
-            if v:
-                out[key] = v
-            elif key in out:
-                del out[key]
-        return ElementP._make(self.p, self.rank, out)
+    def unit_mono(self) -> MonoP:
+        return one_mono(self.p)
 
-    __radd__ = __add__
+    def runs(self, mono: MonoP) -> tuple[tuple[int, int], ...]:
+        return tuple((k, m) for k, m in enumerate(mono) if m)
 
-    def __sub__(self, other):
-        if isinstance(other, int):
-            other = other * ElementP.one(self.p, self.rank)
-        return self + (-other)
-
-    def __neg__(self):
-        p = self.p
-        return ElementP._make(p, self.rank, {k: p - c for k, c in self.terms.items()})
-
-    def __rmul__(self, scalar):
-        if isinstance(scalar, int):
-            s = scalar % self.p
-            if not s:
-                return ElementP._make(self.p, self.rank, {})
-            # s*c is never 0 mod p for nonzero residues
-            return ElementP._make(self.p, self.rank, {k: (s * c) % self.p for k, c in self.terms.items()})
-        if isinstance(scalar, FpElem):
-            if scalar.p != self.p:
-                raise ValueError("mismatched moduli")
-            return self.__rmul__(scalar.residue)
-        return NotImplemented
+    def mono_str(self, mono: MonoP) -> str:
+        parts = [f"D_{k}" if m == 1 else f"D_{k}^{m}" for k, m in enumerate(mono) if m]
+        return "*".join(parts) if parts else "1"
 
     def __mul__(self, other):
-        if isinstance(other, (int, FpElem)):
+        if not isinstance(other, ElementP):
             return self.__rmul__(other)
         self._check(other)
         p = self.p
         rank = self.rank
-        if rank <= 2:
-            # fold the right factor's generators across the whole left element;
-            # every step is a cached (monomial, generator) expansion, so the
-            # cost tracks the support size instead of per-pair rewriting depth
-            out: dict = {}
-            oget = out.get
-            for kb, cb in other.terms.items():
-                acc = self.terms
-                for slot in range(rank):
-                    for g in _word_of(kb[slot]):
-                        nxt: dict = {}
-                        nget = nxt.get
-                        for key, c in acc.items():
-                            for m2, c2 in mono_times_gen_p(key[slot], g, p):
-                                nkey = (m2,) if rank == 1 else (
-                                    (m2, key[1]) if slot == 0 else (key[0], m2)
-                                )
-                                nxt[nkey] = nget(nkey, 0) + c * c2
-                        acc = {k: v % p for k, v in nxt.items() if v % p}
-                        if not acc:
-                            break
+        # fold the right factor's generators, slot by slot, across the whole
+        # left element; every step is a cached (monomial, generator) expansion,
+        # so the cost tracks the support size instead of per-pair rewriting
+        out: dict = {}
+        oget = out.get
+        for kb, cb in other.terms.items():
+            acc = self.terms
+            for slot in range(rank):
+                for g in _word_of(kb[slot]):
+                    nxt: dict = {}
+                    nget = nxt.get
+                    for key, c in acc.items():
+                        for m2, c2 in mono_times_gen_p(key[slot], g, p):
+                            if rank == 1:
+                                nkey = (m2,)
+                            elif rank == 2:
+                                nkey = (m2, key[1]) if slot == 0 else (key[0], m2)
+                            else:
+                                nkey = key[:slot] + (m2,) + key[slot + 1 :]
+                            nxt[nkey] = nget(nkey, 0) + c * c2
+                    acc = {k: v % p for k, v in nxt.items() if v % p}
                     if not acc:
                         break
-                for key, c in acc.items():
-                    out[key] = oget(key, 0) + c * cb
-            clean = {}
-            for key, v in out.items():
-                v %= p
-                if v:
-                    clean[key] = v
-            return ElementP._make(p, rank, clean)
-
-        out = {}
-        get = out.get
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                parts = [mono_mul_p(ma, mb, p) for ma, mb in zip(ka, kb)]
-                if any(not part for part in parts):
-                    continue
-                for combo in iproduct(*parts):
-                    c = ca * cb
-                    for _, ci in combo:
-                        c *= ci
-                    c %= p
-                    if not c:
-                        continue
-                    key = tuple(m for m, _ in combo)
-                    out[key] = (get(key, 0) + c) % p
-        zeros = [k for k, v in out.items() if not v]
-        for k in zeros:
-            del out[k]
-        return ElementP._make(p, self.rank, out)
-
-    def __pow__(self, n: int):
-        out = ElementP.one(self.p, self.rank)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def tensor(self, other: "ElementP") -> "ElementP":
-        if self.p != other.p:
-            raise ValueError("mismatched moduli")
-        p = self.p
-        out = {
-            ka + kb: (ca * cb) % p
-            for ka, ca in self.terms.items()
-            for kb, cb in other.terms.items()
-        }
-        return ElementP._make(p, self.rank + other.rank, out)
-
-    def swap(self) -> "ElementP":
-        if self.rank != 2:
-            raise ValueError("swap needs rank 2")
-        return ElementP(self.p, 2, {(b, a): c for (a, b), c in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def coeff(self, key) -> int:
-        return self.terms.get(key, 0)
+                if not acc:
+                    break
+            for key, c in acc.items():
+                out[key] = oget(key, 0) + c * cb
+        return self.from_sums(rank, out)
 
     def supported_indices(self) -> set[int]:
         """Generator indices appearing anywhere in the support."""
@@ -354,25 +193,6 @@ class ElementP:
             for mono in key:
                 out.update(k for k, m in enumerate(mono) if m)
         return out
-
-    def __eq__(self, other):
-        if not isinstance(other, ElementP):
-            return NotImplemented
-        return self.p == other.p and self.rank == other.rank and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.p, self.rank, frozenset(self.terms.items())))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for key in sorted(self.terms):
-            mono = " (x) ".join(_mono_str(m) for m in key)
-            bits.append(f"{self.terms[key]} * {mono}")
-        return " + ".join(bits)
-
-    __repr__ = __str__
 
 
 # -- public operation surface ------------------------------------------------
@@ -395,21 +215,9 @@ def bracket_p(k, l, p: int | None = None) -> ElementP:
     return ElementP(p, 1, {(gen_mono(k + l, p),): (l - k) % p})
 
 
-def commutator_p(x: ElementP, y: ElementP) -> ElementP:
-    return x * y - y * x
-
-
-def basis_size(p: int, materialize: bool | None = None) -> int:
-    """Dimension of the restricted enveloping algebra.
-
-    Enumerates the exponent-vector basis when it is small enough to hold
-    (default for p <= 5) and counts arithmetically otherwise.
-    """
+def basis_size(p: int) -> int:
+    """Dimension of the restricted enveloping algebra: p^p exponent vectors."""
     _check_prime(p)
-    if materialize is None:
-        materialize = p <= 5
-    if materialize:
-        return sum(1 for _ in iproduct(range(p), repeat=p))
     return p**p
 
 
@@ -456,7 +264,7 @@ def verify_witt_iso(p: int) -> VerificationReport:
 
     for k in range(-1, p - 1):
         for l in range(-1, p - 1):
-            lhs = commutator_p(phi[k], phi[l])
+            lhs = commutator(phi[k], phi[l])
             if (l - k) % p and -1 <= k + l <= p - 2:
                 rhs = ((l - k) % p) * phi[k + l]
             else:

@@ -3,13 +3,12 @@
 Generators L_k (k in Z) obey [L_r, L_s] = (s - r) L_{r+s}.  Elements are
 finitely supported maps from normal-ordered monomials to Fractions; a monomial
 is a word of generators with strictly ascending indices, stored run-length
-encoded as ((index, exponent), ...).  The same Element class also carries
-rank-2 and rank-3 tensors (keys are tuples of monomials), which keeps one
-multiplication routine for the whole char-0 side.
+encoded as ((index, exponent), ...).  Element adds this monomial rule and a
+pairwise multiply to the sparse tensors of tensor.py.
 
 Straightening rewrites L_a L_b -> L_b L_a + (b - a) L_{a+b} whenever a > b,
-leftmost pair first; it is memoized at the word level because the tensor
-series computations multiply the same small monomials over and over.
+one inserted generator at a time; monomial products are memoized because the
+tensor series computations multiply the same small monomials over and over.
 """
 
 from __future__ import annotations
@@ -20,6 +19,7 @@ from itertools import product as iproduct
 from math import factorial
 
 from .scalars import rising
+from .tensor import TensorElement, commutator
 
 Mono = tuple[tuple[int, int], ...]
 Word = tuple[int, ...]
@@ -61,17 +61,21 @@ def _times_gen(word: Word, g: int) -> tuple[tuple[Word, int], ...]:
     return tuple(sorted((w, c) for w, c in acc.items() if c))
 
 
-@lru_cache(maxsize=None)
-def straighten(word: Word) -> tuple[tuple[Mono, int], ...]:
-    """Normal form of the product L_{word[0]} ... L_{word[-1]}."""
-    acc: dict[Word, int] = {(): 1}
-    for g in word:
+def _fold(acc: dict[Word, int], gens) -> tuple[tuple[Mono, int], ...]:
+    """Normal form of (sum of c * w over acc, w ascending words) * L_g for g in gens."""
+    for g in gens:
         nxt: dict[Word, int] = {}
         for w, c in acc.items():
             for w2, c2 in _times_gen(w, g):
                 nxt[w2] = nxt.get(w2, 0) + c * c2
         acc = {w: c for w, c in nxt.items() if c}
     return tuple(sorted((mono_of(w), c) for w, c in acc.items()))
+
+
+@lru_cache(maxsize=None)
+def straighten(word: Word) -> tuple[tuple[Mono, int], ...]:
+    """Normal form of the product L_{word[0]} ... L_{word[-1]}."""
+    return _fold({(): 1}, word)
 
 
 @lru_cache(maxsize=None)
@@ -80,30 +84,15 @@ def mono_mul(a: Mono, b: Mono) -> tuple[tuple[Mono, int], ...]:
         return ((b, 1),)
     if not b:
         return ((a, 1),)
-    acc: dict[Word, int] = {word_of(a): 1}
-    for g in word_of(b):
-        nxt: dict[Word, int] = {}
-        for w, c in acc.items():
-            for w2, c2 in _times_gen(w, g):
-                nxt[w2] = nxt.get(w2, 0) + c * c2
-        acc = {w: c for w, c in nxt.items() if c}
-    return tuple(sorted((mono_of(w), c) for w, c in acc.items()))
+    return _fold({word_of(a): 1}, word_of(b))
 
 
-def _mono_str(mono: Mono) -> str:
-    if not mono:
-        return "1"
-    parts = []
-    for k, m in mono:
-        name = f"L_{{{k}}}" if k < 0 else f"L_{k}"
-        parts.append(name if m == 1 else f"{name}^{m}")
-    return "*".join(parts)
-
-
-class Element:
+class Element(TensorElement):
     """A finitely supported Q-linear combination of (tensors of) monomials."""
 
-    __slots__ = ("rank", "terms")
+    __slots__ = ()
+
+    char = 0
 
     def __init__(self, rank: int, terms: dict | None = None):
         self.rank = rank
@@ -113,6 +102,12 @@ class Element:
             if c:
                 clean[key] = c
         self.terms = clean
+
+    def _like(self, rank: int, terms: dict) -> "Element":
+        out = Element.__new__(Element)
+        out.rank = rank
+        out.terms = terms
+        return out
 
     # -- constructors ------------------------------------------------------
 
@@ -132,60 +127,32 @@ class Element:
     def from_mono(mono: Mono, coeff=1) -> "Element":
         return Element(1, {(mono,): Fraction(coeff)})
 
-    # -- ring hooks of the shared t-series layer ------------------------------
+    # -- the ring and the monomial rule ------------------------------------------
 
-    def zero_of(self, rank: int) -> "Element":
-        return Element(rank)
+    def from_sums(self, rank: int, sums: dict) -> "Element":
+        """The element with the given Fraction coefficient sums, zeros dropped."""
+        return self._like(rank, {key: c for key, c in sums.items() if c})
 
-    def one_of(self, rank: int) -> "Element":
-        return Element.one(rank)
+    def _scalar(self, x):
+        return Fraction(x) if isinstance(x, (int, Fraction)) else NotImplemented
 
     def unit_mono(self) -> Mono:
         return ONE_MONO
 
-    def monomial(self, mono: Mono) -> "Element":
-        return Element.from_mono(mono)
-
     def runs(self, mono: Mono) -> Mono:
         return mono
 
-    def from_sums(self, rank: int, sums: dict) -> "Element":
-        """The element with the given Fraction coefficient sums, zeros dropped."""
-        out = Element.__new__(Element)
-        out.rank = rank
-        out.terms = {key: c for key, c in sums.items() if c}
-        return out
-
-    # -- ring structure ----------------------------------------------------
-
-    def _check(self, other: "Element"):
-        if self.rank != other.rank:
-            raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
-
-    def __add__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = Element.one(self.rank) * other
-        self._check(other)
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            out[key] = out.get(key, 0) + c
-        return Element(self.rank, out)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return Element(self.rank, {k: -c for k, c in self.terms.items()})
-
-    def __rmul__(self, scalar):
-        if isinstance(scalar, (int, Fraction)):
-            return Element(self.rank, {k: scalar * c for k, c in self.terms.items()})
-        return NotImplemented
+    def mono_str(self, mono: Mono) -> str:
+        if not mono:
+            return "1"
+        parts = []
+        for k, m in mono:
+            name = f"L_{{{k}}}" if k < 0 else f"L_{k}"
+            parts.append(name if m == 1 else f"{name}^{m}")
+        return "*".join(parts)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, Element):
             return self.__rmul__(other)
         self._check(other)
         out: dict = {}
@@ -198,31 +165,7 @@ class Element:
                         c *= ci
                     key = tuple(m for m, _ in combo)
                     out[key] = out.get(key, 0) + c
-        return Element(self.rank, out)
-
-    def __pow__(self, n: int):
-        out = Element.one(self.rank)
-        for _ in range(n):
-            out = out * self
-        return out
-
-    def tensor(self, other: "Element") -> "Element":
-        out: dict = {}
-        for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
-                out[ka + kb] = out.get(ka + kb, 0) + ca * cb
-        return Element(self.rank + other.rank, out)
-
-    def swap(self) -> "Element":
-        """Flip the two factors of a rank-2 tensor."""
-        if self.rank != 2:
-            raise ValueError("swap needs rank 2")
-        return Element(2, {(b, a): c for (a, b), c in self.terms.items()})
-
-    # -- structure queries ---------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
+        return self.from_sums(self.rank, out)
 
     def degree(self):
         """Common degree under |L_k| = k, or None if inhomogeneous."""
@@ -230,30 +173,6 @@ class Element:
             return 0
         degs = {sum(mono_degree(m) for m in key) for key in self.terms}
         return degs.pop() if len(degs) == 1 else None
-
-    def coeff(self, key) -> Fraction:
-        """Coefficient at a key (a tuple of rank many monomials)."""
-        return self.terms.get(key, Fraction(0))
-
-    def __eq__(self, other):
-        if not isinstance(other, Element):
-            return NotImplemented
-        return self.rank == other.rank and self.terms == other.terms
-
-    def __hash__(self):
-        return hash((self.rank, frozenset(self.terms.items())))
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for key in sorted(self.terms):
-            c = self.terms[key]
-            mono = " (x) ".join(_mono_str(m) for m in key)
-            bits.append(f"{c} * {mono}")
-        return " + ".join(bits)
-
-    __repr__ = __str__
 
 
 # -- public operation surface ------------------------------------------------
@@ -267,10 +186,6 @@ def bracket(r: int, s: int) -> Element:
 def normal_order(word) -> Element:
     """Canonical form of the product of generators listed by index."""
     return Element(1, {(m,): Fraction(c) for m, c in straighten(tuple(word))})
-
-
-def commutator(x: Element, y: Element) -> Element:
-    return x * y - y * x
 
 
 def e_element(i: int, n: int = 1) -> Element:

@@ -1,0 +1,84 @@
+"""The sparse tensor layer both characteristics share: products of tensors,
+and the ring that every element carries."""
+
+import random
+from fractions import Fraction
+from functools import reduce
+
+import pytest
+
+from wittq.restricted import ElementP
+from wittq.scalars import FpElem
+from wittq.uwitt import Element
+
+
+def _random_element_0(rng):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        ks = sorted(rng.sample(range(-2, 3), rng.randint(0, 2)))
+        terms[(tuple((k, rng.randint(1, 2)) for k in ks),)] = Fraction(rng.randint(1, 4), rng.randint(1, 3))
+    return Element(1, terms)
+
+
+def _random_element_p(rng, p):
+    terms = {}
+    for _ in range(rng.randint(1, 3)):
+        v = [0] * p
+        for _ in range(rng.randint(0, 3)):
+            v[rng.randrange(p)] = rng.randint(1, 3)
+        terms[(tuple(v),)] = rng.randrange(1, p)
+    return ElementP(p, 1, terms)
+
+
+RANDOM_ELEMENT = {
+    "Q": _random_element_0,
+    "F5": lambda rng: _random_element_p(rng, 5),
+    "F7": lambda rng: _random_element_p(rng, 7),
+}
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+@pytest.mark.parametrize("ring", sorted(RANDOM_ELEMENT))
+def test_tensor_products_multiply_factorwise(ring, rank):
+    # (a (x) b (x) ...) * (c (x) d (x) ...) == (a c) (x) (b d) (x) ...
+    rng = random.Random(41 + rank)
+    make = RANDOM_ELEMENT[ring]
+    for _ in range(10):
+        xs = [make(rng) for _ in range(rank)]
+        ys = [make(rng) for _ in range(rank)]
+        lhs = reduce(lambda a, b: a.tensor(b), xs) * reduce(lambda a, b: a.tensor(b), ys)
+        rhs = reduce(lambda a, b: a.tensor(b), [x * y for x, y in zip(xs, ys)])
+        assert lhs.rank == rank
+        assert lhs == rhs
+
+
+def test_elements_of_different_rings_differ():
+    q, f5, f7 = Element.zero(1), ElementP.zero(5, 1), ElementP.zero(7, 1)
+    assert q != f5
+    assert f5 != f7
+    assert hash(q) != hash(f5)
+    assert hash(f5) != hash(f7)
+    assert len({q, f5, f7, Element.zero(1)}) == 3
+
+
+@pytest.mark.parametrize(
+    "x, y",
+    [
+        (Element.gen(1), ElementP.gen(1, 5)),
+        (ElementP.gen(1, 5), Element.gen(1)),
+        (ElementP.gen(1, 5), ElementP.gen(1, 7)),
+    ],
+)
+def test_operations_across_rings_raise(x, y):
+    for op in (lambda: x + y, lambda: x - y, lambda: x * y, lambda: x.tensor(y)):
+        with pytest.raises((TypeError, ValueError)):
+            op()
+
+
+def test_scalars_of_another_ring_raise():
+    with pytest.raises(ValueError):
+        FpElem(1, 7) * ElementP.gen(1, 5)
+    with pytest.raises(ValueError):
+        ElementP.gen(1, 5) + FpElem(1, 7)
+    with pytest.raises(TypeError):
+        FpElem(1, 5) * Element.gen(1)
