@@ -24,6 +24,7 @@ from .report import VerificationReport
 from .restricted import ElementP, MonoP, one_mono
 from .scalars import FpElem, is_prime, n_coeff, rising
 from .series import TSeries, check_generator, element_image, first_mismatch, mono_image
+from .tensor import commutator
 
 
 @dataclass(frozen=True)
@@ -256,13 +257,22 @@ def verify_relations_preserved(params: HopfParamsP, corrupt_term: int | None = N
     dk = {k: coproduct_p(k, params, corrupt_term) for k in range(p)}
     sk = {k: antipode_p(k, params) for k in range(p)}
 
+    # each unordered pair once: [x_l, x_k] = -[x_k, x_l]
+    comm_d, comm_s = {}, {}
+    for k in range(p):
+        for l in range(k, p):
+            comm_d[k, l] = commutator(dk[k], dk[l])
+            comm_d[l, k] = -comm_d[k, l]
+            comm_s[k, l] = commutator(sk[k], sk[l])
+            comm_s[l, k] = -comm_s[k, l]
+
     for k in range(p):
         for l in range(p):
             pt = dict(base, k=k, l=l)
-            lhs = dk[k] * dk[l] - dk[l] * dk[k]
+            lhs = comm_d[k, l]
             rhs = ((l - k) % p) * dk[(k + l) % p]
             rep.add("coproduct-commutator", pt, lhs == rhs, first_mismatch(lhs, rhs))
-            lhs_s = sk[l] * sk[k] - sk[k] * sk[l]
+            lhs_s = comm_s[l, k]
             rhs_s = ((l - k) % p) * sk[(k + l) % p]
             rep.add("antipode-commutator", pt, lhs_s == rhs_s, first_mismatch(lhs_s, rhs_s))
 

@@ -55,11 +55,14 @@ class TensorElement:
                 return NotImplemented
             other = self.from_sums(self.rank, {(self.unit_mono(),) * self.rank: s})
         self._check(other)
+        # normalize only the keys the right operand touches
         out = dict(self.terms)
         get = out.get
-        for key, c in other.terms.items():
-            out[key] = get(key, 0) + c
-        return self.from_sums(self.rank, out)
+        touched = self.from_sums(self.rank, {key: get(key, 0) + c for key, c in other.terms.items()}).terms
+        for key in other.terms.keys() - touched.keys():
+            out.pop(key, None)
+        out.update(touched)
+        return self._like(self.rank, out)
 
     __radd__ = __add__
 

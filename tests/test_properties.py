@@ -1,0 +1,52 @@
+"""Seeded property tests of the characteristic-p multiply kernel on random
+elements of every rank it serves.  Derandomized with fixed small budgets, so
+every run draws the same examples."""
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wittq.restricted import ElementP
+
+PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
+
+
+def _elements(p: int, rank: int, n: int):
+    """Strategy for n ElementPs of one rank over F_p: at most three terms each,
+    every monomial a product of at most two generator powers."""
+    mono = st.dictionaries(st.integers(0, p - 1), st.integers(1, p - 1), max_size=2).map(
+        lambda exps: tuple(exps.get(j, 0) for j in range(p))
+    )
+    terms = st.dictionaries(st.tuples(*[mono] * rank), st.integers(1, p - 1), max_size=3)
+    element = terms.map(lambda t: ElementP(p, rank, t))
+    return st.tuples(*[element] * n)
+
+
+@st.composite
+def _triples(draw):
+    p = draw(st.sampled_from((3, 5)))
+    rank = draw(st.integers(1, 3))
+    return draw(_elements(p, rank, 3))
+
+
+@st.composite
+def _split_pairs(draw):
+    p = draw(st.sampled_from((3, 5)))
+    left = draw(st.integers(1, 2))
+    right = draw(st.integers(1, 3 - left))
+    a, c = draw(_elements(p, left, 2))
+    b, d = draw(_elements(p, right, 2))
+    return a, b, c, d
+
+
+@PROPERTY
+@given(_triples())
+def test_multiply_associative(xyz):
+    x, y, z = xyz
+    assert (x * y) * z == x * (y * z)
+
+
+@PROPERTY
+@given(_split_pairs())
+def test_multiply_factorwise_on_tensors(abcd):
+    a, b, c, d = abcd
+    assert a.tensor(b) * c.tensor(d) == (a * c).tensor(b * d)

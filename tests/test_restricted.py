@@ -1,3 +1,4 @@
+import itertools
 import random
 from functools import lru_cache
 
@@ -10,8 +11,12 @@ from wittq.restricted import (
     bracket_p,
     embed_witt,
     gen_mono,
+    mono_times_gen_p,
+    one_mono,
     p_power_map,
     verify_witt_iso,
+    _pack,
+    _unpack,
     _word_of,
 )
 from wittq.scalars import FpElem
@@ -168,6 +173,103 @@ def test_mono_mul_matches_word_straightening():
             a, b = tuple(a), tuple(b)
             want = ElementP(p, 1, {(m,): c for m, c in straighten_p(_word_of(a) + _word_of(b), p)})
             assert ElementP.from_mono(p, a) * ElementP.from_mono(p, b) == want
+
+
+# -- the insertion memo on packed monomials ------------------------------------
+
+
+def _memo_product(mono, g, p):
+    return {_unpack(code, p): c for code, c in mono_times_gen_p(_pack(mono, p), g, p)}
+
+
+def test_insertion_memo_exhaustive_p3():
+    p = 3
+    for mono in itertools.product(range(p), repeat=p):
+        assert _unpack(_pack(mono, p), p) == mono
+        for g in range(p):
+            assert _memo_product(mono, g, p) == dict(straighten_p(_word_of(mono) + (g,), p))
+
+
+def test_insertion_memo_sampled_p5_p7():
+    rng = random.Random(17)
+    for p in (5, 7):
+        for _ in range(80):
+            mono = [0] * p
+            for _ in range(rng.randint(1, 3)):
+                mono[rng.randrange(p)] = rng.randrange(p)
+            mono = tuple(mono)
+            g = rng.randrange(p)
+            assert _unpack(_pack(mono, p), p) == mono
+            assert _memo_product(mono, g, p) == dict(straighten_p(_word_of(mono) + (g,), p))
+
+
+def test_insertion_memo_p_power_boundaries():
+    for p in (3, 5, 7):
+        # D_0^{p-1} * D_0 = D_0: the packed code drops by p - 2
+        top0 = (p - 1,) + (0,) * (p - 1)
+        assert mono_times_gen_p(_pack(top0, p), 0, p) == ((_pack(top0, p) - (p - 2), 1),)
+        assert _memo_product(top0, 0, p) == {gen_mono(0, p): 1}
+        for k in range(1, p):
+            # D_k^{p-1} * D_k = 0, also behind lower generators
+            topk = tuple(p - 1 if j == k else 0 for j in range(p))
+            assert mono_times_gen_p(_pack(topk, p), k, p) == ()
+            lower = tuple(1 if j < k else e for j, e in enumerate(topk))
+            assert mono_times_gen_p(_pack(lower, p), k, p) == ()
+            assert straighten_p(_word_of(lower) + (k,), p) == ()
+
+
+# -- the shared-prefix fold of the multiply kernel ------------------------------
+
+
+def _mono(p, *runs):
+    """The monomial with the given (index, exponent) runs."""
+    exps = dict(runs)
+    return tuple(exps.get(j, 0) for j in range(p))
+
+
+def _random_element(rng, p, rank, n_terms):
+    terms = {}
+    for _ in range(n_terms):
+        key = []
+        for _ in range(rank):
+            mono = [0] * p
+            for _ in range(rng.randint(0, 2)):
+                mono[rng.randrange(p)] = rng.randrange(p)
+            key.append(tuple(mono))
+        terms[tuple(key)] = rng.randrange(1, p)
+    return ElementP(p, rank, terms)
+
+
+def _sum_of_single_term_products(x, y):
+    total = ElementP.zero(x.p, x.rank)
+    for key, c in y.terms.items():
+        total = total + x * ElementP(y.p, y.rank, {key: c})
+    return total
+
+
+def _letters(key):
+    return tuple((slot, g) for slot, mono in enumerate(key) for g in _word_of(mono))
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_prefix_fold_matches_single_term_products(rank):
+    p = 5
+    u = one_mono(p)
+    d1, d2, d12, d1sq = _mono(p, (1, 1)), _mono(p, (2, 1)), _mono(p, (1, 1), (2, 1)), _mono(p, (1, 2))
+    if rank == 2:
+        keys = [(u, u), (d1, u), (d1, d2), (d12, u), (d12, d2), (u, d2), (u, _mono(p, (2, 2))), (d1sq, d2)]
+    else:
+        keys = [(u, u, u), (d1, u, u), (d1, u, d2), (d1, d2, d2), (u, u, d2), (u, d1, u), (d12, u, u), (d1sq, u, d1)]
+    y = ElementP(p, rank, {key: 1 + n % (p - 1) for n, key in enumerate(keys)})
+    # the operand exercises what the trie shares: a word that is a proper
+    # prefix of another, and unit slots, including the all-unit key
+    words = [_letters(key) for key in keys]
+    assert () in words
+    assert any(a != b and b[: len(a)] == a for a in words for b in words)
+    rng = random.Random(31 + rank)
+    for _ in range(6):
+        x = _random_element(rng, p, rank, 4)
+        assert x * y == _sum_of_single_term_products(x, y)
 
 
 def test_basis_size():
