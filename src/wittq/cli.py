@@ -83,7 +83,8 @@ def _require_char0(parser, args):
         parser.error("i must be nonzero")
     if getattr(args, "t", None) not in (None, "symbolic"):
         parser.error("--t only applies in characteristic p")
-    order = args.order if args.order is not None else 4
+    order = getattr(args, "order", None)
+    order = order if order is not None else 4
     if order < 0:
         parser.error("--order must be >= 0")
     return HopfParams(args.i, order)
@@ -156,12 +157,9 @@ def _cmd_structure(parser, args) -> int:
 
 def _cmd_counit(parser, args) -> int:
     if args.char == "0":
-        if args.p is not None:
-            parser.error("--p only applies in characteristic p")
-        if args.i == 0:
-            parser.error("i must be nonzero")
+        params = _require_char0(parser, args)
         value = str(hopf0.counit(Element.gen(args.k)))
-        doc = {"object": "counit", "characteristic": "0", "i": args.i, "k": args.k, "value": value}
+        doc = {"object": "counit", "characteristic": "0", "i": params.i, "k": args.k, "value": value}
     else:
         params = _require_charp(parser, args)
         value = str(hopfp.counit_p(restricted.ElementP.gen(args.k, params.p)))

@@ -8,10 +8,13 @@ yields closed-form structure maps on generators:
                      + sum_l (-1)^l C_l h^(l) (x) (1-et)^(-l) L_{k+li} t^l
     antipode(L_k)  = -(1-et)^(-k/i) sum_l C_l L_{k+li} (h+1)^(l) t^l
 
-with C_l = int_coeff(i, k-i, l), an integer.  Every map here exists in two
-independently computed routes (closed form vs. twist conjugation), and the
-verifiers check them against each other and against the Hopf axioms, up to the
-caller-chosen truncation order.
+with C_l = int_coeff(i, k-i, l), an integer.  The closed forms are written once
+for both characteristics in series.py (the characteristic-p maps are these
+formulas read mod p); the public functions here bind them to characteristic 0
+and the truncation order.  Every map here exists in two independently computed
+routes (closed form vs. twist conjugation), and the verifiers check them
+against each other and against the Hopf axioms, up to the caller-chosen
+truncation order.
 
 Fractional powers (1-et)^(k/i) with i not dividing k are the generalized
 binomial series with exponent k/i in Q, the unique t-adically continuous
@@ -22,31 +25,27 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import factorial
 
 from .report import VerificationReport
-from .scalars import gen_binomial, int_coeff
+from .scalars import int_coeff
 from .series import (
     Series,
+    binomial_series,
     check_generator,
     counit_slot,
-    element_image,
+    element_antipode,
+    element_coproduct,
     first_mismatch,
-    mono_image,
+    gen_antipode,
+    gen_coproduct,
+    h_rising,
+    mono_antipode,
+    mono_coproduct,
     slot_apply,
 )
-from .uwitt import (
-    Element,
-    Mono,
-    ONE_MONO,
-    ad_power,
-    bracket,
-    e_element,
-    h_plus_one_rising,
-    h_rising,
-    word_of,
-)
+from .uwitt import Element, Mono, ONE_MONO, ad_power, bracket, e_element, word_of
 
 
 class CrossRouteMismatch(ArithmeticError):
@@ -121,7 +120,7 @@ def counit(x: Element) -> Fraction:
 def _twist(i: int, order: int) -> Series:
     coeffs = []
     for r in range(order + 1):
-        coeffs.append(Fraction(1, factorial(r)) * h_rising(r, i).tensor(e_element(i, r)))
+        coeffs.append(Fraction(1, factorial(r)) * h_rising(0, order, i, 0, r).tensor(e_element(i, r)))
     return Series(order, 2, coeffs)
 
 
@@ -135,15 +134,9 @@ def _twist_inverse(i: int, order: int) -> Series:
     return _twist(i, order).invert()
 
 
-@lru_cache(maxsize=None)
-def _one_minus_et_power(q: Fraction, i: int, order: int) -> Series:
-    coeffs = [gen_binomial(q, n) * Fraction(-1) ** n * e_element(i, n) for n in range(order + 1)]
-    return Series(order, 1, coeffs)
-
-
 def one_minus_et_power(q, params: HopfParams) -> Series:
     """(1 - et)^q for rational q, as a truncated binomial series."""
-    return _one_minus_et_power(Fraction(q), params.i, params.order)
+    return binomial_series(0, params.order, params.i, Fraction(q))
 
 
 @lru_cache(maxsize=None)
@@ -171,30 +164,13 @@ def u_series(params: HopfParams) -> Series:
 # -- deformed structure maps ---------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _gen_coproduct(k: int, i: int, order: int, corrupt_term) -> Series:
-    pow_k = _one_minus_et_power(Fraction(k, i), i, order)
-    out = pow_k.tensor_left(Element.gen(k))
-    for l in range(order + 1):
-        c = int_coeff(i, k - i, l)
-        if c == 0:
-            continue
-        sign = -1 if l % 2 else 1
-        if corrupt_term == l:
-            sign = -sign
-        hl = h_rising(l, i)
-        right = _one_minus_et_power(Fraction(-l), i, order) * Element.gen(k + l * i)
-        out = out + right.tensor_left(hl).shift(l) * (sign * c)
-    return out
-
-
 def coproduct_closed(k: int, params: HopfParams, corrupt_term: int | None = None) -> Series:
     """Closed-form deformed coproduct of L_k.
 
     corrupt_term deliberately flips the sign of the degree-l summand; it exists
     so the verification harness can prove it would notice a wrong formula.
     """
-    return _gen_coproduct(k, params.i, params.order, corrupt_term)
+    return gen_coproduct(0, params.order, params.i, None, corrupt_term, k)
 
 
 def coproduct_twist(x: Element, params: HopfParams) -> Series:
@@ -204,22 +180,9 @@ def coproduct_twist(x: Element, params: HopfParams) -> Series:
     return _twist_inverse(i, order) * mid * _twist(i, order)
 
 
-@lru_cache(maxsize=None)
-def _gen_antipode(k: int, i: int, order: int) -> Series:
-    pre = _one_minus_et_power(Fraction(-k, i), i, order)
-    tail = Series.zero(order, 1)
-    for l in range(order + 1):
-        c = int_coeff(i, k - i, l)
-        if c == 0:
-            continue
-        elem = Element.gen(k + l * i) * h_plus_one_rising(l, i)
-        tail = tail + Series.const(elem, order).shift(l) * c
-    return -(pre * tail)
-
-
 def antipode_closed(k: int, params: HopfParams) -> Series:
     """Closed-form deformed antipode of L_k, operand order as in the defining formula."""
-    return _gen_antipode(k, params.i, params.order)
+    return gen_antipode(0, params.order, params.i, None, k)
 
 
 def antipode_twist(x: Element, params: HopfParams) -> Series:
@@ -239,10 +202,10 @@ def antipode_general(x: Element, params: HopfParams) -> Series:
         raise ValueError("antipode_general needs a homogeneous element")
     i, order = params.i, params.order
     s0x = undeformed_antipode(x)
-    pre = _one_minus_et_power(Fraction(-deg, i), i, order)
+    pre = binomial_series(0, order, i, Fraction(-deg, i))
     tail = Series.zero(order, 1)
     for n in range(order + 1):
-        elem = ad_power(s0x, n, i) * h_plus_one_rising(n, i)
+        elem = ad_power(s0x, n, i) * h_rising(0, order, i, 1, n)
         if elem.terms:
             tail = tail + Series.const(elem, order).shift(n)
     return pre * tail
@@ -251,26 +214,14 @@ def antipode_general(x: Element, params: HopfParams) -> Series:
 # -- multiplicative/antimultiplicative extension --------------------------------
 
 
-@lru_cache(maxsize=None)
-def _mono_coproduct(mono: Mono, i: int, order: int, corrupt_term) -> Series:
-    return mono_image(mono, lambda k: _gen_coproduct(k, i, order, corrupt_term), Series.one(order, 2))
-
-
-@lru_cache(maxsize=None)
-def _mono_antipode(mono: Mono, i: int, order: int) -> Series:
-    return mono_image(mono, lambda k: _gen_antipode(k, i, order), Series.one(order, 1), anti=True)
-
-
 def coproduct_element(x: Element, params: HopfParams, corrupt_term: int | None = None) -> Series:
     """Deformed coproduct extended to arbitrary elements (algebra morphism)."""
-    i, order = params.i, params.order
-    return element_image(x, lambda mono: _mono_coproduct(mono, i, order, corrupt_term), Series.zero(order, 2))
+    return element_coproduct(0, params.order, params.i, None, corrupt_term, x)
 
 
 def antipode_element(x: Element, params: HopfParams) -> Series:
     """Deformed antipode extended to arbitrary elements (algebra antimorphism)."""
-    i, order = params.i, params.order
-    return element_image(x, lambda mono: _mono_antipode(mono, i, order), Series.zero(order, 1))
+    return element_antipode(0, params.order, params.i, None, x)
 
 
 # -- verifiers -------------------------------------------------------------------
@@ -334,18 +285,18 @@ def verify_hopf0(params: HopfParams, k_range, corrupt_term: int | None = None) -
     i, order = params.i, params.order
     ks = list(k_range)
     rep = VerificationReport()
-    cp_mono = lambda mono: _mono_coproduct(mono, i, order, corrupt_term)
-    ap_mono = lambda mono: _mono_antipode(mono, i, order)
+    gen = partial(gen_coproduct, 0, order, i, None, corrupt_term)
+    cp_mono = partial(mono_coproduct, 0, order, i, None, corrupt_term)
+    ap_mono = partial(mono_antipode, 0, order, i, None)
 
     for k in ks:
         pt = {"i": i, "order": order, "k": k}
-        check_generator(rep, pt, _gen_coproduct(k, i, order, corrupt_term), Element.gen(k), cp_mono, ap_mono)
+        check_generator(rep, pt, gen(k), Element.gen(k), cp_mono, ap_mono)
 
     for k in ks:
         for l in ks:
             pt = {"i": i, "order": order, "k": k, "l": l}
-            dk = _gen_coproduct(k, i, order, corrupt_term)
-            dl = _gen_coproduct(l, i, order, corrupt_term)
+            dk, dl = gen(k), gen(l)
             prod = Element.gen(k) * Element.gen(l)
             lhs = coproduct_element(prod, params, corrupt_term)
             rhs = dk * dl

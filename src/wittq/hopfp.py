@@ -9,21 +9,35 @@ well-defined.  The deformed coalgebra maps are
                      + sum_{l=0}^{p-1} (-1)^l N_l h^(l) (x) (1-et)^(-l) D_{k+li} t^l
     antipode(D_k)  = -(1-et)^(-k/i) sum_{l=0}^{p-1} N_l D_{k+li} (h+1)^(l) t^l
 
-with N_l = n_coeff(i, k-i, l).  Everything is an exact polynomial in t (never
-truncated), and t can be specialized to any residue.  The sums run over the
-full printed range even where coefficients vanish; vanishing is a checked
-property, not an assumption.
+with N_l = n_coeff(i, k-i, l), the residue of int_coeff(i, k-i, l).  These are
+the characteristic-0 formulas of hopf0 read mod p: series.py writes each map
+once, and the public functions here bind it to characteristic p.  Everything
+is an exact polynomial in t (never truncated), and t can be specialized to any
+residue.  The sums run over the full printed range even where coefficients
+vanish; vanishing is a checked property, not an assumption.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 
 from .report import VerificationReport
-from .restricted import ElementP, MonoP, one_mono
-from .scalars import FpElem, is_prime, n_coeff, rising
-from .series import TSeries, check_generator, element_image, first_mismatch, mono_image
+from .restricted import ElementP, _residue, e_element_p, one_mono
+from .scalars import FpElem, is_prime
+from .series import (
+    PolyP,
+    binomial_series,
+    check_generator,
+    element_antipode,
+    element_coproduct,
+    first_mismatch,
+    gen_antipode,
+    gen_coproduct,
+    h_rising,
+    mono_antipode,
+    mono_coproduct,
+)
 from .tensor import commutator
 
 
@@ -46,27 +60,6 @@ class HopfParamsP:
             object.__setattr__(self, "t_value", self.t_value % self.p)
 
 
-class PolyP(TSeries):
-    """Exact polynomial in t with ElementP coefficients (no truncation)."""
-
-    __slots__ = ()
-
-    def __init__(self, p: int, rank: int, coeffs=()):
-        self._init(None, rank, ElementP.zero(p, rank), coeffs, check=True)
-
-    @staticmethod
-    def zero(p: int, rank: int = 1) -> "PolyP":
-        return PolyP(p, rank)
-
-    @staticmethod
-    def one(p: int, rank: int = 1) -> "PolyP":
-        return PolyP(p, rank, [ElementP.one(p, rank)])
-
-    @staticmethod
-    def const(x: ElementP) -> "PolyP":
-        return PolyP(x.p, x.rank, [x])
-
-
 # the shared mismatch finder, under the name perfbench/spans.py times
 first_mismatch_p = first_mismatch
 
@@ -75,78 +68,27 @@ first_mismatch_p = first_mismatch
 
 
 def h_element_p(p: int, i: int) -> ElementP:
-    """h = (1/i) D_0."""
-    return pow(i, p - 2, p) * ElementP.gen(0, p)
-
-
-def e_element_p(p: int, i: int, n: int = 1) -> ElementP:
-    """e^n with e = i D_i; zero once n reaches p."""
-    if n == 0:
-        return ElementP.one(p)
-    if n >= p:
-        return ElementP.zero(p)
-    mono = tuple(n if j == i % p else 0 for j in range(p))
-    return ElementP.from_mono(p, mono, pow(i, n, p))
-
-
-@lru_cache(maxsize=None)
-def _h_rising_p(l: int, p: int, i: int) -> ElementP:
-    return rising(h_element_p(p, i), l)
-
-
-@lru_cache(maxsize=None)
-def _h_plus_one_rising_p(l: int, p: int, i: int) -> ElementP:
-    return rising(h_element_p(p, i) + 1, l)
+    """h = (1/i) D_0, the rising factorial h^(1)."""
+    return h_rising(p, None, i, 0, 1)
 
 
 def alpha(params: HopfParamsP) -> PolyP:
     """(1 - et)^{-1} = sum_{n<p} e^n t^n, exact because e^p = 0."""
-    p, i = params.p, params.i
-    return PolyP(p, 1, [e_element_p(p, i, n) for n in range(p)])
+    return binomial_series(params.p, None, params.i, -1)
 
 
 def one_minus_et(params: HopfParamsP) -> PolyP:
-    p, i = params.p, params.i
-    return PolyP(p, 1, [ElementP.one(p), -e_element_p(p, i)])
-
-
-@lru_cache(maxsize=None)
-def _power_fp(m: int, p: int, i: int) -> PolyP:
-    base = one_minus_et(HopfParamsP(p, i))
-    out = PolyP.one(p, 1)
-    for _ in range(m % p):
-        out = out * base
-    return out
+    return binomial_series(params.p, None, params.i, 1)
 
 
 def power_fp(m, params: HopfParamsP) -> PolyP:
     """(1 - et)^m for an F_p exponent m, via the representative in {0..p-1};
     well-defined because (1 - et)^p = 1."""
-    if isinstance(m, FpElem):
-        if m.p != params.p:
-            raise ValueError("mismatched moduli")
-        m = m.residue
-    return _power_fp(m % params.p, params.p, params.i)
+    m, p = _residue(m, params.p)
+    return binomial_series(p, None, params.i, m)
 
 
 # -- deformed structure maps ------------------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _gen_coproduct_p(k: int, p: int, i: int, corrupt_term) -> PolyP:
-    k_over_i = (k * pow(i, p - 2, p)) % p
-    out = _power_fp(k_over_i, p, i).tensor_left(ElementP.gen(k, p))
-    for l in range(p):
-        nl = n_coeff(FpElem(i, p), FpElem(k - i, p), l).residue
-        if corrupt_term == l:
-            nl = (nl + 1) % p
-        if nl == 0:
-            continue
-        sign = (p - 1) if l % 2 else 1  # (-1)^l mod p
-        hl = _h_rising_p(l, p, i)
-        right = _power_fp((-l) % p, p, i) * ElementP.gen(k + l * i, p)
-        out = out + right.tensor_left(hl).shift(l) * ((sign * nl) % p)
-    return out
 
 
 def coproduct_p(k, params: HopfParamsP, corrupt_term: int | None = None) -> PolyP:
@@ -156,33 +98,14 @@ def coproduct_p(k, params: HopfParamsP, corrupt_term: int | None = None) -> Poly
     corrupt_term bumps the degree-l coefficient by one, existing only so the
     verifiers can demonstrate they would catch a wrong table.
     """
-    if isinstance(k, FpElem):
-        if k.p != params.p:
-            raise ValueError("mismatched moduli")
-        k = k.residue
-    return _at(_gen_coproduct_p(k % params.p, params.p, params.i, corrupt_term), params.t_value)
-
-
-@lru_cache(maxsize=None)
-def _gen_antipode_p(k: int, p: int, i: int) -> PolyP:
-    pre = _power_fp((-k * pow(i, p - 2, p)) % p, p, i)
-    tail = PolyP.zero(p, 1)
-    for l in range(p):
-        nl = n_coeff(FpElem(i, p), FpElem(k - i, p), l).residue
-        if nl == 0:
-            continue
-        elem = ElementP.gen(k + l * i, p) * _h_plus_one_rising_p(l, p, i)
-        tail = tail + PolyP.const(elem).shift(l) * nl
-    return -(pre * tail)
+    k, p = _residue(k, params.p)
+    return gen_coproduct(p, None, params.i, params.t_value, corrupt_term, k)
 
 
 def antipode_p(k, params: HopfParamsP) -> PolyP:
     """Deformed antipode of D_k, operand order exactly as in the defining formula."""
-    if isinstance(k, FpElem):
-        if k.p != params.p:
-            raise ValueError("mismatched moduli")
-        k = k.residue
-    return _at(_gen_antipode_p(k % params.p, params.p, params.i), params.t_value)
+    k, p = _residue(k, params.p)
+    return gen_antipode(p, None, params.i, params.t_value, k)
 
 
 def counit_p(x: ElementP) -> FpElem:
@@ -192,34 +115,15 @@ def counit_p(x: ElementP) -> FpElem:
     return FpElem(x.terms.get((one_mono(x.p),), 0), x.p)
 
 
-def _at(g: PolyP, t_value) -> PolyP:
-    """g itself for symbolic t, else the constant polynomial g(t_value)."""
-    return g if t_value is None else PolyP.const(g.evaluate(t_value))
-
-
 # -- multiplicative/antimultiplicative extension ----------------------------------
 
 
-@lru_cache(maxsize=None)
-def _mono_coproduct_p(mono: MonoP, p: int, i: int, t_value, corrupt_term) -> PolyP:
-    gen = lambda k: _at(_gen_coproduct_p(k, p, i, corrupt_term), t_value)
-    return mono_image(mono, gen, PolyP.one(p, 2))
-
-
-@lru_cache(maxsize=None)
-def _mono_antipode_p(mono: MonoP, p: int, i: int, t_value) -> PolyP:
-    gen = lambda k: _at(_gen_antipode_p(k, p, i), t_value)
-    return mono_image(mono, gen, PolyP.one(p, 1), anti=True)
-
-
 def coproduct_element_p(x: ElementP, params: HopfParamsP, corrupt_term: int | None = None) -> PolyP:
-    p, i, tv = params.p, params.i, params.t_value
-    return element_image(x, lambda mono: _mono_coproduct_p(mono, p, i, tv, corrupt_term), PolyP.zero(p, 2))
+    return element_coproduct(params.p, None, params.i, params.t_value, corrupt_term, x)
 
 
 def antipode_element_p(x: ElementP, params: HopfParamsP) -> PolyP:
-    p, i, tv = params.p, params.i, params.t_value
-    return element_image(x, lambda mono: _mono_antipode_p(mono, p, i, tv), PolyP.zero(p, 1))
+    return element_antipode(params.p, None, params.i, params.t_value, x)
 
 
 def _t_linear(x: PolyP, element_map, params: HopfParamsP, rank: int) -> PolyP:
@@ -287,16 +191,18 @@ def verify_relations_preserved(params: HopfParamsP, corrupt_term: int | None = N
     return rep
 
 
-def verify_hopf_p(params: HopfParamsP, t_values=(None,)) -> VerificationReport:
+def verify_hopf_p(params: HopfParamsP, t_values=None) -> VerificationReport:
     """Full Hopf axiom suite on generators, once per requested t mode
-    (None = symbolic, ints = specializations)."""
+    (None = symbolic, ints = specializations; by default the params' own)."""
     p, i = params.p, params.i
+    if t_values is None:
+        t_values = (params.t_value,)
     rep = VerificationReport()
     for tv in t_values:
         pp = HopfParamsP(p, i, tv)
         base = {"p": p, "i": i, "t": t_label(pp.t_value)}
-        cp_mono = lambda mono: _mono_coproduct_p(mono, p, i, pp.t_value, None)
-        ap_mono = lambda mono: _mono_antipode_p(mono, p, i, pp.t_value)
+        cp_mono = partial(mono_coproduct, p, None, i, pp.t_value, None)
+        ap_mono = partial(mono_antipode, p, None, i, pp.t_value)
         dk = {k: coproduct_p(k, pp) for k in range(p)}
 
         for k in range(p):
@@ -355,19 +261,19 @@ def radford_check(params: HopfParamsP) -> VerificationReport:
 
     allowed = {0, i % p}
     closed = True
-    for poly in (coproduct_poly(hp, pp), coproduct_poly(PolyP.const(e), pp)):
-        for c in poly.coeffs:
-            closed = closed and c.supported_indices() <= allowed
-    for poly in (antipode_poly(hp, pp), antipode_poly(PolyP.const(e), pp)):
+    ep = PolyP.const(e)
+    for poly in (dh, coproduct_poly(ep, pp), sh, antipode_poly(ep, pp)):
         for c in poly.coeffs:
             closed = closed and c.supported_indices() <= allowed
     rep.add("subalgebra-closed", base, closed)
     return rep
 
 
-def verify_all_p(params: HopfParamsP, t_values=(None,)) -> VerificationReport:
-    """Relations, Hopf axioms (per t mode) and the distinguished-subalgebra
-    relations for one (p, i)."""
+def verify_all_p(params: HopfParamsP, t_values=None) -> VerificationReport:
+    """Relations, Hopf axioms (per t mode; by default the params' own) and the
+    distinguished-subalgebra relations for one (p, i)."""
+    if t_values is None:
+        t_values = (params.t_value,)
     rep = VerificationReport()
     for tv in t_values:
         rep.extend(verify_relations_preserved(HopfParamsP(params.p, params.i, tv)))

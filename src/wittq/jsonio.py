@@ -15,9 +15,8 @@ from fractions import Fraction
 
 from .report import VerificationReport
 from .restricted import ElementP
-from .series import Series
+from .series import PolyP, Series
 from .uwitt import Element
-from .hopfp import PolyP
 
 
 def scalar_str(c) -> str:

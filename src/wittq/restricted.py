@@ -26,6 +26,7 @@ characteristic 0 (tensor.py).
 
 from __future__ import annotations
 
+from fractions import Fraction
 from functools import lru_cache
 from math import comb
 
@@ -210,6 +211,11 @@ class ElementP(TensorElement):
             if x.p != self.p:
                 raise ValueError(f"mismatched moduli {self.p} and {x.p}")
             return x.residue
+        if isinstance(x, Fraction):
+            # a p-integral rational reduces to one residue; any other has none
+            if x.denominator % self.p == 0:
+                raise ValueError(f"{x} is not p-integral for p={self.p}")
+            return x.numerator * pow(x.denominator, -1, self.p) % self.p
         return x % self.p if isinstance(x, int) else NotImplemented
 
     def unit_mono(self) -> MonoP:
@@ -277,6 +283,13 @@ def _residue(x, p=None) -> tuple[int, int]:
     if p is None:
         raise ValueError("modulus required for plain int arguments")
     return x % p, p
+
+
+def e_element_p(p: int, i: int, n: int = 1) -> ElementP:
+    """e^n with e = i D_i, as one monomial; zero once n reaches p."""
+    if n >= p:
+        return ElementP.zero(p)
+    return ElementP.from_mono(p, tuple(n if j == i % p else 0 for j in range(p)), pow(i, n, p))
 
 
 def bracket_p(k, l, p: int | None = None) -> ElementP:

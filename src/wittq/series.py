@@ -1,11 +1,12 @@
-"""Series in t over tensor elements, and the Hopf plumbing both characteristics share.
+"""Series in t over tensor elements, the Hopf plumbing both characteristics
+share, and the deformed structure maps, written once for both.
 
 A series stores the coefficients of t^0, t^1, ... as rank-homogeneous
 elements.  It is either truncated, keeping t^0 .. t^order and silently
 discarding anything beyond, so that every identity checked through it holds
-"up to t^{order+1}" (characteristic 0); or exact when order is None, a
-polynomial with trailing zero coefficients pruned (characteristic p, where
-e^p = 0 makes every structure map polynomial).  Inversion uses the
+"up to t^{order+1}" (characteristic 0, Series); or exact when order is None, a
+polynomial with trailing zero coefficients pruned (characteristic p, PolyP,
+where e^p = 0 makes every structure map polynomial).  Inversion uses the
 unit-leading-term recursion and applies to truncated series only.
 
 The coefficient ring enters only through methods of the element classes:
@@ -13,15 +14,25 @@ The coefficient ring enters only through methods of the element classes:
 element), ``runs`` (monomial to (generator, exponent) pairs in PBW order) and
 ``from_sums`` (raw coefficient sums to a normalized element).
 
-Below the class sit the pieces the Hopf verifiers of both characteristics
+Below the classes sit the pieces the Hopf verifiers of both characteristics
 share: applying a map to one tensor slot, the counit on one slot, antipode
-convolution, the multiplicative extension of a generator map, and the
-per-generator axiom block.
+convolution, and the per-generator axiom block.
+
+Last come the deformed generator maps and their extension to monomials and
+elements.  The characteristic-p maps are the characteristic-0 formulas read
+mod p, so each is written once, memoized on (char, order, i, ...): order is
+the truncation in characteristic 0 and None in characteristic p, and _Ring
+derives everything else that differs.
 """
 
 from __future__ import annotations
 
-from .uwitt import Element
+from fractions import Fraction
+from functools import lru_cache, partial
+
+from .restricted import ElementP, e_element_p
+from .scalars import gen_binomial, int_coeff, rising
+from .uwitt import Element, e_element
 
 
 def _meet(a, b):
@@ -203,6 +214,27 @@ class Series(TSeries):
         return Series(order, x.rank, [x])
 
 
+class PolyP(TSeries):
+    """Exact polynomial in t with ElementP coefficients (characteristic p)."""
+
+    __slots__ = ()
+
+    def __init__(self, p: int, rank: int, coeffs=()):
+        self._init(None, rank, ElementP.zero(p, rank), coeffs, check=True)
+
+    @staticmethod
+    def zero(p: int, rank: int = 1) -> "PolyP":
+        return PolyP(p, rank)
+
+    @staticmethod
+    def one(p: int, rank: int = 1) -> "PolyP":
+        return PolyP(p, rank, [ElementP.one(p, rank)])
+
+    @staticmethod
+    def const(x: ElementP) -> "PolyP":
+        return PolyP(x.p, x.rank, [x])
+
+
 def first_mismatch(a: TSeries, b: TSeries) -> str | None:
     """Human-readable first differing coefficient, or None if equal."""
     order = _meet(a.order, b.order)
@@ -283,29 +315,6 @@ def convolve(s: TSeries, apode, side: str) -> TSeries:
     return s._like(s.order, 1, [zero.from_sums(1, sums) for sums in acc])
 
 
-# -- multiplicative extension of a generator map --------------------------------
-
-
-def mono_image(mono, gen, one: TSeries, anti: bool = False) -> TSeries:
-    """Image of a monomial under the algebra morphism sending generator k to
-    gen(k), or under the antimorphism when anti is set; one is the image of 1."""
-    runs = one._zero.runs(mono)
-    out = one
-    for k, m in reversed(runs) if anti else runs:
-        g = gen(k)
-        for _ in range(m):
-            out = out * g
-    return out
-
-
-def element_image(x, mono_map, zero: TSeries) -> TSeries:
-    """Linear extension of mono_map (monomial -> series) to a rank-1 element."""
-    out = zero
-    for (mono,), c in x.terms.items():
-        out = out + mono_map(mono) * c
-    return out
-
-
 # -- the per-generator Hopf axioms ------------------------------------------------
 
 
@@ -326,3 +335,133 @@ def check_generator(rep, pt: dict, dk: TSeries, x, coproduct_mono, antipode_mono
     for side in ("left", "right"):
         got = convolve(dk, antipode_mono, side)
         rep.add(f"antipode-{side}", pt, got == zero, first_mismatch(got, zero))
+
+
+# -- the deformed generator maps, written once ------------------------------------
+#
+#   coproduct(L_k) = L_k (x) (1-et)^(k/i)
+#                    + sum_l (-1)^l C_l h^(l) (x) (1-et)^(-l) L_{k+li} t^l
+#   antipode(L_k)  = -(1-et)^(-k/i) sum_l C_l L_{k+li} (h+1)^(l) t^l
+#
+# with h = (1/i) L_0, e = i L_i and C_l = int_coeff(i, k-i, l); in
+# characteristic p, L_k is D_{k mod p} and every rational coefficient is
+# p-integral, so the element ring reduces it.  Each map takes the deformation
+# (char, order, i, t) first: t None keeps t symbolic, an int specializes it.
+
+
+class _Ring:
+    """What the characteristics differ in, derived from (char, order): the
+    rank-1 zero (whose _scalar reduces coefficients), the generator L_k or
+    D_k, e^n as one monomial, the series of a rank and coefficients, and the
+    count of t-degrees the closed formulas sum over.  Characteristic 0
+    truncates after t^order.  Characteristic p is exact, and its sums stop
+    below p: e^p = 0, and only below p do the coefficients have one residue
+    over all lifts."""
+
+    __slots__ = ("zero", "gen", "e_power", "series", "degrees")
+
+    def __init__(self, char: int, order: int | None):
+        if char == 0:
+            self.zero, self.gen = Element.zero(1), Element.gen
+            self.e_power, self.series, self.degrees = e_element, partial(Series, order), order + 1
+        else:
+            self.zero, self.gen = ElementP.zero(char), lambda k: ElementP.gen(k, char)
+            self.e_power, self.series, self.degrees = partial(e_element_p, char), partial(PolyP, char), char
+
+
+@lru_cache(maxsize=None)
+def h_rising(char: int, order: int | None, i: int, a: int, l: int):
+    """(h+a)(h+a+1)...(h+a+l-1) for h = (1/i) L_0: h^(l) at a = 0, (h+1)^(l) at a = 1."""
+    return rising(Fraction(1, i) * _Ring(char, order).gen(0) + a, l)
+
+
+@lru_cache(maxsize=None)
+def binomial_series(char: int, order: int | None, i: int, q) -> TSeries:
+    """(1 - et)^q = sum_n binom(q, n) (-e)^n t^n for rational q."""
+    ring = _Ring(char, order)
+    return ring.series(1, [gen_binomial(q, n) * (-1) ** n * ring.e_power(i, n) for n in range(ring.degrees)])
+
+
+def _at(g: TSeries, t) -> TSeries:
+    """The constant series g(t): g specialized at the scalar t."""
+    return g._const(g.evaluate(t))
+
+
+@lru_cache(maxsize=None)
+def gen_coproduct(char: int, order: int | None, i: int, t, corrupt_term, k: int) -> TSeries:
+    """Coproduct of L_k.  corrupt_term deliberately falsifies the degree-l
+    summand, so the verifiers can show they would notice a wrong formula: a
+    sign flip in characteristic 0, C_l + 1 in characteristic p."""
+    if t is not None:
+        return _at(gen_coproduct(char, order, i, None, corrupt_term, k), t)
+    ring = _Ring(char, order)
+    out = binomial_series(char, order, i, Fraction(k, i)).tensor_left(ring.gen(k))
+    for l in range(ring.degrees):
+        c = int_coeff(i, k - i, l)
+        if corrupt_term == l:
+            c = c + 1 if char else -c
+        if not ring.zero._scalar(c):
+            continue
+        right = binomial_series(char, order, i, Fraction(-l)) * ring.gen(k + l * i)
+        out = out + right.tensor_left(h_rising(char, order, i, 0, l)).shift(l) * ((-1) ** l * c)
+    return out
+
+
+@lru_cache(maxsize=None)
+def gen_antipode(char: int, order: int | None, i: int, t, k: int) -> TSeries:
+    """Antipode of L_k, operand order as in the defining formula."""
+    if t is not None:
+        return _at(gen_antipode(char, order, i, None, k), t)
+    ring = _Ring(char, order)
+    tail = ring.series(1, [])
+    for l in range(ring.degrees):
+        c = ring.zero._scalar(int_coeff(i, k - i, l))
+        if not c:
+            continue
+        elem = ring.gen(k + l * i) * h_rising(char, order, i, 1, l)
+        tail = tail + ring.series(1, [elem]).shift(l) * c
+    return -(binomial_series(char, order, i, Fraction(-k, i)) * tail)
+
+
+# -- multiplicative extension of the generator maps ---------------------------------
+
+
+def _mono_image(char: int, order: int | None, mono, gen, rank: int, anti: bool) -> TSeries:
+    """Image of a monomial under the algebra morphism sending generator k to
+    the rank-`rank` series gen(k), or under the antimorphism when anti is set."""
+    ring = _Ring(char, order)
+    out = ring.series(rank, [ring.zero.one_of(rank)])
+    runs = ring.zero.runs(mono)
+    for k, m in reversed(runs) if anti else runs:
+        g = gen(k)
+        for _ in range(m):
+            out = out * g
+    return out
+
+
+def _element_image(char: int, order: int | None, x, mono_map, rank: int) -> TSeries:
+    """Linear extension of mono_map (monomial -> series) to a rank-1 element."""
+    out = _Ring(char, order).series(rank, [])
+    for (mono,), c in x.terms.items():
+        out = out + mono_map(mono) * c
+    return out
+
+
+@lru_cache(maxsize=None)
+def mono_coproduct(char: int, order: int | None, i: int, t, corrupt_term, mono) -> TSeries:
+    """Coproduct of a monomial (an algebra morphism)."""
+    return _mono_image(char, order, mono, partial(gen_coproduct, char, order, i, t, corrupt_term), 2, False)
+
+
+@lru_cache(maxsize=None)
+def mono_antipode(char: int, order: int | None, i: int, t, mono) -> TSeries:
+    """Antipode of a monomial (an algebra antimorphism)."""
+    return _mono_image(char, order, mono, partial(gen_antipode, char, order, i, t), 1, True)
+
+
+def element_coproduct(char: int, order: int | None, i: int, t, corrupt_term, x) -> TSeries:
+    return _element_image(char, order, x, partial(mono_coproduct, char, order, i, t, corrupt_term), 2)
+
+
+def element_antipode(char: int, order: int | None, i: int, t, x) -> TSeries:
+    return _element_image(char, order, x, partial(mono_antipode, char, order, i, t), 1)

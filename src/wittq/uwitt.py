@@ -18,7 +18,6 @@ from functools import lru_cache
 from itertools import product as iproduct
 from math import factorial
 
-from .scalars import rising
 from .tensor import TensorElement, commutator
 
 Mono = tuple[tuple[int, int], ...]
@@ -195,31 +194,6 @@ def e_element(i: int, n: int = 1) -> Element:
     if n == 0:
         return Element.one()
     return Element.from_mono(((i, n),), Fraction(i) ** n)
-
-
-def h_element(i: int) -> Element:
-    """h = (1/i) L_0."""
-    if i == 0:
-        raise ValueError("i must be nonzero")
-    return Element.from_mono(((0, 1),), Fraction(1, i))
-
-
-@lru_cache(maxsize=None)
-def _h_rising(l: int, i: int) -> Element:
-    return rising(h_element(i), l)
-
-
-def h_rising(l: int, i: int) -> Element:
-    """(h)(h+1)...(h+l-1) for h = (1/i)L_0, expanded in the PBW basis."""
-    if l < 0:
-        raise ValueError("l must be nonnegative")
-    return _h_rising(l, i)
-
-
-@lru_cache(maxsize=None)
-def h_plus_one_rising(l: int, i: int) -> Element:
-    """(h+1)(h+2)...(h+l) for h = (1/i)L_0."""
-    return rising(h_element(i) + 1, l)
 
 
 def ad_power(x: Element, l: int, i: int) -> Element:

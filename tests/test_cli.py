@@ -133,6 +133,18 @@ def test_usage_errors_exit_2(capsys):
         assert exc.value.code == 2, argv
 
 
+def test_counit_char0_usage_errors(capsys):
+    cases = {
+        "--p only applies in characteristic p": ["--i", "1", "--p", "5"],
+        "i must be nonzero": ["--i", "0"],
+    }
+    for message, extra in cases.items():
+        with pytest.raises(SystemExit) as exc:
+            main(["counit", "--char", "0", "--k", "2", *extra])
+        assert exc.value.code == 2
+        assert f"error: {message}" in capsys.readouterr().err
+
+
 def test_verify_char0_exit0(capsys):
     code, out = run_cli(
         ["verify", "--char", "0", "--i", "1", "--order", "2", "--k-min", "-2", "--k-max", "2"],

@@ -16,12 +16,12 @@ from wittq.hopfp import (
     one_minus_et,
     power_fp,
     radford_check,
+    verify_all_p,
     verify_hopf_p,
     verify_relations_preserved,
-    _mono_antipode_p,
 )
 from wittq.restricted import ElementP
-from wittq.series import convolve
+from wittq.series import convolve, mono_antipode
 from wittq.scalars import FpElem, int_coeff, n_coeff
 
 D = ElementP.gen
@@ -70,6 +70,8 @@ def test_power_fp_exponent_law():
             for m in range(p):
                 for mm in range(p):
                     assert power_fp(m, pp) * power_fp(mm, pp) == power_fp((m + mm) % p, pp)
+                # the binomial series against the repeated product
+                assert power_fp(m, pp) == one_minus_et(pp) ** m
 
 
 def test_power_fp_negative_one_is_alpha():
@@ -133,7 +135,7 @@ def test_antipode_convolution_all_generators():
     # m(S x Id) Delta(D_k) = counit(D_k) 1 = 0, symbolic t, p=5, i=2
     p, i = 5, 2
     pp = HopfParamsP(p, i)
-    ap = lambda mono: _mono_antipode_p(mono, p, i, None)
+    ap = lambda mono: mono_antipode(p, None, i, None, mono)
     for k in range(p):
         conv = convolve(coproduct_p(k, pp), ap, "left")
         assert conv.is_zero()
@@ -189,6 +191,18 @@ def test_hopf_axioms_p5_symbolic():
 def test_hopf_axioms_p5_specialized():
     rep = verify_hopf_p(HopfParamsP(5, 3), (1,))
     assert rep.ok, rep.summary()
+
+
+def test_verifiers_default_to_the_params_t_value():
+    pp = HopfParamsP(3, 1, 2)
+    rep = verify_hopf_p(pp)
+    assert len(rep.entries) == 24
+    assert all(dict(e.params)["t"] == "2" for e in rep.entries)
+    assert rep.entries == verify_hopf_p(pp, (2,)).entries
+    full = verify_all_p(pp)
+    assert {dict(e.params).get("t") for e in full.entries} == {"2", None}
+    assert full.entries == verify_all_p(pp, (2,)).entries
+    assert verify_hopf_p(HopfParamsP(3, 1)).entries == verify_hopf_p(HopfParamsP(3, 1), (None,)).entries
 
 
 def test_radford_check():

@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
@@ -405,6 +406,26 @@ def test_element_p_scalar_and_fp():
     assert (x - x).is_zero()
     with pytest.raises(ValueError):
         x + D(1, 7)
+
+
+def test_element_p_p_integral_fraction_scalar():
+    # a p-integral rational a/b acts as a * b^{-1} mod p
+    for p in (3, 5, 7):
+        for a in range(-4, 5):
+            for b in range(1, 3 * p):
+                if b % p == 0:
+                    continue
+                for k in range(p):
+                    want = (a * pow(b, -1, p)) * D(k, p)
+                    assert Fraction(a, b) * D(k, p) == want
+                    assert D(k, p) * Fraction(a, b) == want
+    # one whose denominator p divides has no residue
+    for p in (3, 5):
+        for b in (p, 2 * p, p * p):
+            with pytest.raises(ValueError):
+                Fraction(1, b) * D(1, p)
+            with pytest.raises(ValueError):
+                D(0, p) + Fraction(1, b)
 
 
 def test_element_p_str():
