@@ -293,18 +293,34 @@ def verify_hopf0(params: HopfParams, k_range, corrupt_term: int | None = None) -
         pt = {"i": i, "order": order, "k": k}
         check_generator(rep, pt, gen(k), Element.gen(k), cp_mono, ap_mono)
 
+    # each ordered product is made once: (k, l) and (l, k) together, their
+    # entries kept and added in (k, l) order afterwards
+    def pair_checks(k, l, kl, lk):
+        pt = {"i": i, "order": order, "k": k, "l": l}
+        lhs = coproduct_element(Element.gen(k) * Element.gen(l), params, corrupt_term)
+        lhs_b = coproduct_element(bracket(k, l), params, corrupt_term)
+        rhs_b = kl - lk
+        return [
+            ("coproduct-multiplicative", pt, lhs == kl, first_mismatch(lhs, kl)),
+            ("coproduct-bracket", pt, lhs_b == rhs_b, first_mismatch(lhs_b, rhs_b)),
+        ]
+
+    checks = {}
     for k in ks:
         for l in ks:
-            pt = {"i": i, "order": order, "k": k, "l": l}
-            dk, dl = gen(k), gen(l)
-            prod = Element.gen(k) * Element.gen(l)
-            lhs = coproduct_element(prod, params, corrupt_term)
-            rhs = dk * dl
-            rep.add("coproduct-multiplicative", pt, lhs == rhs, first_mismatch(lhs, rhs))
-
-            lhs_b = coproduct_element(bracket(k, l), params, corrupt_term)
-            rhs_b = dk * dl - dl * dk
-            rep.add("coproduct-bracket", pt, lhs_b == rhs_b, first_mismatch(lhs_b, rhs_b))
+            if (k, l) in checks:
+                continue
+            kl = gen(k) * gen(l)
+            if k == l:
+                checks[k, k] = pair_checks(k, k, kl, kl)
+            else:
+                lk = gen(l) * gen(k)
+                checks[k, l] = pair_checks(k, l, kl, lk)
+                checks[l, k] = pair_checks(l, k, lk, kl)
+    for k in ks:
+        for l in ks:
+            for args in checks[k, l]:
+                rep.add(*args)
     return rep
 
 

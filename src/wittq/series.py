@@ -430,13 +430,13 @@ def _mono_image(char: int, order: int | None, mono, gen, rank: int, anti: bool) 
     """Image of a monomial under the algebra morphism sending generator k to
     the rank-`rank` series gen(k), or under the antimorphism when anti is set."""
     ring = _Ring(char, order)
-    out = ring.series(rank, [ring.zero.one_of(rank)])
+    out = None
     runs = ring.zero.runs(mono)
     for k, m in reversed(runs) if anti else runs:
         g = gen(k)
         for _ in range(m):
-            out = out * g
-    return out
+            out = g if out is None else out * g
+    return ring.series(rank, [ring.zero.one_of(rank)]) if out is None else out
 
 
 def _element_image(char: int, order: int | None, x, mono_map, rank: int) -> TSeries:

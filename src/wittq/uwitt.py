@@ -9,6 +9,11 @@ pairwise multiply to the sparse tensors of tensor.py.
 Straightening rewrites L_a L_b -> L_b L_a + (b - a) L_{a+b} whenever a > b,
 one inserted generator at a time; monomial products are memoized because the
 tensor series computations multiply the same small monomials over and over.
+Their structure constants are integers, so the multiply kernel runs on
+integers too: it scales each operand once to integer numerators over the lcm
+of its denominators, sums numerator products times the monomial constants in
+plain ints per output key, and divides by the product of the two
+denominators once per key at the end.
 """
 
 from __future__ import annotations
@@ -16,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product as iproduct
-from math import factorial
+from math import factorial, lcm
 
 from .tensor import TensorElement, commutator
 
@@ -154,17 +159,23 @@ class Element(TensorElement):
         if not isinstance(other, Element):
             return self.__rmul__(other)
         self._check(other)
+        # integer numerators over one common denominator per operand
+        da = lcm(*(c.denominator for c in self.terms.values()))
+        db = lcm(*(c.denominator for c in other.terms.values()))
+        right = [(kb, cb.numerator * (db // cb.denominator)) for kb, cb in other.terms.items()]
         out: dict = {}
         for ka, ca in self.terms.items():
-            for kb, cb in other.terms.items():
+            na = ca.numerator * (da // ca.denominator)
+            for kb, nb in right:
                 parts = [mono_mul(ma, mb) for ma, mb in zip(ka, kb)]
                 for combo in iproduct(*parts):
-                    c = ca * cb
+                    n = na * nb
                     for _, ci in combo:
-                        c *= ci
+                        n *= ci
                     key = tuple(m for m, _ in combo)
-                    out[key] = out.get(key, 0) + c
-        return self.from_sums(self.rank, out)
+                    out[key] = out.get(key, 0) + n
+        d = da * db
+        return self._like(self.rank, {key: Fraction(n, d) for key, n in out.items() if n})
 
     def degree(self):
         """Common degree under |L_k| = k, or None if inhomogeneous."""

@@ -20,7 +20,7 @@ from wittq.hopf0 import (
     undeformed_coproduct,
     verify_hopf0,
 )
-from wittq.series import Series
+from wittq.series import Series, TSeries
 from wittq.uwitt import Element
 
 L = Element.gen
@@ -225,3 +225,23 @@ def test_coproduct_element_linear():
     lhs = coproduct_element(x, params)
     rhs = coproduct_closed(1, params) * 2 + coproduct_closed(-2, params) * 3
     assert lhs == rhs
+
+
+def test_pair_loop_makes_each_product_once(monkeypatch):
+    # warm the structure-map memos, then count the series products of one run
+    params, ks = HopfParams(1, 2), range(-1, 2)
+    want = verify_hopf0(params, ks).entries
+    calls = []
+    mul = TSeries.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(TSeries, "__mul__", counted)
+    assert verify_hopf0(params, ks).entries == want
+    # 9 ordered generator-pair products and 18 scalar multiples summing
+    # coproduct_element; with dk * dl and dk * dl - dl * dk at every ordered
+    # pair it was 27 + 18 = 45
+    assert sum(isinstance(x, TSeries) for x in calls) == 9
+    assert len(calls) == 27

@@ -1,11 +1,14 @@
-"""Seeded property tests of the characteristic-p multiply kernel on random
-elements of every rank it serves.  Derandomized with fixed small budgets, so
-every run draws the same examples."""
+"""Seeded property tests of the multiply kernels of both characteristics on
+random elements of every rank they serve.  Derandomized with fixed small
+budgets, so every run draws the same examples."""
+
+from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wittq.restricted import ElementP
+from wittq.uwitt import Element
 
 PROPERTY = settings(derandomize=True, max_examples=25, deadline=None)
 
@@ -48,5 +51,47 @@ def test_multiply_associative(xyz):
 @PROPERTY
 @given(_split_pairs())
 def test_multiply_factorwise_on_tensors(abcd):
+    a, b, c, d = abcd
+    assert a.tensor(b) * c.tensor(d) == (a * c).tensor(b * d)
+
+
+# -- characteristic 0: Fraction coefficients ------------------------------------
+
+
+def _elements_q(rank: int, n: int):
+    """Strategy for n Elements of one rank over Q: at most three terms each,
+    every monomial a product of at most two generator powers, coefficients
+    with small mixed-sign numerators and denominators."""
+    mono = st.dictionaries(st.integers(-3, 3), st.integers(1, 2), max_size=2).map(lambda exps: tuple(sorted(exps.items())))
+    coeff = st.builds(Fraction, st.integers(-7, 7).filter(bool), st.integers(1, 6))
+    terms = st.dictionaries(st.tuples(*[mono] * rank), coeff, max_size=3)
+    element = terms.map(lambda t: Element(rank, t))
+    return st.tuples(*[element] * n)
+
+
+@st.composite
+def _triples_q(draw):
+    return draw(_elements_q(draw(st.integers(1, 3)), 3))
+
+
+@st.composite
+def _split_pairs_q(draw):
+    left = draw(st.integers(1, 2))
+    right = draw(st.integers(1, 3 - left))
+    a, c = draw(_elements_q(left, 2))
+    b, d = draw(_elements_q(right, 2))
+    return a, b, c, d
+
+
+@PROPERTY
+@given(_triples_q())
+def test_multiply_associative_q(xyz):
+    x, y, z = xyz
+    assert (x * y) * z == x * (y * z)
+
+
+@PROPERTY
+@given(_split_pairs_q())
+def test_multiply_factorwise_on_tensors_q(abcd):
     a, b, c, d = abcd
     assert a.tensor(b) * c.tensor(d) == (a * c).tensor(b * d)

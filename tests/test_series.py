@@ -1,8 +1,17 @@
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from wittq.series import Series, first_mismatch
+from wittq.series import (
+    PolyP,
+    Series,
+    first_mismatch,
+    gen_antipode,
+    gen_coproduct,
+    mono_antipode,
+    mono_coproduct,
+)
 from wittq.uwitt import Element
 
 L = Element.gen
@@ -82,3 +91,24 @@ def test_series_of_different_rings_do_not_mix():
         PolyP.one(7, 1) + f
     with pytest.raises(ValueError):
         f.invert()
+
+
+
+@pytest.mark.parametrize("char, order", [(0, 3), (5, None)])
+def test_mono_images_of_unit_and_generators(char, order):
+    # the empty monomial maps to the unit series, a generator to its own image,
+    # L_1 L_2 to Delta(L_1) Delta(L_2) and S(L_2) S(L_1)
+    if char:
+        unit, g2, g12 = (0,) * 5, (0, 0, 1, 0, 0), (0, 1, 1, 0, 0)
+        one = partial(PolyP.one, char)
+    else:
+        unit, g2, g12 = (), ((2, 1),), ((1, 1), (2, 1))
+        one = partial(Series.one, order)
+    cp = partial(gen_coproduct, char, order, 1, None, None)
+    ap = partial(gen_antipode, char, order, 1, None)
+    assert mono_coproduct(char, order, 1, None, None, unit) == one(2)
+    assert mono_antipode(char, order, 1, None, unit) == one(1)
+    assert mono_coproduct(char, order, 1, None, None, g2) == cp(2)
+    assert mono_antipode(char, order, 1, None, g2) == ap(2)
+    assert mono_coproduct(char, order, 1, None, None, g12) == cp(1) * cp(2)
+    assert mono_antipode(char, order, 1, None, g12) == ap(2) * ap(1)

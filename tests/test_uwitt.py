@@ -1,5 +1,7 @@
 import random
 from fractions import Fraction
+from itertools import product as iproduct
+from math import gcd
 
 import pytest
 
@@ -10,6 +12,7 @@ from wittq.uwitt import (
     ad_power_closed,
     bracket,
     commutator,
+    mono_mul,
     mono_of,
     normal_order,
 )
@@ -39,6 +42,70 @@ def oracle_normal_order(word):
         pending.append((w[:pos] + [b, a] + w[pos + 2 :], c))
         pending.append((w[:pos] + [a + b] + w[pos + 2 :], c * (b - a)))
     return Element(1, {(m,): v for m, v in acc.items()})
+
+
+def oracle_mul(x, y):
+    """Pairwise Fraction product, term by term over mono_mul: the reference for
+    the integer-numerator kernel of Element.__mul__."""
+    out = {}
+    for ka, ca in x.terms.items():
+        for kb, cb in y.terms.items():
+            parts = [mono_mul(ma, mb) for ma, mb in zip(ka, kb)]
+            for combo in iproduct(*parts):
+                c = ca * cb
+                for _, ci in combo:
+                    c *= ci
+                key = tuple(m for m, _ in combo)
+                out[key] = out.get(key, 0) + c
+    return Element(x.rank, out)
+
+
+COEFFS = [Fraction(n, d) for n in (1, -1, 2, -5, 7) for d in (1, 3, -4, 6)]
+
+
+def _random_element(rng, rank):
+    terms = {}
+    for _ in range(rng.randint(1, 4)):
+        key = []
+        for _ in range(rank):
+            ks = sorted(rng.sample(range(-3, 4), rng.randint(0, 2)))
+            key.append(tuple((k, rng.randint(1, 2)) for k in ks))
+        terms[tuple(key)] = rng.choice(COEFFS)
+    return Element(rank, terms)
+
+
+def _assert_reduced(x):
+    for c in x.terms.values():
+        assert type(c) is Fraction and c != 0
+        assert c.denominator > 0 and gcd(c.numerator, c.denominator) == 1
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_kernel_matches_pairwise_fraction_oracle(rank):
+    rng = random.Random(70 + rank)
+    for _ in range(25):
+        x, y = _random_element(rng, rank), _random_element(rng, rank)
+        got = x * y
+        assert got == oracle_mul(x, y)
+        _assert_reduced(got)
+    zero = Element.zero(rank)
+    assert (x * zero).is_zero() and (zero * y).is_zero() and (zero * zero).is_zero()
+
+
+def test_kernel_cancels_exactly():
+    # (h/3 + 5/4)(h/3 - 5/4) = h^2/9 - 25/16: the h terms cancel
+    h = L(0)
+    got = (Fraction(1, 3) * h + Fraction(5, 4)) * (Fraction(1, 3) * h - Fraction(5, 4))
+    assert got == Element(1, {(((0, 2),),): Fraction(1, 9), ((),): Fraction(-25, 16)})
+    _assert_reduced(got)
+    # (a (x) 1 + 1 (x) b)(a (x) 1 - 1 (x) b) = a^2 (x) 1 - 1 (x) b^2 when a, b commute
+    one = Element.one()
+    a, b = Fraction(-5, 4) * h, Fraction(7, 6) * h
+    got = (a.tensor(one) + one.tensor(b)) * (a.tensor(one) - one.tensor(b))
+    assert got == (a * a).tensor(one) - one.tensor(b * b)
+    assert got == oracle_mul(a.tensor(one) + one.tensor(b), a.tensor(one) - one.tensor(b))
+    assert len(got.terms) == 2
+    _assert_reduced(got)
 
 
 def test_bracket_examples():
