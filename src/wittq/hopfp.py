@@ -161,10 +161,11 @@ def verify_relations_preserved(params: HopfParamsP, corrupt_term: int | None = N
     dk = {k: coproduct_p(k, params, corrupt_term) for k in range(p)}
     sk = {k: antipode_p(k, params) for k in range(p)}
 
-    # each unordered pair once: [x_l, x_k] = -[x_k, x_l]
+    # each unordered pair once: [x_l, x_k] = -[x_k, x_l], and [x_k, x_k] = 0
     comm_d, comm_s = {}, {}
     for k in range(p):
-        for l in range(k, p):
+        comm_d[k, k], comm_s[k, k] = PolyP.zero(p, 2), PolyP.zero(p, 1)
+        for l in range(k + 1, p):
             comm_d[k, l] = commutator(dk[k], dk[l])
             comm_d[l, k] = -comm_d[k, l]
             comm_s[k, l] = commutator(sk[k], sk[l])

@@ -11,16 +11,24 @@ applying the p-power reductions as exponents fill up; the memo for that step
 (mono_times_gen_p) is keyed on (monomial, generator) pairs, so it never grows
 past the p^p basis.
 
-The multiply kernel works on packed keys: a monomial is one base-p integer
-(a_j is the digit of p^j) and a rank-r key one integer in base p^p (slot s is
-the digit of (p^p)^s), so inserting a generator into a slot is integer
-arithmetic on the key.  Keys are packed on entry and unpacked on exit; `terms`
-keeps tuple keys everywhere else.  Each key of the right factor is a word of
-(slot, generator) letters, and the product folds those words across the whole
-left element.  The words go into a trie, so a prefix that several keys share
-is folded once (at p = 7, i = 1, t = 1 the 78 keys of Delta(D_2) spell 377
-letters but make 94 trie nodes), depth first, so that only the accumulators
-of one root-to-node path are alive.  Every other element operation is shared with
+The multiply kernel works on packed monomials: an exponent vector is one
+base-p integer (a_j is the digit of p^j), so inserting a generator is integer
+arithmetic on the code.  A rank-1 product folds the word of each right key
+(its letters are generators) across the whole left element; the words go into
+a trie, so a prefix that several keys share is folded once, depth first, so
+that only the products of one root-to-node path are alive.  A tensor product
+goes slot by slot: with X = sum m (x) X_m and Y = sum n (x) Y_n grouped by
+first-slot monomial, X Y is the sum over pairs of (m n) (x) (X_m Y_n), merged
+by first-slot monomial.  The products m n are rank-1 folds of n's word
+through the first slot alone, and X_m Y_n recurses on the rank, with Y_n's
+trie built once.  The first slot of Delta(D_k) has at most p + 1 monomials
+(8 for the 78 terms of Delta(D_2) at p = 7) and its powers stay within the p^2
+monomials D_0^a D_k^b, so the long inner words are folded through the small
+X_m, never through all of X.  Left first-slot monomials whose inner parts
+agree up to a scalar are folded together, so that a factor like
+sum m (x) 1 costs one fold per right first-slot word rather than one per
+pair.  Keys are packed on entry and unpacked on exit; `terms` keeps tuple
+keys everywhere else.  Every other element operation is shared with
 characteristic 0 (tensor.py).
 """
 
@@ -35,7 +43,6 @@ from .scalars import FpElem, is_prime
 from .tensor import TensorElement, commutator
 
 MonoP = tuple[int, ...]
-WordP = tuple[int, ...]
 
 
 def _check_prime(p: int):
@@ -49,10 +56,6 @@ def one_mono(p: int) -> MonoP:
 
 def gen_mono(k: int, p: int) -> MonoP:
     return tuple(1 if j == k % p else 0 for j in range(p))
-
-
-def _word_of(mono: MonoP) -> WordP:
-    return tuple(k for k, m in enumerate(mono) for _ in range(m))
 
 
 def _pack(mono: MonoP, p: int) -> int:
@@ -72,22 +75,6 @@ def _unpack(code: int, p: int) -> MonoP:
         code, e = divmod(code, p)
         digits.append(e)
     return tuple(digits)
-
-
-def _pack_key(key: tuple[MonoP, ...], p: int) -> int:
-    """A tensor key as one integer in base p^p: slot s is the digit of (p^p)^s."""
-    code = 0
-    for mono in reversed(key):
-        code = code * p**p + _pack(mono, p)
-    return code
-
-
-def _unpack_key(code: int, p: int, rank: int) -> tuple[MonoP, ...]:
-    key = []
-    for _ in range(rank):
-        code, m = divmod(code, p**p)
-        key.append(_unpack(m, p))
-    return tuple(key)
 
 
 @lru_cache(maxsize=None)
@@ -118,36 +105,121 @@ def mono_times_gen_p(code: int, g: int, p: int) -> tuple[tuple[int, int], ...]:
     return tuple(sorted((m, c) for m, c in acc.items() if c))
 
 
-def _times_gen(acc: dict, slot: int, g: int, p: int, rank: int) -> dict:
-    """acc * D_g, with D_g inserted in tensor slot `slot`, on packed keys;
-    residues reduced and zeros dropped."""
+def _times_gen(acc: dict, g: int, p: int) -> dict:
+    """acc * D_g on packed monomials; residues reduced and zeros dropped."""
     nxt: dict = {}
     get = nxt.get
-    if rank == 1:
-        for m, c in acc.items():
-            for m2, c2 in mono_times_gen_p(m, g, p):
-                nxt[m2] = get(m2, 0) + c * c2
-    else:
-        size = p**p
-        w = size**slot
-        for key, c in acc.items():
-            m = key // w % size
-            base = key - m * w
-            for m2, c2 in mono_times_gen_p(m, g, p):
-                nkey = base + m2 * w
-                nxt[nkey] = get(nkey, 0) + c * c2
-    return {key: r for key, v in nxt.items() if (r := v % p)}
+    for m, c in acc.items():
+        for m2, c2 in mono_times_gen_p(m, g, p):
+            nxt[m2] = get(m2, 0) + c * c2
+    return {m: r for m, v in nxt.items() if (r := v % p)}
 
 
 class _Trie:
-    """Words of (slot, generator) letters, with the coefficient of the word
-    that ends at each node (0 where none does)."""
+    """Words of generators, with the value of the word that ends at each node
+    (None where none does)."""
 
-    __slots__ = ("children", "coeff")
+    __slots__ = ("children", "value")
 
     def __init__(self):
-        self.children: dict[tuple[int, int], _Trie] = {}
-        self.coeff = 0
+        self.children: dict[int, _Trie] = {}
+        self.value = None
+
+
+def _by_first_slot(terms: dict) -> dict:
+    """Tensor terms grouped by first-slot monomial: {mono: {rest of key: c}}."""
+    groups: dict = {}
+    for key, c in terms.items():
+        groups.setdefault(key[0], {})[key[1:]] = c
+    return groups
+
+
+def _left(terms: dict, rank: int, p: int):
+    """The left factor of a product, from terms keyed on tuples of packed
+    monomials.  At rank 1 it is {monomial: coefficient}; above, a list of pairs
+    (first, inner), first a {monomial: coefficient} of the first slot and inner
+    the left form of the other slots, whose tensor products sum to the factor.
+    First-slot monomials whose inner parts agree up to a scalar share one
+    pair, so that a product folds their first-slot words together."""
+    if rank == 1:
+        return {key[0]: c for key, c in terms.items()}
+    groups: dict = {}
+    for mono, rest in _by_first_slot(terms).items():
+        c0 = rest[min(rest)]
+        inv = pow(c0, -1, p)
+        rest = {key: c * inv % p for key, c in rest.items()}
+        groups.setdefault(frozenset(rest.items()), ({}, rest))[0][mono] = c0
+    return [(first, _left(rest, rank - 1, p)) for first, rest in groups.values()]
+
+
+def _trie(terms: dict, rank: int) -> _Trie:
+    """The right factor of a product: its first-slot words in a trie whose
+    values are the coefficients (rank 1) or the tries of the inner slots."""
+    root = _Trie()
+    for mono, rest in _by_first_slot(terms).items():
+        node = root
+        for g, e in enumerate(mono):
+            for _ in range(e):
+                node = node.children.setdefault(g, _Trie())
+        node.value = rest[()] if rank == 1 else _trie(rest, rank - 1)
+    return root
+
+
+def _walk(acc: dict, trie: _Trie, p: int):
+    """(value, acc * w) for every word w of the trie that has a value, except
+    where acc * w is zero.  Depth first, and a node's product is made when the
+    node is popped, not when its parent is, so each shared prefix is folded
+    once and only the products of the current root-to-node path are alive."""
+    stack = [(trie, acc, None)]
+    while stack:
+        node, acc, g = stack.pop()
+        if g is not None:
+            acc = _times_gen(acc, g, p)
+            if not acc:
+                continue
+        if node.value is not None:
+            yield node.value, acc
+        for h, child in node.children.items():
+            stack.append((child, acc, h))
+
+
+def _add_into(out: dict, x: dict, c: int, rank: int) -> None:
+    """out += c * x on sums (see _product)."""
+    if rank == 1:
+        get = out.get
+        for m, v in x.items():
+            out[m] = get(m, 0) + c * v
+    else:
+        for m, xm in x.items():
+            _add_into(out.setdefault(m, {}), xm, c, rank - 1)
+
+
+def _product(x, y: _Trie, rank: int, p: int) -> dict:
+    """x * y for x a left factor (_left) and y a right one (_trie), as sums:
+    {first-slot monomial: sums of the other slots} down to {monomial:
+    coefficient}, coefficients unreduced.  Above rank 1, x is the sum of
+    first (x) inner over its pairs and y = sum n (x) y_n by first-slot
+    monomial, so x y is the sum over pairs of (first n) (x) (inner y_n)."""
+    out: dict = {}
+    if rank == 1:
+        get = out.get
+        for c, acc in _walk(x, y, p):
+            for m, v in acc.items():
+                out[m] = get(m, 0) + v * c
+        return out
+    for first, inner in x:
+        for yn, fn in _walk(first, y, p):
+            prod = _product(inner, yn, rank - 1, p)
+            for m, c in fn.items():
+                _add_into(out.setdefault(m, {}), prod, c, rank - 1)
+    return out
+
+
+def _terms(sums: dict, rank: int, p: int) -> dict:
+    """Tensor terms of sums (see _product), residues reduced and zeros dropped."""
+    if rank == 1:
+        return {(_unpack(m, p),): r for m, v in sums.items() if (r := v % p)}
+    return {(_unpack(m, p),) + key: c for m, xm in sums.items() for key, c in _terms(xm, rank - 1, p).items()}
 
 
 class ElementP(TensorElement):
@@ -232,36 +304,9 @@ class ElementP(TensorElement):
         if not isinstance(other, ElementP):
             return self.__rmul__(other)
         self._check(other)
-        p = self.p
-        rank = self.rank
-        # every key of the right factor is a word of (slot, generator) letters;
-        # words share prefixes, so they go into a trie and each prefix is
-        # folded across the whole left element once
-        root = _Trie()
-        for kb, cb in other.terms.items():
-            node = root
-            for slot in range(rank):
-                for g in _word_of(kb[slot]):
-                    node = node.children.setdefault((slot, g), _Trie())
-            node.coeff = cb
-        # depth first; a node's accumulator is computed when the node is
-        # popped, not when its parent is, so the stack holds only accumulators
-        # of the current root-to-node path
-        out: dict = {}
-        oget = out.get
-        stack = [(root, {_pack_key(key, p): c for key, c in self.terms.items()}, None)]
-        while stack:
-            node, acc, letter = stack.pop()
-            if letter is not None:
-                acc = _times_gen(acc, *letter, p, rank)
-                if not acc:
-                    continue
-            if node.coeff:
-                cb = node.coeff
-                for key, c in acc.items():
-                    out[key] = oget(key, 0) + c * cb
-            stack.extend((child, acc, edge) for edge, child in node.children.items())
-        return self._like(rank, {_unpack_key(key, p, rank): r for key, c in out.items() if (r := c % p)})
+        p, rank = self.p, self.rank
+        x = _left({tuple([_pack(m, p) for m in key]): c for key, c in self.terms.items()}, rank, p)
+        return self._like(rank, _terms(_product(x, _trie(other.terms, rank), rank, p), rank, p))
 
     def supported_indices(self) -> set[int]:
         """Generator indices appearing anywhere in the support."""

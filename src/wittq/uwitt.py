@@ -84,10 +84,6 @@ def straighten(word: Word) -> tuple[tuple[Mono, int], ...]:
 
 @lru_cache(maxsize=None)
 def mono_mul(a: Mono, b: Mono) -> tuple[tuple[Mono, int], ...]:
-    if not a:
-        return ((b, 1),)
-    if not b:
-        return ((a, 1),)
     return _fold({word_of(a): 1}, word_of(b))
 
 
@@ -167,7 +163,8 @@ class Element(TensorElement):
         for ka, ca in self.terms.items():
             na = ca.numerator * (da // ca.denominator)
             for kb, nb in right:
-                parts = [mono_mul(ma, mb) for ma, mb in zip(ka, kb)]
+                # a product with a unit slot is answered here, not cached
+                parts = [mono_mul(ma, mb) if ma and mb else ((ma or mb, 1),) for ma, mb in zip(ka, kb)]
                 for combo in iproduct(*parts):
                     n = na * nb
                     for _, ci in combo:

@@ -18,7 +18,6 @@ from wittq.restricted import (
     verify_witt_iso,
     _pack,
     _unpack,
-    _word_of,
 )
 from wittq.scalars import FpElem
 from wittq.tensor import commutator
@@ -27,6 +26,11 @@ D = ElementP.gen
 
 
 # -- word-level straightening: the confluence oracle for the multiply kernel --
+
+
+def _word_of(mono):
+    """The generator indices of a monomial in ascending order, with repeats."""
+    return tuple(k for k, m in enumerate(mono) for _ in range(m))
 
 
 @lru_cache(maxsize=None)
@@ -248,8 +252,8 @@ def _sum_of_single_term_products(x, y):
     return total
 
 
-def _letters(key):
-    return tuple((slot, g) for slot, mono in enumerate(key) for g in _word_of(mono))
+def _has_proper_prefix(words):
+    return any(a != b and b[: len(a)] == a for a in words for b in words)
 
 
 @pytest.mark.parametrize("rank", [2, 3])
@@ -262,15 +266,67 @@ def test_prefix_fold_matches_single_term_products(rank):
     else:
         keys = [(u, u, u), (d1, u, u), (d1, u, d2), (d1, d2, d2), (u, u, d2), (u, d1, u), (d12, u, u), (d1sq, u, d1)]
     y = ElementP(p, rank, {key: 1 + n % (p - 1) for n, key in enumerate(keys)})
-    # the operand exercises what the trie shares: a word that is a proper
-    # prefix of another, and unit slots, including the all-unit key
-    words = [_letters(key) for key in keys]
-    assert () in words
-    assert any(a != b and b[: len(a)] == a for a in words for b in words)
+    # the operand exercises what the tries share: a first-slot word that is a
+    # proper prefix of another, and one in the second slot under the unit
+    # first slot; and unit slots, including the all-unit key
+    assert (u,) * rank in keys
+    assert _has_proper_prefix({_word_of(key[0]) for key in keys})
+    assert _has_proper_prefix({_word_of(key[1]) for key in keys if key[0] == u})
     rng = random.Random(31 + rank)
     for _ in range(6):
         x = _random_element(rng, p, rank, 4)
         assert x * y == _sum_of_single_term_products(x, y)
+
+
+def _pairwise_product(x, y):
+    """x * y key pair by key pair, each slot straightened as one word: the
+    tensor product rule with no grouping, no trie and no packed keys."""
+    sums = {}
+    for ka, ca in x.terms.items():
+        for kb, cb in y.terms.items():
+            slots = [straighten_p(_word_of(ma) + _word_of(mb), x.p) for ma, mb in zip(ka, kb)]
+            for combo in itertools.product(*slots):
+                key = tuple(m for m, _ in combo)
+                c = ca * cb
+                for _, ci in combo:
+                    c *= ci
+                sums[key] = sums.get(key, 0) + c
+    return ElementP(x.p, x.rank, sums)
+
+
+@pytest.mark.parametrize("rank", [2, 3])
+def test_tensor_product_matches_pairwise_straightening(rank):
+    p = 5
+    u = one_mono(p)
+    d1, d2, d3, d1top = _mono(p, (1, 1)), _mono(p, (2, 1)), _mono(p, (3, 1)), _mono(p, (1, p - 1))
+    d0d2, d1d2 = _mono(p, (0, 1), (2, 1)), _mono(p, (1, 1), (2, 1))
+
+    def el(*terms):
+        return ElementP(p, rank, {(first,) + (inner,) * (rank - 1): c for first, inner, c in terms})
+
+    # D_1^(p-1) D_1 = 0 in the first slot, while D_2 D_3 is not zero
+    vanish = (el((d1top, d2, 1)), el((d1, d3, 2)))
+    assert not (ElementP.from_mono(p, d2) * ElementP.from_mono(p, d3)).is_zero()
+    assert (vanish[0] * vanish[1]).is_zero()
+    # (D_1 + D_2) (x) D_3 times (D_2 - D_1) (x) 1: the D_1 D_2 terms of the
+    # pairs (D_1, D_2) and (D_2, D_1) cancel
+    cancel = (el((d1, d3, 1), (d2, d3, 1)), el((d2, u, 1), (d1, u, p - 1)))
+    key = (d1d2,) + (d3,) * (rank - 1)
+    assert _pairwise_product(el((d1, d3, 1)), el((d2, u, 1))).coeff(key) == 1
+    assert _pairwise_product(el((d2, d3, 1)), el((d1, u, p - 1))).coeff(key) == p - 1
+    assert (cancel[0] * cancel[1]).coeff(key) == 0
+    # several first-slot monomials, some with inner parts that agree up to a
+    # scalar, with unit slots and the all-unit key on both sides
+    scaled = (
+        el((u, u, 1), (d1, u, 3), (d2, u, 2), (d0d2, d3, 1), (d1top, d3, 4)),
+        el((u, u, 2), (d0d2, u, 1), (d2, d1, 3), (d1, d1, 1), (d3, u, 4)),
+    )
+    cases = [vanish, cancel, scaled]
+    rng = random.Random(51 + rank)
+    cases += [(_random_element(rng, p, rank, 6), _random_element(rng, p, rank, 6)) for _ in range(8)]
+    for x, y in cases:
+        assert x * y == _pairwise_product(x, y)
+        assert y * x == _pairwise_product(y, x)
 
 
 def test_basis_size():
