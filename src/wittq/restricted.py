@@ -28,8 +28,16 @@ X_m, never through all of X.  Left first-slot monomials whose inner parts
 agree up to a scalar are folded together, so that a factor like
 sum m (x) 1 costs one fold per right first-slot word rather than one per
 pair.  Keys are packed on entry and unpacked on exit; `terms` keeps tuple
-keys everywhere else.  Every other element operation is shared with
-characteristic 0 (tensor.py).
+keys everywhere else.
+
+The kernel multiplies t-polynomials whole (series_mul, the ring hook of the
+series product): the right factor's words of every t-degree go into one trie
+whose values are {t-degree: coefficient} at the last slot, so a word that
+several degrees share, or a prefix of it, is folded once.  Each nonzero left
+coefficient is packed and grouped once and folded through that trie, its
+products summed straight into degree da + db; each output degree is reduced
+mod p and unpacked once.  An element product is the degree-0 case.  Every
+other element operation is shared with characteristic 0 (tensor.py).
 """
 
 from __future__ import annotations
@@ -152,16 +160,25 @@ def _left(terms: dict, rank: int, p: int):
     return [(first, _left(rest, rank - 1, p)) for first, rest in groups.values()]
 
 
-def _trie(terms: dict, rank: int) -> _Trie:
-    """The right factor of a product: its first-slot words in a trie whose
-    values are the coefficients (rank 1) or the tries of the inner slots."""
+def _trie(series, rank: int) -> _Trie:
+    """The right factor of a product, a t-polynomial given as (degree, terms)
+    pairs: the first-slot words of every degree in one trie, whose values are
+    {degree: coefficient} (rank 1) or one trie of the inner slots, built the
+    same way from the inner parts that word has at each degree."""
+    groups: dict = {}
+    for d, terms in series:
+        for key, c in terms.items():
+            if rank == 1:
+                groups.setdefault(key[0], {})[d] = c
+            else:
+                groups.setdefault(key[0], {}).setdefault(d, {})[key[1:]] = c
     root = _Trie()
-    for mono, rest in _by_first_slot(terms).items():
+    for mono, value in groups.items():
         node = root
         for g, e in enumerate(mono):
             for _ in range(e):
                 node = node.children.setdefault(g, _Trie())
-        node.value = rest[()] if rank == 1 else _trie(rest, rank - 1)
+        node.value = value if rank == 1 else _trie(value.items(), rank - 1)
     return root
 
 
@@ -194,24 +211,27 @@ def _add_into(out: dict, x: dict, c: int, rank: int) -> None:
             _add_into(out.setdefault(m, {}), xm, c, rank - 1)
 
 
-def _product(x, y: _Trie, rank: int, p: int) -> dict:
-    """x * y for x a left factor (_left) and y a right one (_trie), as sums:
-    {first-slot monomial: sums of the other slots} down to {monomial:
+def _product(x, y: _Trie, rank: int, p: int, out: dict, shift: int) -> dict:
+    """out[shift + d] += x * y_d for x a left factor (_left) and y a right
+    t-polynomial (_trie), y_d its coefficient of t^d; out maps degrees to
+    sums: {first-slot monomial: sums of the other slots} down to {monomial:
     coefficient}, coefficients unreduced.  Above rank 1, x is the sum of
     first (x) inner over its pairs and y = sum n (x) y_n by first-slot
     monomial, so x y is the sum over pairs of (first n) (x) (inner y_n)."""
-    out: dict = {}
     if rank == 1:
-        get = out.get
-        for c, acc in _walk(x, y, p):
-            for m, v in acc.items():
-                out[m] = get(m, 0) + v * c
+        for cs, acc in _walk(x, y, p):
+            for d, c in cs.items():
+                tgt = out.setdefault(shift + d, {})
+                get = tgt.get
+                for m, v in acc.items():
+                    tgt[m] = get(m, 0) + v * c
         return out
     for first, inner in x:
         for yn, fn in _walk(first, y, p):
-            prod = _product(inner, yn, rank - 1, p)
-            for m, c in fn.items():
-                _add_into(out.setdefault(m, {}), prod, c, rank - 1)
+            for d, prod in _product(inner, yn, rank - 1, p, {}, 0).items():
+                tgt = out.setdefault(shift + d, {})
+                for m, c in fn.items():
+                    _add_into(tgt.setdefault(m, {}), prod, c, rank - 1)
     return out
 
 
@@ -304,9 +324,21 @@ class ElementP(TensorElement):
         if not isinstance(other, ElementP):
             return self.__rmul__(other)
         self._check(other)
+        return self.series_mul((self,), (other,), 1)[0]
+
+    def series_mul(self, a_coeffs, b_coeffs, n: int) -> list:
+        """The coefficients of t^0 .. t^(n-1) in the product of the
+        t-polynomials with coefficients a_coeffs and b_coeffs.  The right
+        factor goes into one trie for all its degrees, and each nonzero left
+        coefficient is packed, grouped and folded through it once."""
         p, rank = self.p, self.rank
-        x = _left({tuple([_pack(m, p) for m in key]): c for key, c in self.terms.items()}, rank, p)
-        return self._like(rank, _terms(_product(x, _trie(other.terms, rank), rank, p), rank, p))
+        y = _trie([(d, c.terms) for d, c in enumerate(b_coeffs[:n]) if c.terms], rank)
+        out: dict = {}
+        for d, c in enumerate(a_coeffs[:n]):
+            if c.terms:
+                x = _left({tuple([_pack(m, p) for m in key]): v for key, v in c.terms.items()}, rank, p)
+                _product(x, y, rank, p, out, d)
+        return [self._like(rank, _terms(out[d], rank, p) if d in out else {}) for d in range(n)]
 
     def supported_indices(self) -> set[int]:
         """Generator indices appearing anywhere in the support."""

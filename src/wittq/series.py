@@ -11,8 +11,10 @@ unit-leading-term recursion and applies to truncated series only.
 
 The coefficient ring enters only through methods of the element classes:
 ``zero_of``/``one_of`` a rank, ``unit_mono``, ``monomial`` (monomial to
-element), ``runs`` (monomial to (generator, exponent) pairs in PBW order) and
-``from_sums`` (raw coefficient sums to a normalized element).
+element), ``runs`` (monomial to (generator, exponent) pairs in PBW order),
+``from_sums`` (raw coefficient sums to a normalized element) and
+``series_mul`` (the coefficients of a product of two series, below a
+degree).
 
 Below the classes sit the pieces the Hopf verifiers of both characteristics
 share: applying a map to one tensor slot, the counit on one slot, antipode
@@ -82,6 +84,7 @@ class TSeries:
             self._zero._check(other._zero)
             return other
         if isinstance(other, type(self._zero)):
+            self._zero._check(other)
             return self._const(other)
         if isinstance(other, TSeries):
             raise TypeError(f"cannot combine {type(self).__name__} with {type(other).__name__}")
@@ -111,20 +114,7 @@ class TSeries:
         n = len(self.coeffs) + len(other.coeffs) - 1
         if order is not None:
             n = min(n, order + 1)
-        # raw coefficient sums per degree, normalized once at the end
-        acc: list[dict] = [{} for _ in range(max(n, 0))]
-        for a, ca in enumerate(self.coeffs[:n]):
-            if not ca.terms:
-                continue
-            for b, cb in enumerate(other.coeffs[: n - a]):
-                if not cb.terms:
-                    continue
-                tgt = acc[a + b]
-                get = tgt.get
-                for key, v in (ca * cb).terms.items():
-                    tgt[key] = get(key, 0) + v
-        zero = self._zero
-        return self._like(order, self.rank, [zero.from_sums(self.rank, sums) for sums in acc])
+        return self._like(order, self.rank, self._zero.series_mul(self.coeffs, other.coeffs, max(n, 0)))
 
     def __rmul__(self, other):
         if isinstance(other, type(self._zero)):
@@ -132,6 +122,8 @@ class TSeries:
         return self * other
 
     def __pow__(self, n: int):
+        if n < 0:
+            raise ValueError(f"negative exponent {n}")
         out = self._const(self._zero.one_of(self.rank))
         for _ in range(n):
             out = out * self

@@ -1,11 +1,15 @@
+import random
 from fractions import Fraction
 from functools import partial
 
 import pytest
 
+from wittq import restricted
+from wittq.restricted import ElementP, one_mono
 from wittq.series import (
     PolyP,
     Series,
+    _meet,
     first_mismatch,
     gen_antipode,
     gen_coproduct,
@@ -112,3 +116,172 @@ def test_mono_images_of_unit_and_generators(char, order):
     assert mono_antipode(char, order, 1, None, g2) == ap(2)
     assert mono_coproduct(char, order, 1, None, None, g12) == cp(1) * cp(2)
     assert mono_antipode(char, order, 1, None, g12) == ap(2) * ap(1)
+
+
+# -- the series product -------------------------------------------------------
+
+
+def oracle_mul(self, other):
+    """self * other with one element product per pair of nonzero
+    coefficients, the raw sums of each degree normalized once: the reference
+    the series kernel is checked against."""
+    other = self._promote(other)
+    order = _meet(self.order, other.order)
+    n = len(self.coeffs) + len(other.coeffs) - 1
+    if order is not None:
+        n = min(n, order + 1)
+    acc = [{} for _ in range(max(n, 0))]
+    for a, ca in enumerate(self.coeffs[:n]):
+        if not ca.terms:
+            continue
+        for b, cb in enumerate(other.coeffs[: n - a]):
+            if not cb.terms:
+                continue
+            tgt = acc[a + b]
+            for key, v in (ca * cb).terms.items():
+                tgt[key] = tgt.get(key, 0) + v
+    zero = self._zero
+    return self._like(order, self.rank, [zero.from_sums(self.rank, sums) for sums in acc])
+
+
+def _mono(p, *runs):
+    """The monomial with the given (index, exponent) runs."""
+    exps = dict(runs)
+    return tuple(exps.get(j, 0) for j in range(p))
+
+
+def _random_key(rng, p, rank):
+    key = []
+    for _ in range(rank):
+        mono = [0] * p
+        for _ in range(rng.randint(0, 2)):
+            mono[rng.randrange(p)] = rng.randrange(p)
+        key.append(tuple(mono))
+    return tuple(key)
+
+
+def _random_poly(rng, p, rank, degree):
+    """Coefficients of t^0 .. t^degree, about one in three of them zero
+    below the top, the top nonzero; keys drawn from a small pool, so that one
+    key recurs at several degrees."""
+    pool = [_random_key(rng, p, rank) for _ in range(6)]
+    coeffs = []
+    for d in range(degree + 1):
+        if d < degree and rng.random() < 0.35:
+            coeffs.append(ElementP.zero(p, rank))
+            continue
+        terms = {key: rng.randrange(1, p) for key in rng.sample(pool, rng.randint(1, 4))}
+        coeffs.append(ElementP(p, rank, terms))
+    return PolyP(p, rank, coeffs)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_series_product_matches_pairwise_oracle(p, rank):
+    rng = random.Random(100 * p + rank)
+    for _ in range(8):
+        x = _random_poly(rng, p, rank, rng.randint(0, 3))
+        y = _random_poly(rng, p, rank, rng.randint(0, 3))
+        assert x * y == oracle_mul(x, y)
+        assert y * x == oracle_mul(y, x)
+
+    u, d1, d12 = one_mono(p), _mono(p, (1, 1)), _mono(p, (1, 1), (2, 1))
+    tail = (u,) * (rank - 1)
+    x = PolyP(p, rank, [ElementP.one(p, rank), ElementP.zero(p, rank), ElementP(p, rank, {(d1,) + tail: 2})])
+    # zeros between nonzero degrees on both sides, the key d1 at degrees 0 and
+    # 3 and d12 at 1 and 3, and the first-slot word of d1 a proper prefix of
+    # the word of d12, which sits at another degree
+    y = PolyP(
+        p,
+        rank,
+        [
+            ElementP(p, rank, {(d1,) + tail: 1, (u,) * rank: 1}),
+            ElementP(p, rank, {(d12,) + tail: p - 1}),
+            ElementP.zero(p, rank),
+            ElementP(p, rank, {(d1,) + tail: 1, (d12,) + tail: 2}),
+        ],
+    )
+    assert x * y == oracle_mul(x, y)
+    assert y * x == oracle_mul(y, x)
+    assert (x * y).degree == 5
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_series_product_prunes_a_cancelled_top_degree(p, rank):
+    # D_1^(p-1) D_1 = D_1^p = 0, so (1 + D_1^(p-1) t)(1 + D_1 t) has degree 1
+    tail = (one_mono(p),) * (rank - 1)
+    one = ElementP.one(p, rank)
+    x = PolyP(p, rank, [one, ElementP(p, rank, {(_mono(p, (1, p - 1)),) + tail: 1})])
+    y = PolyP(p, rank, [one, ElementP(p, rank, {(_mono(p, (1, 1)),) + tail: 1})])
+    prod = x * y
+    assert prod == oracle_mul(x, y)
+    assert prod.degree == 1
+    assert len(prod.coeffs) == 2
+
+
+def test_series_product_still_checks_ring_and_rank():
+    f = PolyP.one(5, 1)
+    for other in (PolyP.one(5, 2), PolyP.one(3, 1), ElementP.one(5, 2), ElementP.one(7, 1)):
+        with pytest.raises(ValueError):
+            f * other
+    with pytest.raises(TypeError):
+        f * Series.one(2, 1)
+
+
+def test_truncated_series_product_matches_pairwise_oracle():
+    # the shared per-degree-pair hook, cut at the order
+    s = Series(3, 2, [L(1).tensor(L(2)), Element.one(2), Element.zero(2), L(-1).tensor(Element.one())])
+    for a, b in ((s, s), (s, s.swap()), (s.shift(2), s)):
+        assert a * b == oracle_mul(a, b)
+
+
+@pytest.mark.parametrize(
+    "x",
+    [L(1), ElementP.gen(1, 5), PolyP.const(ElementP.gen(1, 5)), Series.const(L(1), 2)],
+    ids=["Element", "ElementP", "PolyP", "Series"],
+)
+def test_negative_powers_raise(x):
+    assert x**1 == x
+    with pytest.raises(ValueError):
+        x**-1
+    with pytest.raises(ValueError):
+        x**-2
+
+
+def test_series_product_packs_each_left_coefficient_once(monkeypatch):
+    # warm the structure-map memo, then count the kernel steps of one product
+    p = 5
+    d2 = gen_coproduct(p, None, 1, None, None, 2)
+    want = d2 * d2
+    nonzero = [c for c in d2.coeffs if c.terms]
+    assert len(nonzero) > 1
+    calls = {"trie": [], "left": [], "pack": 0}
+    trie, left, pack = restricted._trie, restricted._left, restricted._pack
+
+    def counted_trie(series, rank):
+        calls["trie"].append(rank)
+        return trie(series, rank)
+
+    def counted_left(terms, rank, p):
+        calls["left"].append(rank)
+        return left(terms, rank, p)
+
+    def counted_pack(mono, p):
+        calls["pack"] += 1
+        return pack(mono, p)
+
+    def no_element_mul(self, other):
+        raise AssertionError("a series product went through ElementP.__mul__")
+
+    monkeypatch.setattr(restricted, "_trie", counted_trie)
+    monkeypatch.setattr(restricted, "_left", counted_left)
+    monkeypatch.setattr(restricted, "_pack", counted_pack)
+    monkeypatch.setattr(ElementP, "__mul__", no_element_mul)
+    assert d2 * d2 == want
+    # one right trie for all the degrees of the right factor, and each nonzero
+    # left coefficient packed and grouped once; per degree pair it was
+    # len(nonzero) ** 2 of each
+    assert calls["trie"].count(2) == 1
+    assert calls["left"].count(2) == len(nonzero)
+    assert calls["pack"] == 2 * sum(len(c.terms) for c in nonzero)
