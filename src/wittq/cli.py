@@ -8,6 +8,7 @@ byte-identical for identical inputs.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import hopf0, hopfp, jsonio, restricted
@@ -227,6 +228,33 @@ def _cmd_tables(parser, args) -> int:
     return 0
 
 
+def _verify_cell(cell):
+    """Verify one (p, i) cell; the cells of an --all-i sweep share no state."""
+    params, t_values = cell
+    return hopfp.verify_all_p(params, t_values)
+
+
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _map_cells(cells) -> list:
+    """The reports of the cells, in cell order.  With two or more cells and
+    CPUs, and fork available, the cells run in a pool of forked processes,
+    which inherit the memos the parent has filled so far; spawn and
+    forkserver would start from cold memos, so there the cells run serially."""
+    n = min(len(cells), _usable_cpus())
+    if n >= 2:
+        import multiprocessing
+
+        if "fork" in multiprocessing.get_all_start_methods():
+            with multiprocessing.get_context("fork").Pool(n) as pool:
+                return pool.map(_verify_cell, cells, chunksize=1)
+    return list(map(_verify_cell, cells))
+
+
 def _cmd_verify(parser, args) -> int:
     if args.char == "0":
         if args.all_i:
@@ -255,8 +283,9 @@ def _cmd_verify(parser, args) -> int:
             if i % p == 0:
                 parser.error("i must be nonzero mod p")
         rep = restricted.verify_witt_iso(p)
-        for i in i_values:
-            rep.extend(hopfp.verify_all_p(HopfParamsP(p, i), tuple(t_values)))
+        cells = [(HopfParamsP(p, i), tuple(t_values)) for i in i_values]
+        for cell_rep in _map_cells(cells):
+            rep.extend(cell_rep)
 
     if args.format == "json":
         _emit(args, jsonio.dumps(jsonio.report_doc(rep)))

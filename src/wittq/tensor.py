@@ -102,8 +102,10 @@ class TensorElement:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError(f"negative exponent {n}")
-        out = self.one_of(self.rank)
-        for _ in range(n):
+        if n == 0:
+            return self.one_of(self.rank)
+        out = self
+        for _ in range(n - 1):
             out = out * self
         return out
 

@@ -205,3 +205,87 @@ def test_scalar_str_roundtrip():
     for s in ("0", "5", "-17", "3/4", "-1/8"):
         assert jsonio.scalar_str(jsonio.parse_scalar(s)) == s
     assert jsonio.scalar_str(Fraction(6, 4)) == "3/2"
+
+
+ALL_I_P3 = ["verify", "--char", "p", "--p", "3", "--all-i", "--t", "all"]
+
+
+@pytest.fixture
+def pools(monkeypatch):
+    """Count the fork contexts the CLI asks for (one per process pool)."""
+    import multiprocessing
+
+    made = []
+    get_context = multiprocessing.get_context
+
+    def counted(method=None):
+        made.append(method)
+        return get_context(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", counted)
+    return made
+
+
+def _no_pool(monkeypatch):
+    import multiprocessing
+
+    def refuse(method=None):
+        raise AssertionError("no process pool expected")
+
+    monkeypatch.setattr(multiprocessing, "get_context", refuse)
+
+
+def _run_with_cpus(monkeypatch, capsys, cpus, argv):
+    import wittq.cli as cli
+
+    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
+    return run_cli(argv, capsys)
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_all_i_pool_matches_serial(fmt, monkeypatch, capsys, pools):
+    argv = ALL_I_P3 + ["--format", fmt]
+    serial = _run_with_cpus(monkeypatch, capsys, 1, argv)
+    assert pools == []
+    pooled = _run_with_cpus(monkeypatch, capsys, 2, argv)
+    assert pools == ["fork"]
+    assert pooled == serial
+    assert serial[0] == 0
+
+
+def test_all_i_pool_reraises_a_failing_cell(monkeypatch, capsys, pools):
+    import wittq.cli as cli
+
+    verify = cli.hopfp.verify_all_p
+
+    def failing(params, t_values=(None,)):
+        if params.i == 2:
+            raise ArithmeticError("cell i=2")
+        return verify(params, t_values)
+
+    monkeypatch.setattr(cli.hopfp, "verify_all_p", failing)
+    raised = []
+    for cpus in (1, 2):
+        with pytest.raises(Exception) as exc:
+            _run_with_cpus(monkeypatch, capsys, cpus, ALL_I_P3)
+        raised.append(exc.type)
+    assert pools == ["fork"]
+    assert raised == [ArithmeticError, ArithmeticError]
+
+
+def test_single_i_never_makes_a_pool(monkeypatch, capsys):
+    _no_pool(monkeypatch)
+    code, out = _run_with_cpus(monkeypatch, capsys, 2, ["verify", "--char", "p", "--p", "3", "--i", "2", "--t", "all"])
+    assert code == 0
+    assert out.endswith(" 0 failures\n")
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_all_i_without_fork_runs_serially(fmt, monkeypatch, capsys):
+    import multiprocessing
+
+    argv = ALL_I_P3 + ["--format", fmt]
+    serial = _run_with_cpus(monkeypatch, capsys, 1, argv)
+    _no_pool(monkeypatch)
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"])
+    assert _run_with_cpus(monkeypatch, capsys, 2, argv) == serial

@@ -249,6 +249,22 @@ def test_negative_powers_raise(x):
         x**-2
 
 
+@pytest.mark.parametrize(
+    "x, unit",
+    [
+        (L(1) + 2 * L(-1), Element.one()),
+        (ElementP.gen(1, 5) + 2 * ElementP.gen(3, 5), ElementP.one(5)),
+        (PolyP(5, 1, [ElementP.gen(1, 5), ElementP.gen(2, 5)]), PolyP.one(5)),
+        (Series(2, 1, [L(1), L(0)]), Series.one(2)),
+    ],
+    ids=["Element", "ElementP", "PolyP", "Series"],
+)
+def test_small_powers(x, unit):
+    assert x**0 == unit
+    assert x**1 == x
+    assert x**3 == x * x * x
+
+
 def test_series_product_packs_each_left_coefficient_once(monkeypatch):
     # warm the structure-map memo, then count the kernel steps of one product
     p = 5
