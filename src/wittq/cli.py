@@ -262,6 +262,8 @@ def _cmd_verify(parser, args) -> int:
         if args.i is None:
             parser.error("characteristic 0 requires --i")
         params = _require_char0(parser, args)
+        if args.k_min > args.k_max:
+            parser.error("--k-min must not exceed --k-max")
         ks = range(args.k_min, args.k_max + 1)
         rep = hopf0.verify_all0(params, ks)
     else:

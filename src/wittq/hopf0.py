@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import factorial
 
 from .report import VerificationReport
@@ -33,7 +33,7 @@ from .scalars import int_coeff
 from .series import (
     Series,
     binomial_series,
-    check_generator,
+    check_hopf,
     counit_slot,
     element_antipode,
     element_coproduct,
@@ -41,11 +41,9 @@ from .series import (
     gen_antipode,
     gen_coproduct,
     h_rising,
-    mono_antipode,
-    mono_coproduct,
     slot_apply,
 )
-from .uwitt import Element, Mono, ONE_MONO, ad_power, bracket, e_element, word_of
+from .uwitt import Element, Mono, ONE_MONO, ad_power, e_element, word_of
 
 
 class CrossRouteMismatch(ArithmeticError):
@@ -283,44 +281,8 @@ def verify_hopf0(params: HopfParams, k_range, corrupt_term: int | None = None) -
     convolution, and well-definedness (multiplicativity + bracket compatibility)
     on generator pairs.  Failures are reported, never raised."""
     i, order = params.i, params.order
-    ks = list(k_range)
     rep = VerificationReport()
-    gen = partial(gen_coproduct, 0, order, i, None, corrupt_term)
-    cp_mono = partial(mono_coproduct, 0, order, i, None, corrupt_term)
-    ap_mono = partial(mono_antipode, 0, order, i, None)
-
-    for k in ks:
-        pt = {"i": i, "order": order, "k": k}
-        check_generator(rep, pt, gen(k), Element.gen(k), cp_mono, ap_mono)
-
-    # each ordered product is made once: (k, l) and (l, k) together, their
-    # entries kept and added in (k, l) order afterwards
-    def pair_checks(k, l, kl, lk):
-        pt = {"i": i, "order": order, "k": k, "l": l}
-        lhs = coproduct_element(Element.gen(k) * Element.gen(l), params, corrupt_term)
-        lhs_b = coproduct_element(bracket(k, l), params, corrupt_term)
-        rhs_b = kl - lk
-        return [
-            ("coproduct-multiplicative", pt, lhs == kl, first_mismatch(lhs, kl)),
-            ("coproduct-bracket", pt, lhs_b == rhs_b, first_mismatch(lhs_b, rhs_b)),
-        ]
-
-    checks = {}
-    for k in ks:
-        for l in ks:
-            if (k, l) in checks:
-                continue
-            kl = gen(k) * gen(l)
-            if k == l:
-                checks[k, k] = pair_checks(k, k, kl, kl)
-            else:
-                lk = gen(l) * gen(k)
-                checks[k, l] = pair_checks(k, l, kl, lk)
-                checks[l, k] = pair_checks(l, k, lk, kl)
-    for k in ks:
-        for l in ks:
-            for args in checks[k, l]:
-                rep.add(*args)
+    check_hopf(rep, {"i": i, "order": order}, 0, order, i, None, corrupt_term, k_range, True)
     return rep
 
 

@@ -20,7 +20,6 @@ vanish; vanishing is a checked property, not an assumption.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 from .report import VerificationReport
 from .restricted import ElementP, _residue, e_element_p, one_mono
@@ -28,15 +27,13 @@ from .scalars import FpElem, is_prime
 from .series import (
     PolyP,
     binomial_series,
-    check_generator,
+    check_hopf,
     element_antipode,
     element_coproduct,
     first_mismatch,
     gen_antipode,
     gen_coproduct,
     h_rising,
-    mono_antipode,
-    mono_coproduct,
 )
 from .tensor import commutator
 
@@ -200,22 +197,8 @@ def verify_hopf_p(params: HopfParamsP, t_values=None) -> VerificationReport:
         t_values = (params.t_value,)
     rep = VerificationReport()
     for tv in t_values:
-        pp = HopfParamsP(p, i, tv)
-        base = {"p": p, "i": i, "t": t_label(pp.t_value)}
-        cp_mono = partial(mono_coproduct, p, None, i, pp.t_value, None)
-        ap_mono = partial(mono_antipode, p, None, i, pp.t_value)
-        dk = {k: coproduct_p(k, pp) for k in range(p)}
-
-        for k in range(p):
-            check_generator(rep, dict(base, k=k), dk[k], ElementP.gen(k, p), cp_mono, ap_mono)
-
-        for k in range(p):
-            for l in range(p):
-                pt = dict(base, k=k, l=l)
-                prod = ElementP.gen(k, p) * ElementP.gen(l, p)
-                lhs = coproduct_element_p(prod, pp)
-                rhs = dk[k] * dk[l]
-                rep.add("coproduct-multiplicative", pt, lhs == rhs, first_mismatch(lhs, rhs))
+        tv = HopfParamsP(p, i, tv).t_value
+        check_hopf(rep, {"p": p, "i": i, "t": t_label(tv)}, p, None, i, tv, None, range(p), False)
     return rep
 
 

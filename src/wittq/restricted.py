@@ -320,12 +320,6 @@ class ElementP(TensorElement):
         parts = [f"D_{k}" if m == 1 else f"D_{k}^{m}" for k, m in enumerate(mono) if m]
         return "*".join(parts) if parts else "1"
 
-    def __mul__(self, other):
-        if not isinstance(other, ElementP):
-            return self.__rmul__(other)
-        self._check(other)
-        return self.series_mul((self,), (other,), 1)[0]
-
     def series_mul(self, a_coeffs, b_coeffs, n: int) -> list:
         """The coefficients of t^0 .. t^(n-1) in the product of the
         t-polynomials with coefficients a_coeffs and b_coeffs.  The right

@@ -18,7 +18,9 @@ degree).
 
 Below the classes sit the pieces the Hopf verifiers of both characteristics
 share: applying a map to one tensor slot, the counit on one slot, antipode
-convolution, and the per-generator axiom block.
+convolution, the per-generator axiom block (check_generator) and the whole
+axiom suite on generators and generator pairs (check_hopf), which both
+verifiers call with their own point labels.
 
 Last come the deformed generator maps and their extension to monomials and
 elements.  The characteristic-p maps are the characteristic-0 formulas read
@@ -34,6 +36,7 @@ from functools import lru_cache, partial
 
 from .restricted import ElementP, e_element_p
 from .scalars import gen_binomial, int_coeff, rising
+from .tensor import commutator
 from .uwitt import Element, e_element
 
 
@@ -459,3 +462,52 @@ def element_coproduct(char: int, order: int | None, i: int, t, corrupt_term, x) 
 
 def element_antipode(char: int, order: int | None, i: int, t, x) -> TSeries:
     return _element_image(char, order, x, partial(mono_antipode, char, order, i, t), 1)
+
+
+# -- the Hopf axioms on generators and generator pairs ----------------------------
+
+
+def check_hopf(rep, base: dict, char: int, order: int | None, i: int, t, corrupt_term, ks, bracket: bool) -> None:
+    """Add the Hopf axioms of the deformation (char, order, i, t) on the
+    generators x_k, k in ks, to rep: the check_generator block of each x_k,
+    then for each ordered pair (k, l) that the coproduct is multiplicative on
+    x_k x_l and, if bracket is set, that it maps [x_k, x_l] to
+    [Delta(x_k), Delta(x_l)].  Each point is base with k (and l) added."""
+    ring = _Ring(char, order)
+    gen = partial(gen_coproduct, char, order, i, t, corrupt_term)
+    coproduct = partial(element_coproduct, char, order, i, t, corrupt_term)
+    cp_mono = partial(mono_coproduct, char, order, i, t, corrupt_term)
+    ap_mono = partial(mono_antipode, char, order, i, t)
+    ks = list(ks)
+
+    for k in ks:
+        check_generator(rep, dict(base, k=k), gen(k), ring.gen(k), cp_mono, ap_mono)
+
+    # each ordered product is made once: (k, l) and (l, k) together, their
+    # entries kept and added in (k, l) order afterwards
+    def pair_checks(k, l, kl, lk):
+        pt = dict(base, k=k, l=l)
+        x, y = ring.gen(k), ring.gen(l)
+        lhs = coproduct(x * y)
+        out = [("coproduct-multiplicative", pt, lhs == kl, first_mismatch(lhs, kl))]
+        if bracket:
+            lhs_b, rhs_b = coproduct(commutator(x, y)), kl - lk
+            out.append(("coproduct-bracket", pt, lhs_b == rhs_b, first_mismatch(lhs_b, rhs_b)))
+        return out
+
+    checks = {}
+    for k in ks:
+        for l in ks:
+            if (k, l) in checks:
+                continue
+            kl = gen(k) * gen(l)
+            if k == l:
+                checks[k, k] = pair_checks(k, k, kl, kl)
+            else:
+                lk = gen(l) * gen(k)
+                checks[k, l] = pair_checks(k, l, kl, lk)
+                checks[l, k] = pair_checks(l, k, lk, kl)
+    for k in ks:
+        for l in ks:
+            for args in checks[k, l]:
+                rep.add(*args)

@@ -3,10 +3,9 @@
 An element maps keys to nonzero coefficients; a key is a tuple of ``rank``
 monomials, one per tensor factor.  Everything that does not depend on the
 monomial rule or the coefficient ring lives here: addition, negation, scalar
-and tensor products, powers, the factor swap, equality and printing, and the
-hooks of the shared t-series layer: ``zero_of``, ``one_of``, ``monomial``
-and ``series_mul``, whose default multiplies two series one pair of
-coefficients at a time through ``__mul__``.
+and tensor products, powers, the factor swap, equality and printing, the hooks
+``zero_of``, ``one_of`` and ``monomial`` of the shared t-series layer, and the
+element product, which is the degree-0 case of the ring's series product.
 
 A subclass supplies its ring and its monomial rule:
 
@@ -17,8 +16,9 @@ A subclass supplies its ring and its monomial rule:
 - ``_scalar(x)``: x as a coefficient, or NotImplemented if x is no scalar of
   the ring;
 - ``unit_mono()``, ``runs(mono)`` and ``mono_str(mono)``;
-- ``__mul__``, the multiply kernel, and optionally a ``series_mul`` that
-  multiplies whole series (the characteristic-p kernel does).
+- ``series_mul(a_coeffs, b_coeffs, n)``, the one multiply kernel: the
+  coefficients of t^0 .. t^(n-1) in the product of two t-series of its ring
+  and rank.
 """
 
 from __future__ import annotations
@@ -39,24 +39,6 @@ class TensorElement:
 
     def monomial(self, mono):
         return self._like(1, {(mono,): self._scalar(1)})
-
-    def series_mul(self, a_coeffs, b_coeffs, n: int) -> list:
-        """The coefficients of t^0 .. t^(n-1) in the product of the t-series
-        with coefficients a_coeffs and b_coeffs, of this element's ring and
-        rank: one element product per pair of nonzero coefficients, the raw
-        sums of each degree normalized once."""
-        acc: list[dict] = [{} for _ in range(n)]
-        for a, ca in enumerate(a_coeffs[:n]):
-            if not ca.terms:
-                continue
-            for b, cb in enumerate(b_coeffs[: n - a]):
-                if not cb.terms:
-                    continue
-                tgt = acc[a + b]
-                get = tgt.get
-                for key, v in (ca * cb).terms.items():
-                    tgt[key] = get(key, 0) + v
-        return [self.from_sums(self.rank, sums) for sums in acc]
 
     # -- ring structure ----------------------------------------------------
 
@@ -92,6 +74,12 @@ class TensorElement:
 
     def __neg__(self):
         return -1 * self
+
+    def __mul__(self, other):
+        if not isinstance(other, TensorElement):
+            return self.__rmul__(other)
+        self._check(other)
+        return self.series_mul((self,), (other,), 1)[0]
 
     def __rmul__(self, scalar):
         s = self._scalar(scalar)

@@ -3,17 +3,19 @@
 Generators L_k (k in Z) obey [L_r, L_s] = (s - r) L_{r+s}.  Elements are
 finitely supported maps from normal-ordered monomials to Fractions; a monomial
 is a word of generators with strictly ascending indices, stored run-length
-encoded as ((index, exponent), ...).  Element adds this monomial rule and a
-pairwise multiply to the sparse tensors of tensor.py.
+encoded as ((index, exponent), ...).  Element adds this monomial rule and its
+multiply kernel to the sparse tensors of tensor.py.
 
 Straightening rewrites L_a L_b -> L_b L_a + (b - a) L_{a+b} whenever a > b,
 one inserted generator at a time; monomial products are memoized because the
 tensor series computations multiply the same small monomials over and over.
 Their structure constants are integers, so the multiply kernel runs on
-integers too: it scales each operand once to integer numerators over the lcm
-of its denominators, sums numerator products times the monomial constants in
-plain ints per output key, and divides by the product of the two
-denominators once per key at the end.
+integers too, over whole truncated t-series (series_mul, the ring hook of the
+series product; an element product is the degree-0 case): it scales each
+operand series once to integer numerators over the lcm of all its
+denominators, sums numerator products times the monomial constants in plain
+ints per (degree, output key) for every pair of degrees the product keeps,
+and divides by the product of the two denominators once per key at the end.
 """
 
 from __future__ import annotations
@@ -151,28 +153,34 @@ class Element(TensorElement):
             parts.append(name if m == 1 else f"{name}^{m}")
         return "*".join(parts)
 
-    def __mul__(self, other):
-        if not isinstance(other, Element):
-            return self.__rmul__(other)
-        self._check(other)
-        # integer numerators over one common denominator per operand
-        da = lcm(*(c.denominator for c in self.terms.values()))
-        db = lcm(*(c.denominator for c in other.terms.values()))
-        right = [(kb, cb.numerator * (db // cb.denominator)) for kb, cb in other.terms.items()]
-        out: dict = {}
-        for ka, ca in self.terms.items():
-            na = ca.numerator * (da // ca.denominator)
-            for kb, nb in right:
-                # a product with a unit slot is answered here, not cached
-                parts = [mono_mul(ma, mb) if ma and mb else ((ma or mb, 1),) for ma, mb in zip(ka, kb)]
-                for combo in iproduct(*parts):
-                    n = na * nb
-                    for _, ci in combo:
-                        n *= ci
-                    key = tuple(m for m, _ in combo)
-                    out[key] = out.get(key, 0) + n
+    def series_mul(self, a_coeffs, b_coeffs, n: int) -> list:
+        """The coefficients of t^0 .. t^(n-1) in the product of the t-series
+        with coefficients a_coeffs and b_coeffs, in integers: each series is
+        scaled once to numerators over the lcm of its denominators, and each
+        output key of each degree becomes one reduced Fraction."""
+        a_coeffs, b_coeffs = a_coeffs[:n], b_coeffs[:n]
+        da = lcm(*(c.denominator for x in a_coeffs for c in x.terms.values()))
+        db = lcm(*(c.denominator for y in b_coeffs for c in y.terms.values()))
+        right = [[(kb, cb.numerator * (db // cb.denominator)) for kb, cb in y.terms.items()] for y in b_coeffs]
+        out: list[dict] = [{} for _ in range(n)]
+        for a, x in enumerate(a_coeffs):
+            if not x.terms:
+                continue
+            left = [(ka, ca.numerator * (da // ca.denominator)) for ka, ca in x.terms.items()]
+            for b, rb in enumerate(right[: n - a]):
+                tgt = out[a + b]
+                for ka, na in left:
+                    for kb, nb in rb:
+                        # a product with a unit slot is answered here, not cached
+                        parts = [mono_mul(ma, mb) if ma and mb else ((ma or mb, 1),) for ma, mb in zip(ka, kb)]
+                        for combo in iproduct(*parts):
+                            m = na * nb
+                            for _, ci in combo:
+                                m *= ci
+                            key = tuple(mono for mono, _ in combo)
+                            tgt[key] = tgt.get(key, 0) + m
         d = da * db
-        return self._like(self.rank, {key: Fraction(n, d) for key, n in out.items() if n})
+        return [self._like(self.rank, {key: Fraction(m, d) for key, m in sums.items() if m}) for sums in out]
 
     def degree(self):
         """Common degree under |L_k| = k, or None if inhomogeneous."""

@@ -123,6 +123,7 @@ def test_usage_errors_exit_2(capsys):
         ["coproduct", "--char", "p", "--p", "5", "--i", "1", "--k", "1", "--order", "3"],
         ["coproduct", "--char", "0", "--i", "1", "--k", "1", "--t", "2"],
         ["verify", "--char", "0", "--order", "2"],  # missing --i
+        ["verify", "--char", "0", "--i", "1", "--order", "1", "--k-min", "3", "--k-max", "-3"],
         ["verify", "--char", "p", "--p", "5"],  # missing --i/--all-i
         ["tables", "--p", "8", "--i", "1"],
         ["nonsense"],

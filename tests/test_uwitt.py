@@ -17,7 +17,7 @@ from wittq.uwitt import (
     normal_order,
 )
 from wittq.scalars import rising
-from wittq.series import h_rising
+from wittq.series import Series, h_rising
 
 L = Element.gen
 
@@ -46,7 +46,7 @@ def oracle_normal_order(word):
 
 def oracle_mul(x, y):
     """Pairwise Fraction product, term by term over mono_mul: the reference for
-    the integer-numerator kernel of Element.__mul__."""
+    the integer-numerator kernel of Element.series_mul."""
     out = {}
     for ka, ca in x.terms.items():
         for kb, cb in y.terms.items():
@@ -89,6 +89,41 @@ def test_kernel_matches_pairwise_fraction_oracle(rank):
         assert got == oracle_mul(x, y)
         _assert_reduced(got)
     zero = Element.zero(rank)
+    assert (x * zero).is_zero() and (zero * y).is_zero() and (zero * zero).is_zero()
+
+
+def oracle_series_mul(x, y):
+    """Series product one pair of coefficients at a time: the Fraction sums of
+    oracle_mul over every degree pair that the smaller order keeps."""
+    order = min(x.order, y.order)
+    coeffs = []
+    for d in range(order + 1):
+        sums = {}
+        for a in range(d + 1):
+            for key, c in oracle_mul(x.coeff(a), y.coeff(d - a)).terms.items():
+                sums[key] = sums.get(key, 0) + c
+        coeffs.append(Element(x.rank, sums))
+    return Series(order, x.rank, coeffs)
+
+
+def _random_series(rng, rank, order):
+    # each coefficient is zero with probability 1/3, so zeros sit between terms
+    coeffs = [_random_element(rng, rank) if rng.random() < 2 / 3 else Element.zero(rank) for _ in range(order + 1)]
+    return Series(order, rank, coeffs)
+
+
+@pytest.mark.parametrize("rank", [1, 2])
+def test_series_kernel_matches_per_degree_oracle(rank):
+    rng = random.Random(90 + rank)
+    for _ in range(12):
+        x = _random_series(rng, rank, rng.randint(0, 4))
+        y = _random_series(rng, rank, rng.randint(0, 4))
+        got = x * y
+        assert got.order == min(x.order, y.order)
+        assert got == oracle_series_mul(x, y)
+        for c in got.coeffs:
+            _assert_reduced(c)
+    zero = Series.zero(3, rank)
     assert (x * zero).is_zero() and (zero * y).is_zero() and (zero * zero).is_zero()
 
 
