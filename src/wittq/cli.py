@@ -240,19 +240,20 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _map_cells(cells) -> list:
-    """The reports of the cells, in cell order.  With two or more cells and
-    CPUs, and fork available, the cells run in a pool of forked processes,
-    which inherit the memos the parent has filled so far; spawn and
-    forkserver would start from cold memos, so there the cells run serially."""
+def _map_cells(fn, cells) -> list:
+    """fn of each cell, in cell order; fn is a module-level function of one
+    independent cell.  With two or more cells and CPUs, and fork available,
+    the cells run in a pool of forked processes, which inherit the memos the
+    parent has filled so far; spawn and forkserver would start from cold
+    memos, so there the cells run serially."""
     n = min(len(cells), _usable_cpus())
     if n >= 2:
         import multiprocessing
 
         if "fork" in multiprocessing.get_all_start_methods():
             with multiprocessing.get_context("fork").Pool(n) as pool:
-                return pool.map(_verify_cell, cells, chunksize=1)
-    return list(map(_verify_cell, cells))
+                return pool.map(fn, cells, chunksize=1)
+    return list(map(fn, cells))
 
 
 def _cmd_verify(parser, args) -> int:
@@ -286,7 +287,7 @@ def _cmd_verify(parser, args) -> int:
                 parser.error("i must be nonzero mod p")
         rep = restricted.verify_witt_iso(p)
         cells = [(HopfParamsP(p, i), tuple(t_values)) for i in i_values]
-        for cell_rep in _map_cells(cells):
+        for cell_rep in _map_cells(_verify_cell, cells):
             rep.extend(cell_rep)
 
     if args.format == "json":

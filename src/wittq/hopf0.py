@@ -32,6 +32,7 @@ from .report import VerificationReport
 from .scalars import int_coeff
 from .series import (
     Series,
+    Verdicts,
     binomial_series,
     check_hopf,
     counit_slot,
@@ -281,9 +282,9 @@ def verify_hopf0(params: HopfParams, k_range, corrupt_term: int | None = None) -
     convolution, and well-definedness (multiplicativity + bracket compatibility)
     on generator pairs.  Failures are reported, never raised."""
     i, order = params.i, params.order
-    rep = VerificationReport()
-    check_hopf(rep, {"i": i, "order": order}, 0, order, i, None, corrupt_term, k_range, True)
-    return rep
+    verdicts = Verdicts()
+    check_hopf(verdicts, {"i": i, "order": order}, 0, order, i, None, corrupt_term, k_range, True)
+    return verdicts.reports[0]
 
 
 def verify_all0(params: HopfParams, k_range) -> VerificationReport:

@@ -17,10 +17,12 @@ element), ``runs`` (monomial to (generator, exponent) pairs in PBW order),
 degree).
 
 Below the classes sit the pieces the Hopf verifiers of both characteristics
-share: applying a map to one tensor slot, the counit on one slot, antipode
-convolution, the per-generator axiom block (check_generator) and the whole
-axiom suite on generators and generator pairs (check_hopf), which both
-verifiers call with their own point labels.
+share: the verdicts of a pass of checks (Verdicts, which can fan one
+symbolic-t computation out to every requested t), applying a map to one
+tensor slot, the counit on one slot, antipode convolution, the per-generator
+axiom block (check_generator) and the whole axiom suite on generators and
+generator pairs (check_hopf), which both verifiers call with their own point
+labels.
 
 Last come the deformed generator maps and their extension to monomials and
 elements.  The characteristic-p maps are the characteristic-0 formulas read
@@ -34,6 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache, partial
 
+from .report import VerificationReport
 from .restricted import ElementP, e_element_p
 from .scalars import gen_binomial, int_coeff, rising
 from .tensor import commutator
@@ -248,6 +251,45 @@ def first_mismatch(a: TSeries, b: TSeries) -> str | None:
     return None
 
 
+class Verdicts:
+    """The reports of one pass of checks, one per requested t mode in `at`.
+
+    Each identity's two sides are computed once, at the pass's own t.  A mode
+    None takes them as they are; a residue c evaluates both at t = c and
+    labels the point t=c.  So one pass at symbolic t gives the verdict and
+    witness of every specialization: evaluation at t = c is a ring
+    homomorphism that commutes with products, slot_apply, counit_slot and
+    convolve, and every numeric-t map is defined as _at of its symbolic one."""
+
+    __slots__ = ("at", "reports")
+
+    def __init__(self, at=(None,)):
+        self.at = tuple(at)
+        self.reports = [VerificationReport() for _ in self.at]
+
+    def judge(self, identity: str, pt: dict, lhs: TSeries, rhs: TSeries) -> list:
+        """The entries of lhs == rhs, one per mode, to be added later."""
+        out = []
+        for c in self.at:
+            a, b, point = (lhs, rhs, pt) if c is None else (_at(lhs, c), _at(rhs, c), dict(pt, t=c))
+            out.append((identity, point, a == b, first_mismatch(a, b)))
+        return out
+
+    def add(self, judged: list) -> None:
+        for rep, args in zip(self.reports, judged):
+            rep.add(*args)
+
+    def check(self, identity: str, pt: dict, lhs: TSeries, rhs: TSeries) -> None:
+        self.add(self.judge(identity, pt, lhs, rhs))
+
+    def report(self) -> VerificationReport:
+        """Every mode's entries, mode after mode."""
+        out = VerificationReport()
+        for rep in self.reports:
+            out.extend(rep)
+        return out
+
+
 # -- slot plumbing on tensor series ---------------------------------------------
 
 
@@ -315,23 +357,19 @@ def convolve(s: TSeries, apode, side: str) -> TSeries:
 # -- the per-generator Hopf axioms ------------------------------------------------
 
 
-def check_generator(rep, pt: dict, dk: TSeries, x, coproduct_mono, antipode_mono) -> None:
-    """Add coassociativity, counit-left/right and antipode-left/right of the
-    coproduct dk of the generator x to rep, in that order; coproduct_mono and
+def check_generator(verdicts: Verdicts, pt: dict, dk: TSeries, x, coproduct_mono, antipode_mono) -> None:
+    """Check coassociativity, counit-left/right and antipode-left/right of the
+    coproduct dk of the generator x, in that order; coproduct_mono and
     antipode_mono map a monomial to its image series."""
-    lhs = slot_apply(dk, 0, coproduct_mono)
-    rhs = slot_apply(dk, 1, coproduct_mono)
-    rep.add("coassociativity", pt, lhs == rhs, first_mismatch(lhs, rhs))
+    verdicts.check("coassociativity", pt, slot_apply(dk, 0, coproduct_mono), slot_apply(dk, 1, coproduct_mono))
 
     want = dk._const(x)
     for side, slot in (("left", 0), ("right", 1)):
-        got = counit_slot(dk, slot)
-        rep.add(f"counit-{side}", pt, got == want, first_mismatch(got, want))
+        verdicts.check(f"counit-{side}", pt, counit_slot(dk, slot), want)
 
     zero = dk._like(dk.order, 1, ())
     for side in ("left", "right"):
-        got = convolve(dk, antipode_mono, side)
-        rep.add(f"antipode-{side}", pt, got == zero, first_mismatch(got, zero))
+        verdicts.check(f"antipode-{side}", pt, convolve(dk, antipode_mono, side), zero)
 
 
 # -- the deformed generator maps, written once ------------------------------------
@@ -467,9 +505,9 @@ def element_antipode(char: int, order: int | None, i: int, t, x) -> TSeries:
 # -- the Hopf axioms on generators and generator pairs ----------------------------
 
 
-def check_hopf(rep, base: dict, char: int, order: int | None, i: int, t, corrupt_term, ks, bracket: bool) -> None:
-    """Add the Hopf axioms of the deformation (char, order, i, t) on the
-    generators x_k, k in ks, to rep: the check_generator block of each x_k,
+def check_hopf(verdicts: Verdicts, base: dict, char: int, order: int | None, i: int, t, corrupt_term, ks, bracket: bool) -> None:
+    """Check the Hopf axioms of the deformation (char, order, i, t) on the
+    generators x_k, k in ks: the check_generator block of each x_k,
     then for each ordered pair (k, l) that the coproduct is multiplicative on
     x_k x_l and, if bracket is set, that it maps [x_k, x_l] to
     [Delta(x_k), Delta(x_l)].  Each point is base with k (and l) added."""
@@ -481,18 +519,16 @@ def check_hopf(rep, base: dict, char: int, order: int | None, i: int, t, corrupt
     ks = list(ks)
 
     for k in ks:
-        check_generator(rep, dict(base, k=k), gen(k), ring.gen(k), cp_mono, ap_mono)
+        check_generator(verdicts, dict(base, k=k), gen(k), ring.gen(k), cp_mono, ap_mono)
 
     # each ordered product is made once: (k, l) and (l, k) together, their
     # entries kept and added in (k, l) order afterwards
     def pair_checks(k, l, kl, lk):
         pt = dict(base, k=k, l=l)
         x, y = ring.gen(k), ring.gen(l)
-        lhs = coproduct(x * y)
-        out = [("coproduct-multiplicative", pt, lhs == kl, first_mismatch(lhs, kl))]
+        out = [verdicts.judge("coproduct-multiplicative", pt, coproduct(x * y), kl)]
         if bracket:
-            lhs_b, rhs_b = coproduct(commutator(x, y)), kl - lk
-            out.append(("coproduct-bracket", pt, lhs_b == rhs_b, first_mismatch(lhs_b, rhs_b)))
+            out.append(verdicts.judge("coproduct-bracket", pt, coproduct(commutator(x, y)), kl - lk))
         return out
 
     checks = {}
@@ -509,5 +545,5 @@ def check_hopf(rep, base: dict, char: int, order: int | None, i: int, t, corrupt
                 checks[l, k] = pair_checks(l, k, lk, kl)
     for k in ks:
         for l in ks:
-            for args in checks[k, l]:
-                rep.add(*args)
+            for judged in checks[k, l]:
+                verdicts.add(judged)

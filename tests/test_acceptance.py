@@ -4,6 +4,7 @@ per criterion."""
 
 import random
 import time
+from wittq import cli
 from wittq.hopf0 import (
     HopfParams,
     antipode_closed,
@@ -18,7 +19,6 @@ from wittq.hopf0 import (
 from wittq.hopfp import (
     HopfParamsP,
     radford_check,
-    verify_hopf_p,
     verify_relations_preserved,
 )
 from wittq.restricted import basis_size, verify_witt_iso, act_derivation
@@ -114,21 +114,14 @@ def test_criterion_07_mod_p_well_definedness():
 
 def test_criterion_08_charp_relations_and_axioms():
     t0 = time.perf_counter()
-    ok = True
-    # p=3: all i, symbolic plus every specialization
-    for i in (1, 2):
-        for tv in (None, 0, 1, 2):
-            ok = ok and verify_relations_preserved(HopfParamsP(3, i, tv)).ok
-        ok = ok and verify_hopf_p(HopfParamsP(3, i), (None, 0, 1, 2)).ok
+    # independent (p, i) cells, the slowest first, on the verify --all-i pool:
+    # p=7: i in {1,3}, t in {0,1} (each t directly at its residue)
     # p=5: all i, symbolic t
-    for i in (1, 2, 3, 4):
-        ok = ok and verify_relations_preserved(HopfParamsP(5, i)).ok
-        ok = ok and verify_hopf_p(HopfParamsP(5, i), (None,)).ok
-    # p=7: i in {1,3}, t in {0,1}
-    for i in (1, 3):
-        for tv in (0, 1):
-            ok = ok and verify_relations_preserved(HopfParamsP(7, i, tv)).ok
-        ok = ok and verify_hopf_p(HopfParamsP(7, i), (0, 1)).ok
+    # p=3: all i, symbolic plus every specialization
+    cells = [(HopfParamsP(7, i), (0, 1)) for i in (1, 3)]
+    cells += [(HopfParamsP(5, i), (None,)) for i in (1, 2, 3, 4)]
+    cells += [(HopfParamsP(3, i), (None, 0, 1, 2)) for i in (1, 2)]
+    ok = all(rep.ok for rep in cli._map_cells(cli._verify_cell, cells))
     elapsed = time.perf_counter() - t0
     report(8, ok and elapsed < 600, "char-p relation preservation and Hopf axioms on the full grid, under 10 minutes", t0)
 

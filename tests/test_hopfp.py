@@ -1,8 +1,14 @@
+from functools import partial
+
 import pytest
 
+from wittq import cli, hopfp, series
 from wittq.hopfp import (
     HopfParamsP,
     PolyP,
+    _check_hopf,
+    _check_relations,
+    _per_t,
     alpha,
     antipode_element_p,
     antipode_p,
@@ -20,8 +26,9 @@ from wittq.hopfp import (
     verify_hopf_p,
     verify_relations_preserved,
 )
+from wittq.report import VerificationReport
 from wittq.restricted import ElementP
-from wittq.series import convolve, mono_antipode
+from wittq.series import Verdicts, convolve, mono_antipode
 from wittq.scalars import FpElem, int_coeff, n_coeff
 
 D = ElementP.gen
@@ -295,3 +302,84 @@ def test_coproduct_accepts_fp_elem_index():
     assert coproduct_p(FpElem(3, 5), pp) == coproduct_p(3, pp)
     with pytest.raises(ValueError):
         coproduct_p(FpElem(1, 3), pp)
+
+
+def _direct(block, p, i, t_values, corrupt_term=None):
+    """A check block's report built one t at a time, each pass computed at its own t."""
+    rep = VerificationReport()
+    for tv in t_values:
+        verdicts = Verdicts()
+        block(verdicts, HopfParamsP(p, i, tv), corrupt_term)
+        rep.extend(verdicts.reports[0])
+    return rep
+
+
+def _derived_and_direct(cell):
+    """The residue entries of one check block: from one pass at symbolic t
+    over (None, 0, ..., p-1), and from a direct pass per residue."""
+    p, i, block, corrupt_term = cell
+    residues = range(p)
+    derived = _per_t(HopfParamsP(p, i), (None, *residues), partial(block, corrupt_term=corrupt_term)).entries
+    direct = _direct(block, p, i, residues, corrupt_term).entries
+    assert len(derived) == len(direct) // p * (p + 1)  # the symbolic entries come first
+    return derived[-len(direct) :], direct
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_derived_entries_equal_direct(p):
+    # every i, every t, clean and with each corrupted coefficient; the cells
+    # are independent, so they share the verify --all-i process pool
+    cells = [
+        (p, i, block, corrupt_term)
+        for corrupt_term in (None, 0, 1, 2)
+        for i in range(1, p)
+        for block in (_check_relations, _check_hopf)
+    ]
+    witnessed = 0
+    for derived, direct in cli._map_cells(_derived_and_direct, cells):
+        assert derived == direct
+        witnessed += sum(1 for e in direct if not e.passed and e.witness)
+    assert witnessed > 0
+
+
+def test_verify_all_p_t_values_unnormalized_and_repeated():
+    p, i, ts = 5, 2, (None, 6, 1, -4)
+    rep = verify_all_p(HopfParamsP(p, i), ts)
+    want = _direct(_check_relations, p, i, ts)
+    want.extend(_direct(_check_hopf, p, i, ts))
+    want.extend(radford_check(HopfParamsP(p, i)))
+    assert rep.entries == want.entries
+    labels = [dict(e.params)["t"] for e in rep.entries if e.identity == "coassociativity" and dict(e.params)["k"] == "0"]
+    assert labels == ["symbolic", "1", "1", "1"]
+
+
+def test_numeric_request_never_computes_at_symbolic_t(monkeypatch):
+    # outside the numeric generator maps, which evaluate their symbolic
+    # definition, a request without symbolic t asks no structure map for
+    # symbolic t and evaluates nothing; with symbolic t it does both
+    seen, depth = set(), [0]
+
+    def recorder(name, fn):
+        def rec(*args):
+            if not depth[0]:
+                seen.add("evaluated" if name == "_at" else args[3])
+            depth[0] += 1
+            try:
+                return fn(*args)
+            finally:
+                depth[0] -= 1
+
+        return rec
+
+    for name in ("gen_coproduct", "gen_antipode", "mono_coproduct", "mono_antipode", "_at"):
+        rec = recorder(name, getattr(series, name))
+        for mod in (series, hopfp):
+            if hasattr(mod, name):
+                monkeypatch.setattr(mod, name, rec)
+    monkeypatch.setattr(hopfp, "radford_check", lambda params: VerificationReport())
+
+    assert verify_all_p(HopfParamsP(5, 2), (1, 3)).ok
+    assert seen == {1, 3}
+    seen.clear()
+    assert verify_all_p(HopfParamsP(5, 2), (None, 1)).ok
+    assert seen == {None, "evaluated"}
