@@ -16,10 +16,11 @@ from .hopfp import HopfParamsP, PolyP
 from .report import VerificationReport
 from .restricted import ElementP
 from .scalars import FpElem, gen_binomial, int_coeff, n_coeff
-from .series import Series
+from .series import Deformation, Series
 from .uwitt import Element
 
 __all__ = [
+    "Deformation",
     "Element",
     "ElementP",
     "FpElem",

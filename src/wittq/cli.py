@@ -12,9 +12,8 @@ import os
 import sys
 
 from . import hopf0, hopfp, jsonio, restricted
-from .hopf0 import HopfParams
-from .hopfp import HopfParamsP
 from .scalars import is_prime
+from .series import Deformation, t_label
 from .uwitt import Element
 
 
@@ -88,7 +87,7 @@ def _require_char0(parser, args):
     order = order if order is not None else 4
     if order < 0:
         parser.error("--order must be >= 0")
-    return HopfParams(args.i, order)
+    return Deformation(0, order, args.i)
 
 
 def _require_prime(parser, args):
@@ -100,19 +99,28 @@ def _require_prime(parser, args):
         parser.error(f"--p must be an odd prime, got {args.p}")
 
 
+def _t_values(parser, args, allow_all: bool = False) -> list:
+    """The t modes --t asks for at the prime --p: [None] for symbolic t (the
+    default), one residue, or, where allow_all is set, symbolic t and every
+    residue for 'all'."""
+    raw, p = getattr(args, "t", None), args.p
+    if raw in (None, "symbolic"):
+        return [None]
+    if allow_all and raw == "all":
+        return [None] + list(range(p))
+    try:
+        return [int(raw) % p]
+    except ValueError:
+        modes = "'symbolic', 'all' or an integer" if allow_all else "'symbolic' or an integer"
+        parser.error(f"--t must be {modes}, got {raw!r}")
+
+
 def _require_charp(parser, args):
     _require_prime(parser, args)
     if args.i % args.p == 0:
         parser.error("i must be nonzero mod p")
-    t_raw = getattr(args, "t", None)
-    if t_raw in (None, "symbolic"):
-        t_value = None
-    else:
-        try:
-            t_value = int(t_raw) % args.p
-        except ValueError:
-            parser.error(f"--t must be 'symbolic' or an integer, got {t_raw!r}")
-    return HopfParamsP(args.p, args.i, t_value)
+    (t,) = _t_values(parser, args)
+    return Deformation(args.p, None, args.i, t)
 
 
 def _cmd_structure(parser, args) -> int:
@@ -144,11 +152,11 @@ def _cmd_structure(parser, args) -> int:
             parser.error(f"unknown structure map {name}")
         doc = {
             "object": name,
-            "characteristic": str(params.p),
-            "p": params.p,
+            "characteristic": str(params.char),
+            "p": params.char,
             "i": params.i,
-            "k": args.k % params.p,
-            "t": hopfp.t_label(params.t_value),
+            "k": args.k % params.char,
+            "t": t_label(params.t),
             "rank": rank,
             "polynomial": jsonio.series_doc(obj),
         }
@@ -163,13 +171,13 @@ def _cmd_counit(parser, args) -> int:
         doc = {"object": "counit", "characteristic": "0", "i": params.i, "k": args.k, "value": value}
     else:
         params = _require_charp(parser, args)
-        value = str(hopfp.counit_p(restricted.ElementP.gen(args.k, params.p)))
+        value = str(hopfp.counit_p(restricted.ElementP.gen(args.k, params.char)))
         doc = {
             "object": "counit",
-            "characteristic": str(params.p),
-            "p": params.p,
+            "characteristic": str(params.char),
+            "p": params.char,
             "i": params.i,
-            "k": args.k % params.p,
+            "k": args.k % params.char,
             "value": value,
         }
     _emit(args, jsonio.dumps(doc) if args.format == "json" else value + "\n")
@@ -215,7 +223,7 @@ def _cmd_cobracket(parser, args) -> int:
 def _cmd_tables(parser, args) -> int:
     """Emit the complete structure-map tables for (p, i) as one JSON doc."""
     params = _require_charp(parser, args)
-    p = params.p
+    p = params.char
     doc = {
         "object": "tables",
         "p": p,
@@ -272,21 +280,13 @@ def _cmd_verify(parser, args) -> int:
             parser.error("characteristic p requires --i or --all-i")
         _require_prime(parser, args)
         p = args.p
-        if args.t in (None, "symbolic"):
-            t_values = [None]
-        elif args.t == "all":
-            t_values = [None] + list(range(p))
-        else:
-            try:
-                t_values = [int(args.t) % p]
-            except ValueError:
-                parser.error(f"--t must be 'symbolic', 'all' or an integer, got {args.t!r}")
+        t_values = _t_values(parser, args, allow_all=True)
         i_values = list(range(1, p)) if args.all_i else [args.i]
         for i in i_values:
             if i % p == 0:
                 parser.error("i must be nonzero mod p")
         rep = restricted.verify_witt_iso(p)
-        cells = [(HopfParamsP(p, i), tuple(t_values)) for i in i_values]
+        cells = [(Deformation(p, None, i), tuple(t_values)) for i in i_values]
         for cell_rep in _map_cells(_verify_cell, cells):
             rep.extend(cell_rep)
 

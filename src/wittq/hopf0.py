@@ -10,11 +10,11 @@ yields closed-form structure maps on generators:
 
 with C_l = int_coeff(i, k-i, l), an integer.  The closed forms are written once
 for both characteristics in series.py (the characteristic-p maps are these
-formulas read mod p); the public functions here bind them to characteristic 0
-and the truncation order.  Every map here exists in two independently computed
-routes (closed form vs. twist conjugation), and the verifiers check them
-against each other and against the Hopf axioms, up to the caller-chosen
-truncation order.
+formulas read mod p), over a Deformation(0, order, i), and HopfParams(i, order)
+is that value.  Every map here exists in two independently computed routes
+(closed form vs. twist conjugation), and the verifiers check them against
+each other and against the Hopf axioms, up to the caller-chosen truncation
+order.
 
 Fractional powers (1-et)^(k/i) with i not dividing k are the generalized
 binomial series with exponent k/i in Q, the unique t-adically continuous
@@ -23,7 +23,6 @@ reading.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -31,6 +30,7 @@ from math import factorial
 from .report import VerificationReport
 from .scalars import int_coeff
 from .series import (
+    Deformation,
     Series,
     Verdicts,
     binomial_series,
@@ -44,25 +44,16 @@ from .series import (
     h_rising,
     slot_apply,
 )
-from .uwitt import Element, Mono, ONE_MONO, ad_power, e_element, word_of
+from .uwitt import Element, Mono, ONE_MONO, ad_power, word_of
 
 
 class CrossRouteMismatch(ArithmeticError):
     """Two independent computations of the same object disagreed."""
 
 
-@dataclass(frozen=True)
-class HopfParams:
-    """Deformation direction i (nonzero) and t-adic truncation order."""
-
-    i: int
-    order: int = 4
-
-    def __post_init__(self):
-        if self.i == 0:
-            raise ValueError("i must be nonzero")
-        if self.order < 0:
-            raise ValueError("order must be >= 0")
+def HopfParams(i: int, order: int = 4) -> Deformation:
+    """The characteristic-0 deformation in direction i, truncated after t^order."""
+    return Deformation(0, order, i)
 
 
 # -- undeformed structure maps ------------------------------------------------
@@ -116,82 +107,70 @@ def counit(x: Element) -> Fraction:
 
 
 @lru_cache(maxsize=None)
-def _twist(i: int, order: int) -> Series:
+def _twist(params: Deformation) -> Series:
     coeffs = []
-    for r in range(order + 1):
-        coeffs.append(Fraction(1, factorial(r)) * h_rising(0, order, i, 0, r).tensor(e_element(i, r)))
-    return Series(order, 2, coeffs)
+    for r in range(params.order + 1):
+        coeffs.append(Fraction(1, factorial(r)) * h_rising(params, 0, r).tensor(params.e_power(r)))
+    return params.series(2, coeffs)
 
 
-def twist(params: HopfParams) -> Series:
+def twist(params: Deformation) -> Series:
     """F = sum_r (1/r!) h^(r) (x) e^r t^r, truncated."""
-    return _twist(params.i, params.order)
+    return _twist(params)
 
 
 @lru_cache(maxsize=None)
-def _twist_inverse(i: int, order: int) -> Series:
-    return _twist(i, order).invert()
-
-
-def one_minus_et_power(q, params: HopfParams) -> Series:
-    """(1 - et)^q for rational q, as a truncated binomial series."""
-    return binomial_series(0, params.order, params.i, Fraction(q))
+def _twist_inverse(params: Deformation) -> Series:
+    return _twist(params).invert()
 
 
 @lru_cache(maxsize=None)
-def _u_series(i: int, order: int) -> Series:
-    # u = m o (S_0 (x) Id)(F)
-    F = _twist(i, order)
+def _u_series(params: Deformation) -> Series:
+    """u = m o (S_0 (x) Id)(F)."""
     coeffs = []
-    for d in range(order + 1):
+    for elem in _twist(params).coeffs:
         acc = Element.zero(1)
-        for (m1, m2), c in F.coeffs[d].terms.items():
+        for (m1, m2), c in elem.terms.items():
             acc = acc + c * (_s0_mono(m1) * Element.from_mono(m2))
         coeffs.append(acc)
-    return Series(order, 1, coeffs)
+    return params.series(1, coeffs)
 
 
 @lru_cache(maxsize=None)
-def _u_inverse(i: int, order: int) -> Series:
-    return _u_series(i, order).invert()
-
-
-def u_series(params: HopfParams) -> Series:
-    return _u_series(params.i, params.order)
+def _u_inverse(params: Deformation) -> Series:
+    return _u_series(params).invert()
 
 
 # -- deformed structure maps ---------------------------------------------------
 
 
-def coproduct_closed(k: int, params: HopfParams, corrupt_term: int | None = None) -> Series:
+def coproduct_closed(k: int, params: Deformation, corrupt_term: int | None = None) -> Series:
     """Closed-form deformed coproduct of L_k.
 
     corrupt_term deliberately flips the sign of the degree-l summand; it exists
     so the verification harness can prove it would notice a wrong formula.
     """
-    return gen_coproduct(0, params.order, params.i, None, corrupt_term, k)
+    return gen_coproduct(params, corrupt_term, k)
 
 
-def coproduct_twist(x: Element, params: HopfParams) -> Series:
+def coproduct_twist(x: Element, params: Deformation) -> Series:
     """Twist-conjugation route F^{-1} Delta_0(x) F; independent of the closed form."""
-    i, order = params.i, params.order
-    mid = Series.const(undeformed_coproduct(x), order)
-    return _twist_inverse(i, order) * mid * _twist(i, order)
+    mid = params.series(2, [undeformed_coproduct(x)])
+    return _twist_inverse(params) * mid * _twist(params)
 
 
-def antipode_closed(k: int, params: HopfParams) -> Series:
+def antipode_closed(k: int, params: Deformation) -> Series:
     """Closed-form deformed antipode of L_k, operand order as in the defining formula."""
-    return gen_antipode(0, params.order, params.i, None, k)
+    return gen_antipode(params, k)
 
 
-def antipode_twist(x: Element, params: HopfParams) -> Series:
+def antipode_twist(x: Element, params: Deformation) -> Series:
     """Conjugation route u^{-1} S_0(x) u with u = m(S_0 (x) Id)(F)."""
-    i, order = params.i, params.order
-    mid = Series.const(undeformed_antipode(x), order)
-    return _u_inverse(i, order) * mid * _u_series(i, order)
+    mid = params.series(1, [undeformed_antipode(x)])
+    return _u_inverse(params) * mid * _u_series(params)
 
 
-def antipode_general(x: Element, params: HopfParams) -> Series:
+def antipode_general(x: Element, params: Deformation) -> Series:
     """Antipode of a homogeneous element via the degree-graded formula.
 
     S(x) = (1-et)^(-|x|/i) * sum_n ad_power(S_0(x), n) (h+1)^(n) t^n.
@@ -199,34 +178,33 @@ def antipode_general(x: Element, params: HopfParams) -> Series:
     deg = x.degree()
     if deg is None:
         raise ValueError("antipode_general needs a homogeneous element")
-    i, order = params.i, params.order
     s0x = undeformed_antipode(x)
-    pre = binomial_series(0, order, i, Fraction(-deg, i))
-    tail = Series.zero(order, 1)
-    for n in range(order + 1):
-        elem = ad_power(s0x, n, i) * h_rising(0, order, i, 1, n)
+    pre = binomial_series(params, Fraction(-deg, params.i))
+    tail = params.series(1)
+    for n in range(params.order + 1):
+        elem = ad_power(s0x, n, params.i) * h_rising(params, 1, n)
         if elem.terms:
-            tail = tail + Series.const(elem, order).shift(n)
+            tail = tail + params.series(1, [elem]).shift(n)
     return pre * tail
 
 
 # -- multiplicative/antimultiplicative extension --------------------------------
 
 
-def coproduct_element(x: Element, params: HopfParams, corrupt_term: int | None = None) -> Series:
+def coproduct_element(x: Element, params: Deformation, corrupt_term: int | None = None) -> Series:
     """Deformed coproduct extended to arbitrary elements (algebra morphism)."""
-    return element_coproduct(0, params.order, params.i, None, corrupt_term, x)
+    return element_coproduct(params, corrupt_term, x)
 
 
-def antipode_element(x: Element, params: HopfParams) -> Series:
+def antipode_element(x: Element, params: Deformation) -> Series:
     """Deformed antipode extended to arbitrary elements (algebra antimorphism)."""
-    return element_antipode(0, params.order, params.i, None, x)
+    return element_antipode(params, x)
 
 
 # -- verifiers -------------------------------------------------------------------
 
 
-def cocycle_check(params: HopfParams) -> VerificationReport:
+def cocycle_check(params: Deformation) -> VerificationReport:
     """Cocycle identity and counit normalization of the twisting element.
 
     The convention here conjugates as F^{-1} Delta_0 F, so the cocycle reads
@@ -235,9 +213,9 @@ def cocycle_check(params: HopfParams) -> VerificationReport:
     factors transposed the displayed identity already fails at t^2, so the
     orientation is forced by coassociativity of the conjugated coproduct.
     """
-    i, order = params.i, params.order
-    F = _twist(i, order)
-    pt = {"i": i, "order": order}
+    order = params.order
+    F = _twist(params)
+    pt = params.point
     rep = VerificationReport()
 
     d0 = lambda mono: Series.const(_delta0_mono(mono), order)
@@ -261,10 +239,7 @@ def cobracket_semiclassical(k: int, i: int) -> Element:
     Route (a): the degree-1 coefficient of coproduct - opposite coproduct.
     Route (b): the adjoint action of L_k on L_0 (x) L_i minus its flip.
     """
-    if i == 0:
-        raise ValueError("i must be nonzero")
-    params = HopfParams(i, 1)
-    dk = coproduct_closed(k, params)
+    dk = coproduct_closed(k, Deformation(0, 1, i))
     route_a = (dk - dk.swap()).coeff(1)
 
     r = Element.gen(0).tensor(Element.gen(i))
@@ -277,17 +252,16 @@ def cobracket_semiclassical(k: int, i: int) -> Element:
     return route_a
 
 
-def verify_hopf0(params: HopfParams, k_range, corrupt_term: int | None = None) -> VerificationReport:
+def verify_hopf0(params: Deformation, k_range, corrupt_term: int | None = None) -> VerificationReport:
     """Hopf axiom suite on generators: coassociativity, counit, antipode
     convolution, and well-definedness (multiplicativity + bracket compatibility)
     on generator pairs.  Failures are reported, never raised."""
-    i, order = params.i, params.order
     verdicts = Verdicts()
-    check_hopf(verdicts, {"i": i, "order": order}, 0, order, i, None, corrupt_term, k_range, True)
+    check_hopf(verdicts, params, corrupt_term, k_range, True)
     return verdicts.reports[0]
 
 
-def verify_all0(params: HopfParams, k_range) -> VerificationReport:
+def verify_all0(params: Deformation, k_range) -> VerificationReport:
     """Full characteristic-0 suite: cocycle, cross-route equalities,
     semiclassical limit, cocommutativity witness, and the Hopf axioms."""
     i, order = params.i, params.order
@@ -295,7 +269,7 @@ def verify_all0(params: HopfParams, k_range) -> VerificationReport:
     rep = cocycle_check(params)
 
     for k in ks:
-        pt = {"i": i, "order": order, "k": k}
+        pt = dict(params.point, k=k)
         closed = coproduct_closed(k, params)
         twisted = coproduct_twist(Element.gen(k), params)
         rep.add("coproduct-cross-route", pt, closed == twisted, first_mismatch(closed, twisted))

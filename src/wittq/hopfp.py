@@ -11,8 +11,10 @@ well-defined.  The deformed coalgebra maps are
 
 with N_l = n_coeff(i, k-i, l), the residue of int_coeff(i, k-i, l).  These are
 the characteristic-0 formulas of hopf0 read mod p: series.py writes each map
-once, and the public functions here bind it to characteristic p.  Everything
-is an exact polynomial in t (never truncated), and t can be specialized to any
+once, over a Deformation(p, None, i, t), and HopfParamsP(p, i, t_value) is that
+value.  The functions here take it with a generator index, an element or a
+t-polynomial, and hold the characteristic-p verifiers.  Everything is an
+exact polynomial in t (never truncated), and t can be specialized to any
 residue.  The sums run over the full printed range even where coefficients
 vanish; vanishing is a checked property, not an assumption.
 
@@ -28,13 +30,13 @@ is checked directly at each of its residues.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 from .report import VerificationReport
 from .restricted import ElementP, _residue, e_element_p, one_mono
-from .scalars import FpElem, is_prime
+from .scalars import FpElem
 from .series import (
+    Deformation,
     PolyP,
     Verdicts,
     binomial_series,
@@ -49,71 +51,32 @@ from .series import (
 from .tensor import commutator
 
 
-@dataclass(frozen=True)
-class HopfParamsP:
-    """Prime p, deformation direction i (nonzero mod p), and the t mode:
-    t_value None keeps t symbolic, an int specializes t to that residue."""
-
-    p: int
-    i: int
-    t_value: int | None = None
-
-    def __post_init__(self):
-        if not is_prime(self.p) or self.p == 2:
-            raise ValueError(f"p must be an odd prime, got {self.p}")
-        if self.i % self.p == 0:
-            raise ValueError("i must be nonzero mod p")
-        object.__setattr__(self, "i", self.i % self.p)
-        if self.t_value is not None:
-            object.__setattr__(self, "t_value", self.t_value % self.p)
+def HopfParamsP(p: int, i: int, t_value: int | None = None) -> Deformation:
+    """The deformation at the odd prime p in direction i; t_value None keeps t
+    symbolic, an int specializes t to that residue."""
+    return Deformation(p, None, i, t_value)
 
 
 # the shared mismatch finder, under the name perfbench/spans.py times
 first_mismatch_p = first_mismatch
 
 
-# -- distinguished elements -----------------------------------------------------
-
-
-def h_element_p(p: int, i: int) -> ElementP:
-    """h = (1/i) D_0, the rising factorial h^(1)."""
-    return h_rising(p, None, i, 0, 1)
-
-
-def alpha(params: HopfParamsP) -> PolyP:
-    """(1 - et)^{-1} = sum_{n<p} e^n t^n, exact because e^p = 0."""
-    return binomial_series(params.p, None, params.i, -1)
-
-
-def one_minus_et(params: HopfParamsP) -> PolyP:
-    return binomial_series(params.p, None, params.i, 1)
-
-
-def power_fp(m, params: HopfParamsP) -> PolyP:
-    """(1 - et)^m for an F_p exponent m, via the representative in {0..p-1};
-    well-defined because (1 - et)^p = 1."""
-    m, p = _residue(m, params.p)
-    return binomial_series(p, None, params.i, m)
-
-
 # -- deformed structure maps ------------------------------------------------------
 
 
-def coproduct_p(k, params: HopfParamsP, corrupt_term: int | None = None) -> PolyP:
+def coproduct_p(k, params: Deformation, corrupt_term: int | None = None) -> PolyP:
     """Deformed coproduct of D_k as an exact polynomial; specialized if the
     params carry a t value.
 
     corrupt_term bumps the degree-l coefficient by one, existing only so the
     verifiers can demonstrate they would catch a wrong table.
     """
-    k, p = _residue(k, params.p)
-    return gen_coproduct(p, None, params.i, params.t_value, corrupt_term, k)
+    return gen_coproduct(params, corrupt_term, _residue(k, params.char)[0])
 
 
-def antipode_p(k, params: HopfParamsP) -> PolyP:
+def antipode_p(k, params: Deformation) -> PolyP:
     """Deformed antipode of D_k, operand order exactly as in the defining formula."""
-    k, p = _residue(k, params.p)
-    return gen_antipode(p, None, params.i, params.t_value, k)
+    return gen_antipode(params, _residue(k, params.char)[0])
 
 
 def counit_p(x: ElementP) -> FpElem:
@@ -126,59 +89,53 @@ def counit_p(x: ElementP) -> FpElem:
 # -- multiplicative/antimultiplicative extension ----------------------------------
 
 
-def coproduct_element_p(x: ElementP, params: HopfParamsP, corrupt_term: int | None = None) -> PolyP:
-    return element_coproduct(params.p, None, params.i, params.t_value, corrupt_term, x)
+def coproduct_element_p(x: ElementP, params: Deformation, corrupt_term: int | None = None) -> PolyP:
+    return element_coproduct(params, corrupt_term, x)
 
 
-def antipode_element_p(x: ElementP, params: HopfParamsP) -> PolyP:
-    return element_antipode(params.p, None, params.i, params.t_value, x)
+def antipode_element_p(x: ElementP, params: Deformation) -> PolyP:
+    return element_antipode(params, x)
 
 
-def _t_linear(x: PolyP, element_map, params: HopfParamsP, rank: int) -> PolyP:
+def _t_linear(x: PolyP, element_map, params: Deformation, rank: int) -> PolyP:
     """Extend a map of elements t-linearly to a t-polynomial of elements."""
-    out = PolyP.zero(params.p, rank)
+    out = params.series(rank)
     for d, c in enumerate(x.coeffs):
         term = element_map(c)
-        out = out + (term.shift(d) if params.t_value is None else term * pow(params.t_value, d, params.p))
+        out = out + (term.shift(d) if params.t is None else term * pow(params.t, d, params.char))
     return out
 
 
-def coproduct_poly(x: PolyP, params: HopfParamsP, corrupt_term: int | None = None) -> PolyP:
+def coproduct_poly(x: PolyP, params: Deformation, corrupt_term: int | None = None) -> PolyP:
     """Coproduct of a t-polynomial of elements, t-linearly."""
     return _t_linear(x, lambda c: coproduct_element_p(c, params, corrupt_term), params, 2)
 
 
-def antipode_poly(x: PolyP, params: HopfParamsP) -> PolyP:
+def antipode_poly(x: PolyP, params: Deformation) -> PolyP:
     return _t_linear(x, lambda c: antipode_element_p(c, params), params, 1)
 
 
 # -- verifiers -----------------------------------------------------------------------
 
 
-def t_label(t_value) -> str:
-    return "symbolic" if t_value is None else str(t_value)
-
-
-def _per_t(params: HopfParamsP, t_values, check) -> VerificationReport:
+def _per_t(params: Deformation, t_values, check) -> VerificationReport:
     """Run check(verdicts, params at t) over the requested t values, each
     reduced mod p, and return the entries t after t in request order.  When
     symbolic t is among several requested values, check runs once, at
     symbolic t, and every entry of a residue comes from the evaluated sides;
     otherwise it runs once per t, directly at that t."""
-    p, i = params.p, params.i
-    ts = [HopfParamsP(p, i, tv).t_value for tv in t_values]
+    ts = [params.at(tv).t for tv in t_values]
     passes = [(None, ts)] if None in ts else [(tv, (None,)) for tv in ts]
     rep = VerificationReport()
     for t, at in passes:
         verdicts = Verdicts(at)
-        check(verdicts, HopfParamsP(p, i, t))
+        check(verdicts, params.at(t))
         rep.extend(verdicts.report())
     return rep
 
 
-def _check_relations(verdicts: Verdicts, params: HopfParamsP, corrupt_term: int | None = None) -> None:
-    p = params.p
-    base = {"p": p, "i": params.i, "t": t_label(params.t_value)}
+def _check_relations(verdicts: Verdicts, params: Deformation, corrupt_term: int | None = None) -> None:
+    p, base = params.char, params.point
     dk = {k: coproduct_p(k, params, corrupt_term) for k in range(p)}
     sk = {k: antipode_p(k, params) for k in range(p)}
 
@@ -204,35 +161,34 @@ def _check_relations(verdicts: Verdicts, params: HopfParamsP, corrupt_term: int 
         verdicts.check("antipode-p-power", pt, sk[k] ** p, sk[0] if k == 0 else PolyP.zero(p, 1))
 
 
-def verify_relations_preserved(params: HopfParamsP, corrupt_term: int | None = None) -> VerificationReport:
+def verify_relations_preserved(params: Deformation, corrupt_term: int | None = None) -> VerificationReport:
     """The deformed maps must respect the defining relations: commutators of
     generator images, and the p-power relations, for both the coproduct
     (morphism) and the antipode (antimorphism)."""
-    return _per_t(params, (params.t_value,), partial(_check_relations, corrupt_term=corrupt_term))
+    return _per_t(params, (params.t,), partial(_check_relations, corrupt_term=corrupt_term))
 
 
-def _check_hopf(verdicts: Verdicts, params: HopfParamsP, corrupt_term: int | None = None) -> None:
-    p, i, tv = params.p, params.i, params.t_value
-    check_hopf(verdicts, {"p": p, "i": i, "t": t_label(tv)}, p, None, i, tv, corrupt_term, range(p), False)
+def _check_hopf(verdicts: Verdicts, params: Deformation, corrupt_term: int | None = None) -> None:
+    check_hopf(verdicts, params, corrupt_term, range(params.char), False)
 
 
-def verify_hopf_p(params: HopfParamsP, t_values=None) -> VerificationReport:
+def verify_hopf_p(params: Deformation, t_values=None) -> VerificationReport:
     """Full Hopf axiom suite on generators, once per requested t mode
     (None = symbolic, ints = specializations; by default the params' own);
     with symbolic t and more modes, every mode comes from the one symbolic
     computation, as in verify_all_p."""
-    return _per_t(params, (params.t_value,) if t_values is None else t_values, _check_hopf)
+    return _per_t(params, (params.t,) if t_values is None else t_values, _check_hopf)
 
 
-def radford_check(params: HopfParamsP) -> VerificationReport:
-    """Relations of the distinguished subalgebra generated by h and e, plus its
-    closure under the structure maps."""
-    p, i = params.p, params.i
-    pp = HopfParamsP(p, i)  # symbolic
+def radford_check(params: Deformation) -> VerificationReport:
+    """Relations of the distinguished subalgebra generated by h = h^(1),
+    e and alpha = (1 - et)^{-1}, plus its closure under the structure maps."""
+    p, i = params.char, params.i
+    pp = params.at(None)  # symbolic
     base = {"p": p, "i": i}
     rep = VerificationReport()
 
-    h, e, a = h_element_p(p, i), e_element_p(p, i), alpha(pp)
+    h, e, a = h_rising(pp, 0, 1), e_element_p(p, i), binomial_series(pp, -1)
     hp = PolyP.const(h)
     one = PolyP.one(p, 1)
 
@@ -260,7 +216,7 @@ def radford_check(params: HopfParamsP) -> VerificationReport:
 
     # the convolution axiom forces S(h) = -h alpha^{-1}
     sh = antipode_poly(hp, pp)
-    want_sh = -(hp * one_minus_et(pp))
+    want_sh = -(hp * binomial_series(pp, 1))
     rep.add("antipode-h", base, sh == want_sh, first_mismatch(sh, want_sh))
 
     rep.add("counit-h", base, counit_p(h) == FpElem(0, p))
@@ -275,7 +231,7 @@ def radford_check(params: HopfParamsP) -> VerificationReport:
     return rep
 
 
-def verify_all_p(params: HopfParamsP, t_values=None) -> VerificationReport:
+def verify_all_p(params: Deformation, t_values=None) -> VerificationReport:
     """Relations per t mode, then the Hopf axioms per t mode (by default the
     params' own mode), then the distinguished-subalgebra relations, for one
     (p, i).
@@ -289,7 +245,7 @@ def verify_all_p(params: HopfParamsP, t_values=None) -> VerificationReport:
     direct run at t = c.  A request without symbolic t runs directly at each
     t."""
     if t_values is None:
-        t_values = (params.t_value,)
+        t_values = (params.t,)
     rep = _per_t(params, t_values, _check_relations)
     rep.extend(verify_hopf_p(params, t_values))
     rep.extend(radford_check(params))

@@ -21,25 +21,27 @@ share: the verdicts of a pass of checks (Verdicts, which can fan one
 symbolic-t computation out to every requested t), applying a map to one
 tensor slot, the counit on one slot, antipode convolution, the per-generator
 axiom block (check_generator) and the whole axiom suite on generators and
-generator pairs (check_hopf), which both verifiers call with their own point
-labels.
+generator pairs (check_hopf), which both verifiers call.
 
-Last come the deformed generator maps and their extension to monomials and
-elements.  The characteristic-p maps are the characteristic-0 formulas read
-mod p, so each is written once, memoized on (char, order, i, ...): order is
-the truncation in characteristic 0 and None in characteristic p, and _Ring
-derives everything else that differs.
+Last come the deformation and its maps.  One Deformation value names the
+construction in either characteristic: (char, order, i, t), validated and
+normalized once, with what the characteristics differ in derived from it.  The
+characteristic-p maps are the characteristic-0 formulas read mod p, so each
+generator map, its extension to monomials and elements, and the Hopf axiom
+suite is written once and takes the Deformation first; the memoized ones are
+keyed on it.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache, partial
 
 from .report import VerificationReport
 from .restricted import ElementP, e_element_p
-from .scalars import gen_binomial, int_coeff, rising
-from .tensor import commutator
+from .scalars import gen_binomial, int_coeff, is_prime, rising
+from .tensor import TensorElement, commutator
 from .uwitt import Element, e_element
 
 
@@ -149,13 +151,21 @@ class TSeries:
         return self._like(self.order, self.rank, [c.swap() for c in self.coeffs])
 
     def evaluate(self, c):
-        """Specialize t to the scalar c."""
-        out = self._zero
-        power = c**0
+        """Specialize t to the scalar c: every degree's terms, scaled by the
+        power of c, summed into one dict and normalized once."""
+        zero = self._zero
+        point = zero._scalar(c)
+        if point is NotImplemented:
+            raise TypeError(f"cannot evaluate {type(self).__name__} at a {type(c).__name__}")
+        sums: dict = {}
+        get = sums.get
+        power = zero._scalar(1)
         for coeff in self.coeffs:
-            out = out + power * coeff
-            power = power * c
-        return out
+            if power:
+                for key, v in coeff.terms.items():
+                    sums[key] = get(key, 0) + power * v
+            power = zero._scalar(power * point)
+        return zero.from_sums(self.rank, sums)
 
     def invert(self) -> "TSeries":
         """Two-sided inverse of a truncated series with leading coefficient 1."""
@@ -372,6 +382,79 @@ def check_generator(verdicts: Verdicts, pt: dict, dk: TSeries, x, coproduct_mono
         verdicts.check(f"antipode-{side}", pt, convolve(dk, antipode_mono, side), zero)
 
 
+# -- the deformation -----------------------------------------------------------
+
+
+def t_label(t) -> str:
+    return "symbolic" if t is None else str(t)
+
+
+@dataclass(frozen=True)
+class Deformation:
+    """The quantization in direction i, in characteristic char (0 or an odd
+    prime p).  Characteristic 0 truncates after t^order and keeps t formal (t
+    None).  Characteristic p is exact (order None), reduces i mod p, and t is
+    None for symbolic t or a residue to specialize it to.  Equal values hash
+    alike, so every spelling of one deformation shares the memo entries.
+
+    It also holds what the characteristics differ in: the rank-1 zero (whose
+    _scalar reduces coefficients) and the count of t-degrees the closed
+    formulas sum over, which in characteristic p stops below p: e^p = 0, and
+    only below p do the coefficients have one residue over all lifts."""
+
+    char: int
+    order: int | None
+    i: int
+    t: int | None = None
+    zero: TensorElement = field(init=False, repr=False, compare=False)
+    degrees: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        char, order, i, t = self.char, self.order, self.i, self.t
+        if char:
+            if not is_prime(char) or char == 2:
+                raise ValueError(f"p must be an odd prime, got {char}")
+            if i % char == 0:
+                raise ValueError("i must be nonzero mod p")
+            if order is not None:
+                raise ValueError("characteristic p is exact: order must be None")
+            derived = {"i": i % char, "t": None if t is None else t % char}
+            derived.update(zero=ElementP.zero(char), degrees=char)
+        else:
+            if i == 0:
+                raise ValueError("i must be nonzero")
+            if order is None or order < 0:
+                raise ValueError("order must be >= 0")
+            if t is not None:
+                raise ValueError("t is formal in characteristic 0")
+            derived = {"zero": Element.zero(1), "degrees": order + 1}
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
+
+    def at(self, t) -> "Deformation":
+        """The same deformation with t set to t (None: symbolic)."""
+        return replace(self, t=t)
+
+    @property
+    def point(self) -> dict:
+        """The parameters a report entry of this deformation is labelled with."""
+        if self.char:
+            return {"p": self.char, "i": self.i, "t": t_label(self.t)}
+        return {"i": self.i, "order": self.order}
+
+    def gen(self, k: int):
+        """The generator L_k, or D_{k mod p}."""
+        return ElementP.gen(k, self.char) if self.char else Element.gen(k)
+
+    def e_power(self, n: int):
+        """e^n for e = i L_i, as one monomial."""
+        return e_element_p(self.char, self.i, n) if self.char else e_element(self.i, n)
+
+    def series(self, rank: int, coeffs=()) -> TSeries:
+        """The series of this characteristic with the given coefficients."""
+        return PolyP(self.char, rank, coeffs) if self.char else Series(self.order, rank, coeffs)
+
+
 # -- the deformed generator maps, written once ------------------------------------
 #
 #   coproduct(L_k) = L_k (x) (1-et)^(k/i)
@@ -380,41 +463,20 @@ def check_generator(verdicts: Verdicts, pt: dict, dk: TSeries, x, coproduct_mono
 #
 # with h = (1/i) L_0, e = i L_i and C_l = int_coeff(i, k-i, l); in
 # characteristic p, L_k is D_{k mod p} and every rational coefficient is
-# p-integral, so the element ring reduces it.  Each map takes the deformation
-# (char, order, i, t) first: t None keeps t symbolic, an int specializes it.
-
-
-class _Ring:
-    """What the characteristics differ in, derived from (char, order): the
-    rank-1 zero (whose _scalar reduces coefficients), the generator L_k or
-    D_k, e^n as one monomial, the series of a rank and coefficients, and the
-    count of t-degrees the closed formulas sum over.  Characteristic 0
-    truncates after t^order.  Characteristic p is exact, and its sums stop
-    below p: e^p = 0, and only below p do the coefficients have one residue
-    over all lifts."""
-
-    __slots__ = ("zero", "gen", "e_power", "series", "degrees")
-
-    def __init__(self, char: int, order: int | None):
-        if char == 0:
-            self.zero, self.gen = Element.zero(1), Element.gen
-            self.e_power, self.series, self.degrees = e_element, partial(Series, order), order + 1
-        else:
-            self.zero, self.gen = ElementP.zero(char), lambda k: ElementP.gen(k, char)
-            self.e_power, self.series, self.degrees = partial(e_element_p, char), partial(PolyP, char), char
+# p-integral, so the element ring reduces it.  Each map takes the Deformation
+# first: its t None keeps t symbolic, a residue specializes it.
 
 
 @lru_cache(maxsize=None)
-def h_rising(char: int, order: int | None, i: int, a: int, l: int):
+def h_rising(d: Deformation, a: int, l: int):
     """(h+a)(h+a+1)...(h+a+l-1) for h = (1/i) L_0: h^(l) at a = 0, (h+1)^(l) at a = 1."""
-    return rising(Fraction(1, i) * _Ring(char, order).gen(0) + a, l)
+    return rising(Fraction(1, d.i) * d.gen(0) + a, l)
 
 
 @lru_cache(maxsize=None)
-def binomial_series(char: int, order: int | None, i: int, q) -> TSeries:
+def binomial_series(d: Deformation, q) -> TSeries:
     """(1 - et)^q = sum_n binom(q, n) (-e)^n t^n for rational q."""
-    ring = _Ring(char, order)
-    return ring.series(1, [gen_binomial(q, n) * (-1) ** n * ring.e_power(i, n) for n in range(ring.degrees)])
+    return d.series(1, [gen_binomial(q, n) * (-1) ** n * d.e_power(n) for n in range(d.degrees)])
 
 
 def _at(g: TSeries, t) -> TSeries:
@@ -423,109 +485,106 @@ def _at(g: TSeries, t) -> TSeries:
 
 
 @lru_cache(maxsize=None)
-def gen_coproduct(char: int, order: int | None, i: int, t, corrupt_term, k: int) -> TSeries:
+def gen_coproduct(d: Deformation, corrupt_term, k: int) -> TSeries:
     """Coproduct of L_k.  corrupt_term deliberately falsifies the degree-l
     summand, so the verifiers can show they would notice a wrong formula: a
     sign flip in characteristic 0, C_l + 1 in characteristic p."""
-    if t is not None:
-        return _at(gen_coproduct(char, order, i, None, corrupt_term, k), t)
-    ring = _Ring(char, order)
-    out = binomial_series(char, order, i, Fraction(k, i)).tensor_left(ring.gen(k))
-    for l in range(ring.degrees):
-        c = int_coeff(i, k - i, l)
+    if d.t is not None:
+        return _at(gen_coproduct(d.at(None), corrupt_term, k), d.t)
+    out = binomial_series(d, Fraction(k, d.i)).tensor_left(d.gen(k))
+    for l in range(d.degrees):
+        c = int_coeff(d.i, k - d.i, l)
         if corrupt_term == l:
-            c = c + 1 if char else -c
-        if not ring.zero._scalar(c):
+            c = c + 1 if d.char else -c
+        if not d.zero._scalar(c):
             continue
-        right = binomial_series(char, order, i, Fraction(-l)) * ring.gen(k + l * i)
-        out = out + right.tensor_left(h_rising(char, order, i, 0, l)).shift(l) * ((-1) ** l * c)
+        right = binomial_series(d, Fraction(-l)) * d.gen(k + l * d.i)
+        out = out + right.tensor_left(h_rising(d, 0, l)).shift(l) * ((-1) ** l * c)
     return out
 
 
 @lru_cache(maxsize=None)
-def gen_antipode(char: int, order: int | None, i: int, t, k: int) -> TSeries:
+def gen_antipode(d: Deformation, k: int) -> TSeries:
     """Antipode of L_k, operand order as in the defining formula."""
-    if t is not None:
-        return _at(gen_antipode(char, order, i, None, k), t)
-    ring = _Ring(char, order)
-    tail = ring.series(1, [])
-    for l in range(ring.degrees):
-        c = ring.zero._scalar(int_coeff(i, k - i, l))
+    if d.t is not None:
+        return _at(gen_antipode(d.at(None), k), d.t)
+    tail = d.series(1)
+    for l in range(d.degrees):
+        c = d.zero._scalar(int_coeff(d.i, k - d.i, l))
         if not c:
             continue
-        elem = ring.gen(k + l * i) * h_rising(char, order, i, 1, l)
-        tail = tail + ring.series(1, [elem]).shift(l) * c
-    return -(binomial_series(char, order, i, Fraction(-k, i)) * tail)
+        elem = d.gen(k + l * d.i) * h_rising(d, 1, l)
+        tail = tail + d.series(1, [elem]).shift(l) * c
+    return -(binomial_series(d, Fraction(-k, d.i)) * tail)
 
 
 # -- multiplicative extension of the generator maps ---------------------------------
 
 
-def _mono_image(char: int, order: int | None, mono, gen, rank: int, anti: bool) -> TSeries:
+def _mono_image(d: Deformation, mono, gen, rank: int, anti: bool) -> TSeries:
     """Image of a monomial under the algebra morphism sending generator k to
     the rank-`rank` series gen(k), or under the antimorphism when anti is set."""
-    ring = _Ring(char, order)
     out = None
-    runs = ring.zero.runs(mono)
+    runs = d.zero.runs(mono)
     for k, m in reversed(runs) if anti else runs:
         g = gen(k)
         for _ in range(m):
             out = g if out is None else out * g
-    return ring.series(rank, [ring.zero.one_of(rank)]) if out is None else out
+    return d.series(rank, [d.zero.one_of(rank)]) if out is None else out
 
 
-def _element_image(char: int, order: int | None, x, mono_map, rank: int) -> TSeries:
+def _element_image(d: Deformation, x, mono_map, rank: int) -> TSeries:
     """Linear extension of mono_map (monomial -> series) to a rank-1 element."""
-    out = _Ring(char, order).series(rank, [])
+    out = d.series(rank)
     for (mono,), c in x.terms.items():
         out = out + mono_map(mono) * c
     return out
 
 
 @lru_cache(maxsize=None)
-def mono_coproduct(char: int, order: int | None, i: int, t, corrupt_term, mono) -> TSeries:
+def mono_coproduct(d: Deformation, corrupt_term, mono) -> TSeries:
     """Coproduct of a monomial (an algebra morphism)."""
-    return _mono_image(char, order, mono, partial(gen_coproduct, char, order, i, t, corrupt_term), 2, False)
+    return _mono_image(d, mono, partial(gen_coproduct, d, corrupt_term), 2, False)
 
 
 @lru_cache(maxsize=None)
-def mono_antipode(char: int, order: int | None, i: int, t, mono) -> TSeries:
+def mono_antipode(d: Deformation, mono) -> TSeries:
     """Antipode of a monomial (an algebra antimorphism)."""
-    return _mono_image(char, order, mono, partial(gen_antipode, char, order, i, t), 1, True)
+    return _mono_image(d, mono, partial(gen_antipode, d), 1, True)
 
 
-def element_coproduct(char: int, order: int | None, i: int, t, corrupt_term, x) -> TSeries:
-    return _element_image(char, order, x, partial(mono_coproduct, char, order, i, t, corrupt_term), 2)
+def element_coproduct(d: Deformation, corrupt_term, x) -> TSeries:
+    return _element_image(d, x, partial(mono_coproduct, d, corrupt_term), 2)
 
 
-def element_antipode(char: int, order: int | None, i: int, t, x) -> TSeries:
-    return _element_image(char, order, x, partial(mono_antipode, char, order, i, t), 1)
+def element_antipode(d: Deformation, x) -> TSeries:
+    return _element_image(d, x, partial(mono_antipode, d), 1)
 
 
 # -- the Hopf axioms on generators and generator pairs ----------------------------
 
 
-def check_hopf(verdicts: Verdicts, base: dict, char: int, order: int | None, i: int, t, corrupt_term, ks, bracket: bool) -> None:
-    """Check the Hopf axioms of the deformation (char, order, i, t) on the
-    generators x_k, k in ks: the check_generator block of each x_k,
-    then for each ordered pair (k, l) that the coproduct is multiplicative on
-    x_k x_l and, if bracket is set, that it maps [x_k, x_l] to
-    [Delta(x_k), Delta(x_l)].  Each point is base with k (and l) added."""
-    ring = _Ring(char, order)
-    gen = partial(gen_coproduct, char, order, i, t, corrupt_term)
-    coproduct = partial(element_coproduct, char, order, i, t, corrupt_term)
-    cp_mono = partial(mono_coproduct, char, order, i, t, corrupt_term)
-    ap_mono = partial(mono_antipode, char, order, i, t)
+def check_hopf(verdicts: Verdicts, d: Deformation, corrupt_term, ks, bracket: bool) -> None:
+    """Check the Hopf axioms of the deformation d on the generators x_k, k in
+    ks: the check_generator block of each x_k, then for each ordered pair
+    (k, l) that the coproduct is multiplicative on x_k x_l and, if bracket is
+    set, that it maps [x_k, x_l] to [Delta(x_k), Delta(x_l)].  Each point is
+    d.point with k (and l) added."""
+    base = d.point
+    gen = partial(gen_coproduct, d, corrupt_term)
+    coproduct = partial(element_coproduct, d, corrupt_term)
+    cp_mono = partial(mono_coproduct, d, corrupt_term)
+    ap_mono = partial(mono_antipode, d)
     ks = list(ks)
 
     for k in ks:
-        check_generator(verdicts, dict(base, k=k), gen(k), ring.gen(k), cp_mono, ap_mono)
+        check_generator(verdicts, dict(base, k=k), gen(k), d.gen(k), cp_mono, ap_mono)
 
     # each ordered product is made once: (k, l) and (l, k) together, their
     # entries kept and added in (k, l) order afterwards
     def pair_checks(k, l, kl, lk):
         pt = dict(base, k=k, l=l)
-        x, y = ring.gen(k), ring.gen(l)
+        x, y = d.gen(k), d.gen(l)
         out = [verdicts.judge("coproduct-multiplicative", pt, coproduct(x * y), kl)]
         if bracket:
             out.append(verdicts.judge("coproduct-bracket", pt, coproduct(commutator(x, y)), kl - lk))

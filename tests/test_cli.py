@@ -178,7 +178,7 @@ def test_verify_exit1_on_injected_fault(capsys, monkeypatch):
 
     def broken(params, t_values=(None,)):
         rep = VerificationReport()
-        rep.add("injected", {"p": params.p}, False, "forced failure")
+        rep.add("injected", {"p": params.char}, False, "forced failure")
         return rep
 
     monkeypatch.setattr(cli.hopfp, "verify_all_p", broken)

@@ -12,15 +12,14 @@ from wittq.hopf0 import (
     coproduct_closed,
     coproduct_element,
     coproduct_twist,
+    _u_series,
     counit,
-    one_minus_et_power,
     twist,
-    u_series,
     undeformed_antipode,
     undeformed_coproduct,
     verify_hopf0,
 )
-from wittq.series import Series, TSeries
+from wittq.series import Deformation, Series, TSeries, binomial_series
 from wittq.uwitt import Element
 
 L = Element.gen
@@ -32,6 +31,20 @@ def test_params_validation():
     with pytest.raises(ValueError):
         HopfParams(1, -1)
     HopfParams(1, 0)  # order 0 is the undeformed slice and must be accepted
+    # characteristic 0 truncates and keeps t formal
+    with pytest.raises(ValueError):
+        Deformation(0, 3, 1, 2)
+    with pytest.raises(ValueError):
+        Deformation(0, None, 1)
+    # p = 2 is no odd prime, and characteristic p is never truncated
+    with pytest.raises(ValueError):
+        Deformation(2, None, 1)
+    with pytest.raises(ValueError):
+        Deformation(5, 3, 1)
+    # one deformation, however spelled, is one memo key
+    assert HopfParams(2) == Deformation(0, 4, 2)
+    assert hash(HopfParams(2)) == hash(Deformation(0, 4, 2))
+    assert HopfParams(2, 3) != HopfParams(2, 4)
 
 
 def test_twist_low_orders():
@@ -132,7 +145,7 @@ def test_antipode_degree0_and_example():
 
 def test_u_series_leading_term():
     for i in (1, 2):
-        assert u_series(HopfParams(i, 3)).coeff(0) == Element.one()
+        assert _u_series(HopfParams(i, 3)).coeff(0) == Element.one()
 
 
 def test_antipode_triple_agreement():
@@ -160,7 +173,7 @@ def test_antipode_general_rejects_inhomogeneous():
 
 def test_one_minus_et_power_integer_case():
     # q = 1: the honest polynomial 1 - et
-    s = one_minus_et_power(1, HopfParams(2, 3))
+    s = binomial_series(HopfParams(2, 3), Fraction(1))
     assert s.coeff(0) == Element.one()
     assert s.coeff(1) == -2 * L(2)
     assert s.coeff(2).is_zero()

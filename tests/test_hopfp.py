@@ -9,7 +9,6 @@ from wittq.hopfp import (
     _check_hopf,
     _check_relations,
     _per_t,
-    alpha,
     antipode_element_p,
     antipode_p,
     antipode_poly,
@@ -18,9 +17,6 @@ from wittq.hopfp import (
     coproduct_poly,
     counit_p,
     e_element_p,
-    h_element_p,
-    one_minus_et,
-    power_fp,
     radford_check,
     verify_all_p,
     verify_hopf_p,
@@ -28,7 +24,7 @@ from wittq.hopfp import (
 )
 from wittq.report import VerificationReport
 from wittq.restricted import ElementP
-from wittq.series import Verdicts, convolve, mono_antipode
+from wittq.series import Deformation, Verdicts, binomial_series, convolve, h_rising, mono_antipode
 from wittq.scalars import FpElem, int_coeff, n_coeff
 
 D = ElementP.gen
@@ -41,12 +37,20 @@ def test_params_validation():
         HopfParamsP(5, 0)
     with pytest.raises(ValueError):
         HopfParamsP(5, 10)  # 10 = 0 mod 5
+    with pytest.raises(ValueError):
+        HopfParamsP(2, 1)
+    with pytest.raises(ValueError):
+        Deformation(5, 4, 1)  # characteristic p is never truncated
     pp = HopfParamsP(5, 7, t_value=-1)
-    assert pp.i == 2 and pp.t_value == 4
+    assert pp.char == 5 and pp.order is None and pp.i == 2 and pp.t == 4
+    # every spelling of one deformation is one value and one memo key
+    assert pp == HopfParamsP(5, 2, 4) == Deformation(5, None, 2, 4)
+    assert hash(pp) == hash(HopfParamsP(5, 2, 4))
+    assert pp != HopfParamsP(5, 2) and pp.at(None) == HopfParamsP(5, 2)
 
 
 def test_alpha_example():
-    a = alpha(HopfParamsP(5, 1))
+    a = binomial_series(HopfParamsP(5, 1), -1)
     assert a.degree == 4
     for n in range(5):
         want = ElementP(5, 1, {(tuple(n if j == 1 else 0 for j in range(5)),): 1})
@@ -56,9 +60,9 @@ def test_alpha_example():
 def test_alpha_inverse_and_p_power():
     for p, i in ((3, 1), (3, 2), (5, 2), (7, 3)):
         pp = HopfParamsP(p, i)
-        a = alpha(pp)
-        assert one_minus_et(pp) * a == PolyP.one(p, 1)
-        assert a * one_minus_et(pp) == PolyP.one(p, 1)
+        a = binomial_series(pp, -1)
+        assert binomial_series(pp, 1) * a == PolyP.one(p, 1)
+        assert a * binomial_series(pp, 1) == PolyP.one(p, 1)
         assert a**p == PolyP.one(p, 1)
 
 
@@ -76,17 +80,19 @@ def test_power_fp_exponent_law():
             pp = HopfParamsP(p, i)
             for m in range(p):
                 for mm in range(p):
-                    assert power_fp(m, pp) * power_fp(mm, pp) == power_fp((m + mm) % p, pp)
+                    want = binomial_series(pp, (m + mm) % p)
+                    assert binomial_series(pp, m) * binomial_series(pp, mm) == want
                 # the binomial series against the repeated product
-                assert power_fp(m, pp) == one_minus_et(pp) ** m
+                assert binomial_series(pp, m) == binomial_series(pp, 1) ** m
 
 
 def test_power_fp_negative_one_is_alpha():
     for p, i in ((3, 2), (5, 3)):
         pp = HopfParamsP(p, i)
-        assert power_fp(p - 1, pp) == alpha(pp)
-        assert power_fp(FpElem(-1, p), pp) == alpha(pp)
-        assert power_fp(0, pp) == PolyP.one(p, 1)
+        # (1 - et)^p = 1, so the lifts p - 1 and 2p - 1 of -1 give alpha
+        for lift in (p - 1, 2 * p - 1):
+            assert binomial_series(pp, lift) == binomial_series(pp, -1)
+        assert binomial_series(pp, 0) == PolyP.one(p, 1)
 
 
 def test_coproduct_degree0_slice():
@@ -116,9 +122,9 @@ def test_coproduct_h_consequence():
     # Delta(h) = h x alpha + 1 x h
     for p, i in ((3, 1), (5, 2), (7, 3)):
         pp = HopfParamsP(p, i)
-        h = h_element_p(p, i)
+        h = h_rising(pp, 0, 1)
         dh = coproduct_poly(PolyP.const(h), pp)
-        want = alpha(pp).tensor_left(h) + PolyP(p, 2, [ElementP.one(p).tensor(h)])
+        want = binomial_series(pp, -1).tensor_left(h) + PolyP(p, 2, [ElementP.one(p).tensor(h)])
         assert dh == want
 
 
@@ -133,16 +139,16 @@ def test_antipode_h_consequence():
     # the convolution axiom forces S(h) = -h alpha^{-1} = -h (1 - et)
     for p, i in ((3, 1), (5, 2), (7, 3)):
         pp = HopfParamsP(p, i)
-        h = PolyP.const(h_element_p(p, i))
+        h = PolyP.const(h_rising(pp, 0, 1))
         sh = antipode_poly(h, pp)
-        assert sh == -(h * one_minus_et(pp))
+        assert sh == -(h * binomial_series(pp, 1))
 
 
 def test_antipode_convolution_all_generators():
     # m(S x Id) Delta(D_k) = counit(D_k) 1 = 0, symbolic t, p=5, i=2
     p, i = 5, 2
     pp = HopfParamsP(p, i)
-    ap = lambda mono: mono_antipode(p, None, i, None, mono)
+    ap = lambda mono: mono_antipode(pp, mono)
     for k in range(p):
         conv = convolve(coproduct_p(k, pp), ap, "left")
         assert conv.is_zero()
@@ -157,11 +163,11 @@ def test_counit_p_examples():
 
 def test_specialize_t():
     pp = HopfParamsP(5, 1)
-    a = alpha(pp)
+    a = binomial_series(pp, -1)
     assert a.evaluate(0) == ElementP.one(5)
     for c in range(5):
         ac = a.evaluate(c)
-        one_minus_ec = one_minus_et(pp).evaluate(c)
+        one_minus_ec = binomial_series(pp, 1).evaluate(c)
         assert ac * one_minus_ec == ElementP.one(5)
     # specialization commutes with the structure maps on generators
     for c in (1, 3):
@@ -231,10 +237,11 @@ def test_radford_check():
 
 def test_radford_generators_invariants():
     for p, i in ((3, 2), (5, 4)):
-        h, e, a = h_element_p(p, i), e_element_p(p, i), alpha(HopfParamsP(p, i))
+        pp = HopfParamsP(p, i)
+        h, e, a = h_rising(pp, 0, 1), e_element_p(p, i), binomial_series(pp, -1)
         assert (PolyP.const(e) ** p).is_zero()
         assert e == i * D(i, p)
-        assert a * one_minus_et(HopfParamsP(p, i)) == PolyP.one(p, 1)
+        assert a * binomial_series(pp, 1) == PolyP.one(p, 1)
         # h^p = h by repeated multiplication
         hp = h
         for _ in range(p - 1):
@@ -362,7 +369,7 @@ def test_numeric_request_never_computes_at_symbolic_t(monkeypatch):
     def recorder(name, fn):
         def rec(*args):
             if not depth[0]:
-                seen.add("evaluated" if name == "_at" else args[3])
+                seen.add("evaluated" if name == "_at" else args[0].t)
             depth[0] += 1
             try:
                 return fn(*args)

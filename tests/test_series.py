@@ -6,7 +6,9 @@ import pytest
 
 from wittq import restricted
 from wittq.restricted import ElementP, one_mono
+from wittq.scalars import FpElem
 from wittq.series import (
+    Deformation,
     PolyP,
     Series,
     _meet,
@@ -79,6 +81,43 @@ def test_first_mismatch_reports_degree_and_key():
     assert first_mismatch(a, a) is None
 
 
+def _evaluate_per_degree(s, c):
+    """The sum of c^d times the t^d coefficient, one element sum per degree."""
+    out, power = s._zero, c**0
+    for coeff in s.coeffs:
+        out = out + power * coeff
+        power = power * c
+    return out
+
+
+@pytest.mark.parametrize(
+    "s, points",
+    [
+        (Series(3, 1, [L(1), L(2), 2 * L(1), L(-1)]), (0, 2, Fraction(-1, 3))),
+        (Series(2, 2, [L(1).tensor(L(2)), Element.one(2), L(2).tensor(L(1))]), (0, 1, Fraction(3, 2))),
+        (PolyP(5, 1, [ElementP.gen(1, 5), ElementP.gen(2, 5), 3 * ElementP.gen(1, 5)]), (0, 3, FpElem(4, 5))),
+        (PolyP(5, 2, [ElementP.gen(1, 5).tensor(ElementP.one(5)), ElementP.one(5, 2)]), (0, 2, FpElem(2, 5))),
+    ],
+    ids=["Series-r1", "Series-r2", "PolyP-r1", "PolyP-r2"],
+)
+def test_evaluate_matches_per_degree_sum(s, points):
+    for c in points:
+        got = s.evaluate(c)
+        assert got == _evaluate_per_degree(s, c)
+        assert got.rank == s.rank
+    assert s.evaluate(0) == s.coeff(0)
+
+
+def test_evaluate_cancels_across_degrees():
+    # D_1 + 4 D_1 t at t = 1 is 5 D_1 = 0; L_1 - L_1 t at t = 1 is 0
+    assert PolyP(5, 1, [ElementP.gen(1, 5), 4 * ElementP.gen(1, 5)]).evaluate(1).is_zero()
+    assert Series(2, 1, [L(1), -L(1)]).evaluate(1).is_zero()
+    s = PolyP(5, 1, [ElementP.gen(1, 5), ElementP.gen(1, 5)])
+    assert s.evaluate(FpElem(4, 5)).is_zero() and s.evaluate(4) == _evaluate_per_degree(s, 4)
+    with pytest.raises(TypeError):
+        Series(2, 1, [L(1)]).evaluate(FpElem(1, 5))
+
+
 def test_swap():
     s = Series.const(L(1).tensor(L(2)), 1)
     assert s.swap().coeff(0) == L(2).tensor(L(1))
@@ -108,14 +147,15 @@ def test_mono_images_of_unit_and_generators(char, order):
     else:
         unit, g2, g12 = (), ((2, 1),), ((1, 1), (2, 1))
         one = partial(Series.one, order)
-    cp = partial(gen_coproduct, char, order, 1, None, None)
-    ap = partial(gen_antipode, char, order, 1, None)
-    assert mono_coproduct(char, order, 1, None, None, unit) == one(2)
-    assert mono_antipode(char, order, 1, None, unit) == one(1)
-    assert mono_coproduct(char, order, 1, None, None, g2) == cp(2)
-    assert mono_antipode(char, order, 1, None, g2) == ap(2)
-    assert mono_coproduct(char, order, 1, None, None, g12) == cp(1) * cp(2)
-    assert mono_antipode(char, order, 1, None, g12) == ap(2) * ap(1)
+    d = Deformation(char, order, 1)
+    cp = partial(gen_coproduct, d, None)
+    ap = partial(gen_antipode, d)
+    assert mono_coproduct(d, None, unit) == one(2)
+    assert mono_antipode(d, unit) == one(1)
+    assert mono_coproduct(d, None, g2) == cp(2)
+    assert mono_antipode(d, g2) == ap(2)
+    assert mono_coproduct(d, None, g12) == cp(1) * cp(2)
+    assert mono_antipode(d, g12) == ap(2) * ap(1)
 
 
 # -- the series product -------------------------------------------------------
@@ -268,7 +308,7 @@ def test_small_powers(x, unit):
 def test_series_product_packs_each_left_coefficient_once(monkeypatch):
     # warm the structure-map memo, then count the kernel steps of one product
     p = 5
-    d2 = gen_coproduct(p, None, 1, None, None, 2)
+    d2 = gen_coproduct(Deformation(p, None, 1), None, 2)
     want = d2 * d2
     nonzero = [c for c in d2.coeffs if c.terms]
     assert len(nonzero) > 1

@@ -17,7 +17,7 @@ from wittq.uwitt import (
     normal_order,
 )
 from wittq.scalars import rising
-from wittq.series import Series, h_rising
+from wittq.series import Deformation, Series, h_rising
 
 L = Element.gen
 
@@ -231,15 +231,15 @@ def test_ad_power_shifts_degree():
 
 
 def test_h_rising_examples():
-    # h_rising(char, order, i, a, l) = (h+a)^(l); char 0 at order 4
-    assert h_rising(0, 4, 3, 0, 0) == Element.one()
-    assert h_rising(0, 4, 2, 0, 1) == Fraction(1, 2) * L(0)
-    assert h_rising(0, 4, 1, 0, 2) == Element(1, {(((0, 2),),): 1, (((0, 1),),): 1})
+    # h_rising(d, a, l) = (h+a)^(l); char 0 at order 4
+    assert h_rising(Deformation(0, 4, 3), 0, 0) == Element.one()
+    assert h_rising(Deformation(0, 4, 2), 0, 1) == Fraction(1, 2) * L(0)
+    assert h_rising(Deformation(0, 4, 1), 0, 2) == Element(1, {(((0, 2),),): 1, (((0, 1),),): 1})
 
 
 def test_h_plus_one_rising():
     # (h+1)^(2) = (h+1)(h+2) = h^2 + 3h + 2 for i = 1
-    got = h_rising(0, 4, 1, 1, 2)
+    got = h_rising(Deformation(0, 4, 1), 1, 2)
     want = Element(1, {(((0, 2),),): 1, (((0, 1),),): 3, ((),): 2})
     assert got == want
     assert rising(L(0) + 1, 2) == want
