@@ -3,6 +3,10 @@
 Exit codes: 0 on success / all checks passing, 1 when any verification fails,
 2 on usage errors.  JSON output follows the canonical schema in jsonio and is
 byte-identical for identical inputs.
+
+Every command names one deformation, built by _deformation: it refuses the
+options of the other characteristic and leaves every rule of the deformation
+itself to Deformation, whose ValueError is the usage error.
 """
 
 from __future__ import annotations
@@ -12,9 +16,7 @@ import os
 import sys
 
 from . import hopf0, hopfp, jsonio, restricted
-from .scalars import is_prime
-from .series import Deformation, t_label
-from .uwitt import Element
+from .series import Deformation
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -42,26 +44,31 @@ def _build_parser() -> argparse.ArgumentParser:
     add_common(sub.add_parser("coproduct", help="deformed coproduct of one generator"), k=True)
     add_common(sub.add_parser("antipode", help="deformed antipode of one generator"), k=True)
     add_common(sub.add_parser("counit", help="counit of one generator"), k=True, order=False, t=False)
-    add_common(sub.add_parser("twist", help="the twisting element (characteristic 0)"), char=False)
+    twist = sub.add_parser("twist", help="the twisting element (characteristic 0)")
+    add_common(twist, char=False)
+    twist.set_defaults(char="0")
     cob = sub.add_parser("cobracket", help="order-t cobracket of one generator (characteristic 0)")
     cob.add_argument("--i", type=int, required=True)
     cob.add_argument("--k", type=int, required=True)
     cob.add_argument("--format", choices=["text", "json"], default="text")
     cob.add_argument("--out", help="output path (default stdout)")
+    cob.set_defaults(char="0")
 
     tab = sub.add_parser("tables", help="emit the full coproduct/antipode/counit tables for (p, i)")
     tab.add_argument("--p", type=int, required=True)
     tab.add_argument("--i", type=int, required=True)
     tab.add_argument("--out", help="output path (default stdout)")
+    tab.set_defaults(char="p")
 
     ver = sub.add_parser("verify", help="run the verification suites")
     ver.add_argument("--char", choices=["0", "p"], required=True)
-    ver.add_argument("--i", type=int, help="deformation direction (or use --all-i in char p)")
-    ver.add_argument("--all-i", action="store_true", help="sweep every nonzero i mod p")
+    which_i = ver.add_mutually_exclusive_group()
+    which_i.add_argument("--i", type=int, help="deformation direction (or use --all-i in char p)")
+    which_i.add_argument("--all-i", action="store_true", help="sweep every nonzero i mod p")
     ver.add_argument("--p", type=int, help="odd prime (characteristic p only)")
     ver.add_argument("--order", type=int, help="truncation order (characteristic 0 only, default 4)")
-    ver.add_argument("--k-min", type=int, default=-3)
-    ver.add_argument("--k-max", type=int, default=3)
+    ver.add_argument("--k-min", type=int, help="lowest generator index (characteristic 0 only, default -3)")
+    ver.add_argument("--k-max", type=int, help="highest generator index (characteristic 0 only, default 3)")
     ver.add_argument("--t", default=None, help="'symbolic', a residue, or 'all' (characteristic p only)")
     ver.add_argument("--format", choices=["text", "json"], default="text")
     ver.add_argument("--out", help="output path (default stdout)")
@@ -76,34 +83,36 @@ def _emit(args, text: str) -> None:
         sys.stdout.write(text)
 
 
-def _require_char0(parser, args):
-    if args.p is not None:
-        parser.error("--p only applies in characteristic p")
-    if args.i == 0:
-        parser.error("i must be nonzero")
-    if getattr(args, "t", None) not in (None, "symbolic"):
-        parser.error("--t only applies in characteristic p")
-    order = getattr(args, "order", None)
-    order = order if order is not None else 4
-    if order < 0:
-        parser.error("--order must be >= 0")
-    return Deformation(0, order, args.i)
+def _deformation(parser, args, i=None) -> Deformation:
+    """The deformation the arguments name, in direction i (default --i), at
+    symbolic t.  Options of the other characteristic are refused here; every
+    rule of the deformation is Deformation's, and its ValueError exits 2."""
+    if args.char == "p":
+        if getattr(args, "order", None) is not None:
+            parser.error("--order only applies in characteristic 0")
+        if getattr(args, "k_min", None) is not None or getattr(args, "k_max", None) is not None:
+            parser.error("--k-min and --k-max only apply in characteristic 0")
+        if args.p is None:
+            parser.error("characteristic p requires --p")
+        char, order = args.p, None
+    else:
+        if getattr(args, "p", None) is not None:
+            parser.error("--p only applies in characteristic p")
+        if getattr(args, "t", None) not in (None, "symbolic"):
+            parser.error("--t only applies in characteristic p")
+        order = getattr(args, "order", None)
+        char, order = 0, 4 if order is None else order
+    try:
+        return Deformation(char, order, args.i if i is None else i)
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
-def _require_prime(parser, args):
-    if getattr(args, "order", None) is not None:
-        parser.error("--order only applies in characteristic 0")
-    if args.p is None:
-        parser.error("characteristic p requires --p")
-    if not is_prime(args.p) or args.p == 2:
-        parser.error(f"--p must be an odd prime, got {args.p}")
-
-
-def _t_values(parser, args, allow_all: bool = False) -> list:
-    """The t modes --t asks for at the prime --p: [None] for symbolic t (the
-    default), one residue, or, where allow_all is set, symbolic t and every
-    residue for 'all'."""
-    raw, p = getattr(args, "t", None), args.p
+def _t_values(parser, args, p: int) -> list:
+    """The t modes --t asks for at the validated prime p: [None] for symbolic
+    t (the default, and the only mode of characteristic 0), one residue, or,
+    for verify, symbolic t and every residue for 'all'."""
+    raw, allow_all = getattr(args, "t", None), args.command == "verify"
     if raw in (None, "symbolic"):
         return [None]
     if allow_all and raw == "all":
@@ -115,123 +124,76 @@ def _t_values(parser, args, allow_all: bool = False) -> list:
         parser.error(f"--t must be {modes}, got {raw!r}")
 
 
-def _require_charp(parser, args):
-    _require_prime(parser, args)
-    if args.i % args.p == 0:
-        parser.error("i must be nonzero mod p")
-    (t,) = _t_values(parser, args)
-    return Deformation(args.p, None, args.i, t)
+def _head(args, d: Deformation, *omit) -> dict:
+    """The head of a document: object and characteristic, then d.point with
+    --k (mod p) after i, without the keys in omit."""
+    head = {"object": args.command, "characteristic": str(d.char)}
+    k = getattr(args, "k", None)
+    for key, value in d.point.items():
+        head[key] = value
+        if key == "i" and k is not None:
+            head["k"] = k % d.char if d.char else k
+    return {key: value for key, value in head.items() if key not in omit}
+
+
+def _counit(d: Deformation, k: int) -> str:
+    counit = hopfp.counit_p if d.char else hopf0.counit
+    return str(counit(d.gen(k)))
 
 
 def _cmd_structure(parser, args) -> int:
-    name = args.command
-    if args.char == "0":
-        params = _require_char0(parser, args)
-        if name == "coproduct":
-            obj, rank = hopf0.coproduct_closed(args.k, params), 2
-        elif name == "antipode":
-            obj, rank = hopf0.antipode_closed(args.k, params), 1
-        else:
-            parser.error(f"unknown structure map {name}")
-        doc = {
-            "object": name,
-            "characteristic": "0",
-            "i": params.i,
-            "k": args.k,
-            "order": params.order,
-            "rank": rank,
-            "series": jsonio.series_doc(obj),
-        }
+    d = _deformation(parser, args)
+    (t,) = _t_values(parser, args, d.char)
+    d = d.at(t)
+    # the per-characteristic names, which perfbench/spans.py times as builders
+    if args.command == "coproduct":
+        obj = (hopfp.coproduct_p if d.char else hopf0.coproduct_closed)(args.k, d)
     else:
-        params = _require_charp(parser, args)
-        if name == "coproduct":
-            obj, rank = hopfp.coproduct_p(args.k, params), 2
-        elif name == "antipode":
-            obj, rank = hopfp.antipode_p(args.k, params), 1
-        else:
-            parser.error(f"unknown structure map {name}")
-        doc = {
-            "object": name,
-            "characteristic": str(params.char),
-            "p": params.char,
-            "i": params.i,
-            "k": args.k % params.char,
-            "t": t_label(params.t),
-            "rank": rank,
-            "polynomial": jsonio.series_doc(obj),
-        }
+        obj = (hopfp.antipode_p if d.char else hopf0.antipode_closed)(args.k, d)
+    doc = dict(_head(args, d), rank=obj.rank)
+    doc["polynomial" if d.char else "series"] = jsonio.series_doc(obj)
     _emit(args, jsonio.dumps(doc) if args.format == "json" else str(obj) + "\n")
     return 0
 
 
 def _cmd_counit(parser, args) -> int:
-    if args.char == "0":
-        params = _require_char0(parser, args)
-        value = str(hopf0.counit(Element.gen(args.k)))
-        doc = {"object": "counit", "characteristic": "0", "i": params.i, "k": args.k, "value": value}
-    else:
-        params = _require_charp(parser, args)
-        value = str(hopfp.counit_p(restricted.ElementP.gen(args.k, params.char)))
-        doc = {
-            "object": "counit",
-            "characteristic": str(params.char),
-            "p": params.char,
-            "i": params.i,
-            "k": args.k % params.char,
-            "value": value,
-        }
+    d = _deformation(parser, args)
+    value = _counit(d, args.k)
+    doc = dict(_head(args, d, "order", "t"), value=value)
     _emit(args, jsonio.dumps(doc) if args.format == "json" else value + "\n")
     return 0
 
 
 def _cmd_twist(parser, args) -> int:
-    args.char = "0"
-    params = _require_char0(parser, args)
-    F = hopf0.twist(params)
-    doc = {
-        "object": "twist",
-        "characteristic": "0",
-        "i": params.i,
-        "order": params.order,
-        "rank": 2,
-        "series": jsonio.series_doc(F),
-    }
+    d = _deformation(parser, args)
+    F = hopf0.twist(d)
+    doc = dict(_head(args, d), rank=2, series=jsonio.series_doc(F))
     _emit(args, jsonio.dumps(doc) if args.format == "json" else str(F) + "\n")
     return 0
 
 
 def _cmd_cobracket(parser, args) -> int:
-    if args.i == 0:
-        parser.error("i must be nonzero")
+    d = _deformation(parser, args)
     try:
-        delta = hopf0.cobracket_semiclassical(args.k, args.i)
+        delta = hopf0.cobracket_semiclassical(args.k, d.i)
     except hopf0.CrossRouteMismatch as exc:
         sys.stderr.write(f"verification failure: {exc}\n")
         return 1
-    doc = {
-        "object": "cobracket",
-        "characteristic": "0",
-        "i": args.i,
-        "k": args.k,
-        "rank": 2,
-        "element": jsonio.element_doc(delta),
-    }
+    doc = dict(_head(args, d, "order"), rank=2, element=jsonio.element_doc(delta))
     _emit(args, jsonio.dumps(doc) if args.format == "json" else str(delta) + "\n")
     return 0
 
 
 def _cmd_tables(parser, args) -> int:
     """Emit the complete structure-map tables for (p, i) as one JSON doc."""
-    params = _require_charp(parser, args)
-    p = params.char
-    doc = {
-        "object": "tables",
-        "p": p,
-        "i": params.i,
-        "coproduct": {str(k): jsonio.series_doc(hopfp.coproduct_p(k, params)) for k in range(p)},
-        "antipode": {str(k): jsonio.series_doc(hopfp.antipode_p(k, params)) for k in range(p)},
-        "counit": {str(k): "0" for k in range(p)},
-    }
+    d = _deformation(parser, args)
+    ks = range(d.char)
+    doc = dict(
+        _head(args, d, "characteristic", "t"),
+        coproduct={str(k): jsonio.series_doc(hopfp.coproduct_p(k, d)) for k in ks},
+        antipode={str(k): jsonio.series_doc(hopfp.antipode_p(k, d)) for k in ks},
+        counit={str(k): _counit(d, k) for k in ks},
+    )
     _emit(args, jsonio.dumps(doc))
     return 0
 
@@ -270,24 +232,20 @@ def _cmd_verify(parser, args) -> int:
             parser.error("--all-i only applies in characteristic p")
         if args.i is None:
             parser.error("characteristic 0 requires --i")
-        params = _require_char0(parser, args)
-        if args.k_min > args.k_max:
+        d = _deformation(parser, args)
+        k_min = -3 if args.k_min is None else args.k_min
+        k_max = 3 if args.k_max is None else args.k_max
+        if k_min > k_max:
             parser.error("--k-min must not exceed --k-max")
-        ks = range(args.k_min, args.k_max + 1)
-        rep = hopf0.verify_all0(params, ks)
+        rep = hopf0.verify_all0(d, range(k_min, k_max + 1))
     else:
         if args.i is None and not args.all_i:
             parser.error("characteristic p requires --i or --all-i")
-        _require_prime(parser, args)
-        p = args.p
-        t_values = _t_values(parser, args, allow_all=True)
-        i_values = list(range(1, p)) if args.all_i else [args.i]
-        for i in i_values:
-            if i % p == 0:
-                parser.error("i must be nonzero mod p")
-        rep = restricted.verify_witt_iso(p)
-        cells = [(Deformation(p, None, i), tuple(t_values)) for i in i_values]
-        for cell_rep in _map_cells(_verify_cell, cells):
+        d = _deformation(parser, args, 1 if args.all_i else None)
+        t_values = tuple(_t_values(parser, args, d.char))
+        cells = [Deformation(d.char, None, i) for i in range(1, d.char)] if args.all_i else [d]
+        rep = restricted.verify_witt_iso(d.char)
+        for cell_rep in _map_cells(_verify_cell, [(cell, t_values) for cell in cells]):
             rep.extend(cell_rep)
 
     if args.format == "json":
@@ -297,27 +255,25 @@ def _cmd_verify(parser, args) -> int:
     return 0 if rep.ok else 1
 
 
+_COMMANDS = {
+    "coproduct": _cmd_structure,
+    "antipode": _cmd_structure,
+    "counit": _cmd_counit,
+    "twist": _cmd_twist,
+    "cobracket": _cmd_cobracket,
+    "tables": _cmd_tables,
+    "verify": _cmd_verify,
+}
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command in ("coproduct", "antipode"):
-            return _cmd_structure(parser, args)
-        if args.command == "counit":
-            return _cmd_counit(parser, args)
-        if args.command == "twist":
-            return _cmd_twist(parser, args)
-        if args.command == "cobracket":
-            return _cmd_cobracket(parser, args)
-        if args.command == "tables":
-            return _cmd_tables(parser, args)
-        if args.command == "verify":
-            return _cmd_verify(parser, args)
-        parser.error(f"unknown command {args.command}")
+        return _COMMANDS[args.command](parser, args)
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return 1
-    return 2
 
 
 if __name__ == "__main__":

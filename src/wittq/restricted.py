@@ -47,15 +47,10 @@ from functools import lru_cache
 from math import comb
 
 from .report import VerificationReport
-from .scalars import FpElem, is_prime
+from .scalars import FpElem, check_odd_prime
 from .tensor import TensorElement, commutator
 
 MonoP = tuple[int, ...]
-
-
-def _check_prime(p: int):
-    if not is_prime(p) or p == 2:
-        raise ValueError(f"p must be an odd prime, got {p}")
 
 
 def one_mono(p: int) -> MonoP:
@@ -248,7 +243,7 @@ class ElementP(TensorElement):
     __slots__ = ("p",)
 
     def __init__(self, p: int, rank: int = 1, terms: dict | None = None):
-        _check_prime(p)
+        check_odd_prime(p)
         self.p = p
         self.rank = rank
         clean = {}
@@ -372,13 +367,13 @@ def bracket_p(k, l, p: int | None = None) -> ElementP:
 
 def basis_size(p: int) -> int:
     """Dimension of the restricted enveloping algebra: p^p exponent vectors."""
-    _check_prime(p)
+    check_odd_prime(p)
     return p**p
 
 
 def embed_witt(k: int, p: int) -> ElementP:
     """Image of the truncated-basis generator e_k, k in {-1, ..., p-2}."""
-    _check_prime(p)
+    check_odd_prime(p)
     if not -1 <= k <= p - 2:
         raise ValueError(f"index {k} outside {{-1, ..., {p - 2}}}")
     terms: dict = {}
@@ -413,7 +408,7 @@ def verify_witt_iso(p: int) -> VerificationReport:
     """Check the truncated-basis presentation maps isomorphically onto the
     periodic one: bracket relations on all index pairs, plus linear
     independence of the images."""
-    _check_prime(p)
+    check_odd_prime(p)
     rep = VerificationReport()
     phi = {k: embed_witt(k, p) for k in range(-1, p - 1)}
 

@@ -29,6 +29,12 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def check_odd_prime(p: int) -> None:
+    """The one rule on a modulus: ValueError unless p is an odd prime."""
+    if not is_prime(p) or p == 2:
+        raise ValueError(f"p must be an odd prime, got {p}")
+
+
 class FpElem:
     """A residue in the prime field F_p, p an odd prime.
 
@@ -41,8 +47,7 @@ class FpElem:
     __slots__ = ("residue", "p")
 
     def __init__(self, value: int, p: int):
-        if not is_prime(p) or p == 2:
-            raise ValueError(f"modulus must be an odd prime, got {p}")
+        check_odd_prime(p)
         object.__setattr__(self, "residue", value % p)
         object.__setattr__(self, "p", p)
 

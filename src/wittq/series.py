@@ -40,7 +40,7 @@ from functools import lru_cache, partial
 
 from .report import VerificationReport
 from .restricted import ElementP, e_element_p
-from .scalars import gen_binomial, int_coeff, is_prime, rising
+from .scalars import check_odd_prime, gen_binomial, int_coeff, rising
 from .tensor import TensorElement, commutator
 from .uwitt import Element, e_element
 
@@ -412,8 +412,7 @@ class Deformation:
     def __post_init__(self):
         char, order, i, t = self.char, self.order, self.i, self.t
         if char:
-            if not is_prime(char) or char == 2:
-                raise ValueError(f"p must be an odd prime, got {char}")
+            check_odd_prime(char)
             if i % char == 0:
                 raise ValueError("i must be nonzero mod p")
             if order is not None:

@@ -9,6 +9,7 @@ from wittq import jsonio
 from wittq.cli import main
 from wittq.hopf0 import HopfParams, coproduct_closed
 from wittq.hopfp import HopfParamsP, antipode_p, coproduct_p
+from wittq.series import Deformation
 
 
 def run_cli(argv, capsys):
@@ -125,6 +126,9 @@ def test_usage_errors_exit_2(capsys):
         ["verify", "--char", "0", "--order", "2"],  # missing --i
         ["verify", "--char", "0", "--i", "1", "--order", "1", "--k-min", "3", "--k-max", "-3"],
         ["verify", "--char", "p", "--p", "5"],  # missing --i/--all-i
+        ["verify", "--char", "p", "--p", "5", "--all-i", "--i", "3", "--t", "1"],  # --i and --all-i
+        ["verify", "--char", "p", "--p", "3", "--i", "1", "--k-min", "5", "--k-max", "-5", "--t", "1"],
+        ["verify", "--char", "p", "--p", "3", "--i", "1", "--k-max", "2"],  # k range is char 0 only
         ["tables", "--p", "8", "--i", "1"],
         ["nonsense"],
     ]
@@ -132,6 +136,39 @@ def test_usage_errors_exit_2(capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2, argv
+
+
+# (argv, the Deformation the argv names): each breaks one rule of the deformation
+DEFORMATION_RULES = [
+    (["coproduct", "--char", "0", "--i", "0", "--k", "1"], (0, 4, 0)),
+    (["coproduct", "--char", "0", "--i", "1", "--k", "1", "--order", "-1"], (0, -1, 1)),
+    (["coproduct", "--char", "p", "--p", "2", "--i", "1", "--k", "1"], (2, None, 1)),
+    (["coproduct", "--char", "p", "--p", "9", "--i", "1", "--k", "1"], (9, None, 1)),
+    (["coproduct", "--char", "p", "--p", "5", "--i", "10", "--k", "1"], (5, None, 10)),
+    (["counit", "--char", "0", "--i", "0", "--k", "1"], (0, 4, 0)),
+    (["counit", "--char", "p", "--p", "2", "--i", "1", "--k", "1"], (2, None, 1)),
+    (["counit", "--char", "p", "--p", "9", "--i", "1", "--k", "1"], (9, None, 1)),
+    (["counit", "--char", "p", "--p", "3", "--i", "-3", "--k", "1"], (3, None, -3)),
+    (["tables", "--p", "2", "--i", "1"], (2, None, 1)),
+    (["tables", "--p", "9", "--i", "1"], (9, None, 1)),
+    (["tables", "--p", "3", "--i", "0"], (3, None, 0)),
+    (["verify", "--char", "0", "--i", "0"], (0, 4, 0)),
+    (["verify", "--char", "0", "--i", "1", "--order", "-1"], (0, -1, 1)),
+    (["verify", "--char", "p", "--p", "2", "--i", "1"], (2, None, 1)),
+    (["verify", "--char", "p", "--p", "9", "--all-i"], (9, None, 1)),
+    (["verify", "--char", "p", "--p", "7", "--i", "14", "--t", "all"], (7, None, 14)),
+    (["cobracket", "--i", "0", "--k", "1"], (0, 4, 0)),
+]
+
+
+@pytest.mark.parametrize("argv, values", DEFORMATION_RULES, ids=["_".join(a).replace("--", "") for a, _ in DEFORMATION_RULES])
+def test_deformation_rules_are_usage_errors(argv, values, capsys):
+    with pytest.raises(ValueError) as rule:
+        Deformation(*values)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"error: {rule.value}\n" in capsys.readouterr().err
 
 
 def test_counit_char0_usage_errors(capsys):

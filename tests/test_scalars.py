@@ -4,7 +4,7 @@ from math import comb, factorial
 
 import pytest
 
-from wittq.scalars import ExactDivisionError, FpElem, gen_binomial, int_coeff, is_prime, n_coeff
+from wittq.scalars import ExactDivisionError, FpElem, check_odd_prime, gen_binomial, int_coeff, is_prime, n_coeff
 
 
 def brute_coeff(a, k, l):
@@ -153,3 +153,26 @@ def test_is_prime_small():
     primes = {2, 3, 5, 7, 11, 13, 17, 19, 23}
     for n in range(25):
         assert is_prime(n) == (n in primes)
+
+
+@pytest.mark.parametrize("p", [-3, 1, 2, 4, 9, 15])
+def test_one_odd_prime_rule(p):
+    # FpElem, Deformation and the restricted algebra share the rule and its message
+    from wittq.restricted import ElementP, basis_size, embed_witt, verify_witt_iso
+    from wittq.series import Deformation
+
+    with pytest.raises(ValueError) as rule:
+        check_odd_prime(p)
+    assert str(rule.value) == f"p must be an odd prime, got {p}"
+    checks = [
+        lambda: FpElem(1, p),
+        lambda: Deformation(p, None, 1),
+        lambda: ElementP(p),
+        lambda: basis_size(p),
+        lambda: embed_witt(0, p),
+        lambda: verify_witt_iso(p),
+    ]
+    for check in checks:
+        with pytest.raises(ValueError) as exc:
+            check()
+        assert str(exc.value) == str(rule.value)
