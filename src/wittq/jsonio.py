@@ -5,7 +5,9 @@ rounds; a characteristic-0 monomial is a list of [index, exponent] pairs, a
 characteristic-p monomial is its exponent vector; a tensor term is
 {"coeff": ..., "factors": [monomial, ...]}, and a series/polynomial is a
 {degree: term-list} map.  Term lists and degree keys are emitted in sorted
-order, so identical inputs always produce byte-identical documents.
+order, so identical inputs always produce byte-identical documents.  The
+parsers refuse, with ValueError, a negative degree or one above the order, a
+degree or key given twice, and a key whose factor count is not the rank.
 """
 
 from __future__ import annotations
@@ -29,62 +31,64 @@ def parse_scalar(s: str) -> Fraction:
     return Fraction(s)
 
 
-def mono0_doc(mono) -> list:
-    return [[k, m] for k, m in mono]
-
-
-def monop_doc(mono) -> list:
-    return list(mono)
-
-
 def element_doc(x) -> list:
-    """Sorted term list for an Element or ElementP of any rank."""
-    char_p = isinstance(x, ElementP)
-    out = []
-    for key in sorted(x.terms):
-        factors = [monop_doc(m) if char_p else mono0_doc(m) for m in key]
-        out.append({"coeff": scalar_str(x.terms[key]), "factors": factors})
-    return out
+    """Sorted term list for an Element or ElementP of any rank; json renders a
+    monomial tuple as the list of the schema."""
+    return [{"coeff": scalar_str(x.terms[key]), "factors": list(key)} for key in sorted(x.terms)]
 
 
 def series_doc(s) -> dict:
     """Degree -> term-list map for a Series or PolyP."""
+    return {str(d): element_doc(c) for d, c in enumerate(s.coeffs) if c.terms}
+
+
+def _ints(doc):
+    """A JSON monomial (nested arrays of integers) as tuples of ints."""
+    return tuple(map(_ints, doc)) if isinstance(doc, list) else int(doc)
+
+
+def _terms(doc: list, rank: int, scalar) -> dict:
+    """The {key: coefficient} map of a term list, each key rank factors, once."""
+    terms = {}
+    for term in doc:
+        key = _ints(term["factors"])
+        if len(key) != rank:
+            raise ValueError(f"key {key!r} has {len(key)} factors, not {rank}")
+        if key in terms:
+            raise ValueError(f"repeated key {key!r}")
+        terms[key] = scalar(term["coeff"])
+    return terms
+
+
+def _coeffs(doc: dict, order, zero, parse) -> list:
+    """The coefficients of a {degree: term-list} map: each degree at most once,
+    in 0 .. order (any degree >= 0 when order is None)."""
     out = {}
-    for d, c in enumerate(s.coeffs):
-        if not c.terms:
-            continue
-        out[str(d)] = element_doc(c)
-    return out
+    for d, terms in doc.items():
+        n = int(d)
+        if n < 0 or (order is not None and n > order):
+            raise ValueError(f"degree {d} out of range")
+        if n in out:
+            raise ValueError(f"repeated degree {d}")
+        out[n] = parse(terms)
+    return [out.get(n, zero) for n in range(max(out, default=-1) + 1)]
 
 
 def parse_element(doc: list, rank: int) -> Element:
-    terms = {}
-    for term in doc:
-        key = tuple(tuple((int(k), int(m)) for k, m in mono) for mono in term["factors"])
-        terms[key] = parse_scalar(term["coeff"])
-    return Element(rank, terms)
+    return Element(rank, _terms(doc, rank, parse_scalar))
 
 
 def parse_element_p(doc: list, p: int, rank: int) -> ElementP:
-    terms = {}
-    for term in doc:
-        key = tuple(tuple(int(e) for e in mono) for mono in term["factors"])
-        terms[key] = int(term["coeff"])
-    return ElementP(p, rank, terms)
+    return ElementP(p, rank, _terms(doc, rank, int))
 
 
 def parse_series(doc: dict, order: int, rank: int) -> Series:
-    coeffs = [Element.zero(rank) for _ in range(order + 1)]
-    for d, terms in doc.items():
-        coeffs[int(d)] = parse_element(terms, rank)
+    coeffs = _coeffs(doc, order, Element.zero(rank), lambda terms: parse_element(terms, rank))
     return Series(order, rank, coeffs)
 
 
 def parse_poly(doc: dict, p: int, rank: int) -> PolyP:
-    top = max((int(d) for d in doc), default=-1)
-    coeffs = [ElementP.zero(p, rank) for _ in range(top + 1)]
-    for d, terms in doc.items():
-        coeffs[int(d)] = parse_element_p(terms, p, rank)
+    coeffs = _coeffs(doc, None, ElementP.zero(p, rank), lambda terms: parse_element_p(terms, p, rank))
     return PolyP(p, rank, coeffs)
 
 

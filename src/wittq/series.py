@@ -29,7 +29,10 @@ normalized once, with what the characteristics differ in derived from it.  The
 characteristic-p maps are the characteristic-0 formulas read mod p, so each
 generator map, its extension to monomials and elements, and the Hopf axiom
 suite is written once and takes the Deformation first; the memoized ones are
-keyed on it.
+keyed on it.  The extension helpers take the image of the unit monomial and of
+zero rather than a Deformation, so they also extend the element-valued
+undeformed maps Delta_0 and S_0 of the twist route, which shares no formula
+with the closed forms.
 """
 
 from __future__ import annotations
@@ -520,21 +523,23 @@ def gen_antipode(d: Deformation, k: int) -> TSeries:
 # -- multiplicative extension of the generator maps ---------------------------------
 
 
-def _mono_image(d: Deformation, mono, gen, rank: int, anti: bool) -> TSeries:
-    """Image of a monomial under the algebra morphism sending generator k to
-    the rank-`rank` series gen(k), or under the antimorphism when anti is set."""
+def _mono_image(runs, gen, one, anti: bool):
+    """Image of the monomial with PBW runs `runs` ((generator, exponent)
+    pairs) under the algebra morphism sending generator k to gen(k), or under
+    the antimorphism when anti is set; one is the image of the unit monomial.
+    The images may be elements or series."""
     out = None
-    runs = d.zero.runs(mono)
     for k, m in reversed(runs) if anti else runs:
         g = gen(k)
         for _ in range(m):
             out = g if out is None else out * g
-    return d.series(rank, [d.zero.one_of(rank)]) if out is None else out
+    return one if out is None else out
 
 
-def _element_image(d: Deformation, x, mono_map, rank: int) -> TSeries:
-    """Linear extension of mono_map (monomial -> series) to a rank-1 element."""
-    out = d.series(rank)
+def _element_image(x, mono_map, zero):
+    """Linear extension of mono_map (monomial -> image) to a rank-1 element;
+    zero is the image of the zero element."""
+    out = zero
     for (mono,), c in x.terms.items():
         out = out + mono_map(mono) * c
     return out
@@ -543,21 +548,23 @@ def _element_image(d: Deformation, x, mono_map, rank: int) -> TSeries:
 @lru_cache(maxsize=None)
 def mono_coproduct(d: Deformation, corrupt_term, mono) -> TSeries:
     """Coproduct of a monomial (an algebra morphism)."""
-    return _mono_image(d, mono, partial(gen_coproduct, d, corrupt_term), 2, False)
+    one = d.series(2, [d.zero.one_of(2)])
+    return _mono_image(d.zero.runs(mono), partial(gen_coproduct, d, corrupt_term), one, False)
 
 
 @lru_cache(maxsize=None)
 def mono_antipode(d: Deformation, mono) -> TSeries:
     """Antipode of a monomial (an algebra antimorphism)."""
-    return _mono_image(d, mono, partial(gen_antipode, d), 1, True)
+    one = d.series(1, [d.zero.one_of(1)])
+    return _mono_image(d.zero.runs(mono), partial(gen_antipode, d), one, True)
 
 
 def element_coproduct(d: Deformation, corrupt_term, x) -> TSeries:
-    return _element_image(d, x, partial(mono_coproduct, d, corrupt_term), 2)
+    return _element_image(x, partial(mono_coproduct, d, corrupt_term), d.series(2))
 
 
 def element_antipode(d: Deformation, x) -> TSeries:
-    return _element_image(d, x, partial(mono_antipode, d), 1)
+    return _element_image(x, partial(mono_antipode, d), d.series(1))
 
 
 # -- the Hopf axioms on generators and generator pairs ----------------------------

@@ -245,6 +245,29 @@ def test_scalar_str_roundtrip():
     assert jsonio.scalar_str(Fraction(6, 4)) == "3/2"
 
 
+D0, D1 = [[1, 0, 0]], [[0, 1, 0]]
+
+
+@pytest.mark.parametrize(
+    "parse",
+    [
+        # a negative degree in a polynomial, and in a series (read as t^order)
+        lambda: jsonio.parse_poly({"0": [{"coeff": "1", "factors": D0}], "-1": [{"coeff": "2", "factors": D1}]}, 3, 1),
+        lambda: jsonio.parse_series({"-1": [{"coeff": "1", "factors": [[[1, 1]]]}]}, 2, 1),
+        # a degree above the order
+        lambda: jsonio.parse_series({"3": [{"coeff": "1", "factors": [[[1, 1]]]}]}, 2, 1),
+        # a key with two factors in a rank-1 element
+        lambda: jsonio.parse_element([{"coeff": "1", "factors": [[[1, 1]], []]}], 1),
+        # one key twice
+        lambda: jsonio.parse_element_p([{"coeff": "1", "factors": D0}, {"coeff": "2", "factors": D0}], 3, 1),
+    ],
+    ids=["poly-negative-degree", "series-negative-degree", "degree-above-order", "factor-count", "repeated-key"],
+)
+def test_parsers_refuse_malformed_documents(parse):
+    with pytest.raises(ValueError):
+        parse()
+
+
 ALL_I_P3 = ["verify", "--char", "p", "--p", "3", "--all-i", "--t", "all"]
 
 

@@ -19,7 +19,7 @@ from wittq.hopf0 import (
     undeformed_coproduct,
     verify_hopf0,
 )
-from wittq.series import Deformation, Series, TSeries, binomial_series
+from wittq.series import Deformation, Series, TSeries, binomial_series, element_antipode, element_coproduct
 from wittq.uwitt import Element
 
 L = Element.gen
@@ -85,6 +85,14 @@ def test_undeformed_maps():
     assert dx == undeformed_coproduct(L(1)) * undeformed_coproduct(L(2))
     assert undeformed_antipode(L(5)) == -L(5)
     assert undeformed_antipode(x) == -L(2) * -L(1)
+
+
+@pytest.mark.parametrize("x", [L(3), L(1) * L(2), L(-1) * L(0) * L(2) - 3 * L(4), L(0) * L(0) + Element.one()])
+def test_undeformed_maps_are_the_degree0_slice_of_the_closed_forms(x):
+    # the closed forms and the twist route's Delta_0, S_0 share extension code, no formula
+    d = HopfParams(2, 2)
+    assert element_coproduct(d, None, x).coeff(0) == undeformed_coproduct(x)
+    assert element_antipode(d, x).coeff(0) == undeformed_antipode(x)
 
 
 def test_counit_examples():

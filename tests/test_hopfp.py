@@ -297,6 +297,19 @@ def test_antipode_element_antimultiplicative():
     assert lhs == rhs
 
 
+@pytest.mark.parametrize("c", range(5))
+def test_poly_maps_at_a_residue_evaluate_then_multiply(c):
+    # coproduct_poly/antipode_poly at t = c against sum_d c^d Delta(x_d) at t = c
+    pp = HopfParamsP(5, 2, c)
+    x = PolyP(5, 1, [D(1, 5), D(2, 5) * D(3, 5) + 2 * D(0, 5), ElementP.zero(5), 3 * D(4, 5) * D(4, 5)])
+    want_d, want_s = PolyP.zero(5, 2), PolyP.zero(5, 1)
+    for d, xd in enumerate(x.coeffs):
+        want_d = want_d + coproduct_element_p(xd, pp) * pow(c, d, 5)
+        want_s = want_s + antipode_element_p(xd, pp) * pow(c, d, 5)
+    assert coproduct_poly(x, pp) == want_d
+    assert antipode_poly(x, pp) == want_s
+
+
 def test_poly_p_trailing_zeros_pruned():
     z = ElementP.zero(5)
     poly = PolyP(5, 1, [D(1, 5), z, z])
