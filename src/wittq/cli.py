@@ -1,8 +1,10 @@
 """Command-line front end: compute structure maps, emit tables, run verifiers.
 
-Exit codes: 0 on success / all checks passing, 1 when any verification fails,
-2 on usage errors.  JSON output follows the canonical schema in jsonio and is
-byte-identical for identical inputs.
+Exit codes: 0 on success / all checks passing, 1 when any verification fails
+or on an i/o error, 2 on usage errors.  JSON output follows the canonical
+schema in jsonio and is byte-identical for identical inputs.  Every command
+hands its JSON document and its text form to _emit, which builds the one that
+--format asks for and streams it to --out or stdout.
 
 Every command names one deformation, built by _deformation: it refuses the
 options of the other characteristic and leaves every rule of the deformation
@@ -12,6 +14,7 @@ itself to Deformation, whose ValueError is the usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 
@@ -27,7 +30,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sp, char=True, k=False, order=True, t=True):
+    def add_common(name, help, run, char=True, k=False, order=True, t=True):
+        sp = sub.add_parser(name, help=help)
+        sp.set_defaults(run=run)
         if char:
             sp.add_argument("--char", choices=["0", "p"], required=True, help="characteristic")
         sp.add_argument("--i", type=int, required=True, help="deformation direction i")
@@ -40,25 +45,24 @@ def _build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--t", default=None, help="t specialization: residue or 'symbolic' (characteristic p only)")
         sp.add_argument("--format", choices=["text", "json"], default="text")
         sp.add_argument("--out", help="output path (default stdout)")
+        return sp
 
-    add_common(sub.add_parser("coproduct", help="deformed coproduct of one generator"), k=True)
-    add_common(sub.add_parser("antipode", help="deformed antipode of one generator"), k=True)
-    add_common(sub.add_parser("counit", help="counit of one generator"), k=True, order=False, t=False)
-    twist = sub.add_parser("twist", help="the twisting element (characteristic 0)")
-    add_common(twist, char=False)
-    twist.set_defaults(char="0")
+    add_common("coproduct", "deformed coproduct of one generator", _cmd_structure, k=True)
+    add_common("antipode", "deformed antipode of one generator", _cmd_structure, k=True)
+    add_common("counit", "counit of one generator", _cmd_counit, k=True, order=False, t=False)
+    add_common("twist", "the twisting element (characteristic 0)", _cmd_twist, char=False).set_defaults(char="0")
     cob = sub.add_parser("cobracket", help="order-t cobracket of one generator (characteristic 0)")
     cob.add_argument("--i", type=int, required=True)
     cob.add_argument("--k", type=int, required=True)
     cob.add_argument("--format", choices=["text", "json"], default="text")
     cob.add_argument("--out", help="output path (default stdout)")
-    cob.set_defaults(char="0")
+    cob.set_defaults(char="0", run=_cmd_cobracket)
 
     tab = sub.add_parser("tables", help="emit the full coproduct/antipode/counit tables for (p, i)")
     tab.add_argument("--p", type=int, required=True)
     tab.add_argument("--i", type=int, required=True)
     tab.add_argument("--out", help="output path (default stdout)")
-    tab.set_defaults(char="p")
+    tab.set_defaults(char="p", format="json", run=_cmd_tables)
 
     ver = sub.add_parser("verify", help="run the verification suites")
     ver.add_argument("--char", choices=["0", "p"], required=True)
@@ -72,15 +76,18 @@ def _build_parser() -> argparse.ArgumentParser:
     ver.add_argument("--t", default=None, help="'symbolic', a residue, or 'all' (characteristic p only)")
     ver.add_argument("--format", choices=["text", "json"], default="text")
     ver.add_argument("--out", help="output path (default stdout)")
+    ver.set_defaults(run=_cmd_verify)
     return parser
 
 
-def _emit(args, text: str) -> None:
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _emit(args, doc, shown=None) -> None:
+    """Write a command's output to --out or stdout: the line str(shown) under
+    --format text, else the JSON document doc(), streamed; only one is built."""
+    with open(args.out, "w", encoding="utf-8") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        if args.format == "text":
+            print(shown, file=fh)
+        else:
+            jsonio.dump(doc(), fh)
 
 
 def _deformation(parser, args, i=None) -> Deformation:
@@ -150,25 +157,22 @@ def _cmd_structure(parser, args) -> int:
         obj = (hopfp.coproduct_p if d.char else hopf0.coproduct_closed)(args.k, d)
     else:
         obj = (hopfp.antipode_p if d.char else hopf0.antipode_closed)(args.k, d)
-    doc = dict(_head(args, d), rank=obj.rank)
-    doc["polynomial" if d.char else "series"] = jsonio.series_doc(obj)
-    _emit(args, jsonio.dumps(doc) if args.format == "json" else str(obj) + "\n")
+    key = "polynomial" if d.char else "series"
+    _emit(args, lambda: {**_head(args, d), "rank": obj.rank, key: jsonio.series_doc(obj)}, obj)
     return 0
 
 
 def _cmd_counit(parser, args) -> int:
     d = _deformation(parser, args)
     value = _counit(d, args.k)
-    doc = dict(_head(args, d, "order", "t"), value=value)
-    _emit(args, jsonio.dumps(doc) if args.format == "json" else value + "\n")
+    _emit(args, lambda: dict(_head(args, d, "order", "t"), value=value), value)
     return 0
 
 
 def _cmd_twist(parser, args) -> int:
     d = _deformation(parser, args)
     F = hopf0.twist(d)
-    doc = dict(_head(args, d), rank=2, series=jsonio.series_doc(F))
-    _emit(args, jsonio.dumps(doc) if args.format == "json" else str(F) + "\n")
+    _emit(args, lambda: dict(_head(args, d), rank=2, series=jsonio.series_doc(F)), F)
     return 0
 
 
@@ -179,8 +183,7 @@ def _cmd_cobracket(parser, args) -> int:
     except hopf0.CrossRouteMismatch as exc:
         sys.stderr.write(f"verification failure: {exc}\n")
         return 1
-    doc = dict(_head(args, d, "order"), rank=2, element=jsonio.element_doc(delta))
-    _emit(args, jsonio.dumps(doc) if args.format == "json" else str(delta) + "\n")
+    _emit(args, lambda: dict(_head(args, d, "order"), rank=2, element=jsonio.element_doc(delta)), delta)
     return 0
 
 
@@ -188,20 +191,18 @@ def _cmd_tables(parser, args) -> int:
     """Emit the complete structure-map tables for (p, i) as one JSON doc."""
     d = _deformation(parser, args)
     ks = range(d.char)
-    doc = dict(
+    _emit(args, lambda: dict(
         _head(args, d, "characteristic", "t"),
         coproduct={str(k): jsonio.series_doc(hopfp.coproduct_p(k, d)) for k in ks},
         antipode={str(k): jsonio.series_doc(hopfp.antipode_p(k, d)) for k in ks},
         counit={str(k): _counit(d, k) for k in ks},
-    )
-    _emit(args, jsonio.dumps(doc))
+    ))
     return 0
 
 
 def _verify_cell(cell):
     """Verify one (p, i) cell; the cells of an --all-i sweep share no state."""
-    params, t_values = cell
-    return hopfp.verify_all_p(params, t_values)
+    return hopfp.verify_all_p(*cell)
 
 
 def _usable_cpus() -> int:
@@ -247,30 +248,15 @@ def _cmd_verify(parser, args) -> int:
         rep = restricted.verify_witt_iso(d.char)
         for cell_rep in _map_cells(_verify_cell, [(cell, t_values) for cell in cells]):
             rep.extend(cell_rep)
-
-    if args.format == "json":
-        _emit(args, jsonio.dumps(jsonio.report_doc(rep)))
-    else:
-        _emit(args, rep.summary() + "\n")
+    _emit(args, lambda: jsonio.report_doc(rep), rep)
     return 0 if rep.ok else 1
-
-
-_COMMANDS = {
-    "coproduct": _cmd_structure,
-    "antipode": _cmd_structure,
-    "counit": _cmd_counit,
-    "twist": _cmd_twist,
-    "cobracket": _cmd_cobracket,
-    "tables": _cmd_tables,
-    "verify": _cmd_verify,
-}
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _COMMANDS[args.command](parser, args)
+        return args.run(parser, args)
     except OSError as exc:
         sys.stderr.write(f"i/o error: {exc}\n")
         return 1

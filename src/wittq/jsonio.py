@@ -6,13 +6,15 @@ characteristic-p monomial is its exponent vector; a tensor term is
 {"coeff": ..., "factors": [monomial, ...]}, and a series/polynomial is a
 {degree: term-list} map.  Term lists and degree keys are emitted in sorted
 order, so identical inputs always produce byte-identical documents.  The
-parsers refuse, with ValueError, a negative degree or one above the order, a
-degree or key given twice, and a key whose factor count is not the rank.
+parsers refuse, with ValueError, a scalar not of that form, a negative degree
+or one above the order, a degree or key given twice, a key whose factor count
+is not the rank, and a characteristic-0 monomial not in PBW normal form.
 """
 
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .report import VerificationReport
@@ -28,7 +30,10 @@ def scalar_str(c) -> str:
 
 
 def parse_scalar(s: str) -> Fraction:
-    return Fraction(s)
+    """A decimal integer or "num/den" string of the schema, nothing else."""
+    if isinstance(s, str) and re.fullmatch(r"-?[0-9]+(/0*[1-9][0-9]*)?", s):
+        return Fraction(s)
+    raise ValueError(f"scalar {s!r} is not a decimal integer or num/den string")
 
 
 def element_doc(x) -> list:
@@ -96,7 +101,16 @@ def report_doc(rep: VerificationReport) -> dict:
     return rep.to_dict()
 
 
+# the one stable rendering: fixed separators, no key re-sorting (documents are
+# built in canonical order already)
+_ENCODER = json.JSONEncoder(indent=2, ensure_ascii=False)
+
+
 def dumps(doc) -> str:
-    """Stable rendering: fixed separators, no key re-sorting (documents are
-    built in canonical order already), trailing newline."""
-    return json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    return _ENCODER.encode(doc) + "\n"
+
+
+def dump(doc, stream) -> None:
+    """Write dumps(doc) to stream chunk by chunk, never holding it whole."""
+    stream.writelines(_ENCODER.iterencode(doc))
+    stream.write("\n")

@@ -72,3 +72,5 @@ class VerificationReport:
             lines.append(line)
         lines.append(f"{len(self.entries)} checks, {len(self.failures())} failures")
         return "\n".join(lines)
+
+    __str__ = summary

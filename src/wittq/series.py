@@ -575,7 +575,13 @@ def check_hopf(verdicts: Verdicts, d: Deformation, corrupt_term, ks, bracket: bo
     ks: the check_generator block of each x_k, then for each ordered pair
     (k, l) that the coproduct is multiplicative on x_k x_l and, if bracket is
     set, that it maps [x_k, x_l] to [Delta(x_k), Delta(x_l)].  Each point is
-    d.point with k (and l) added."""
+    d.point with k (and l) added.
+
+    Only the coproduct-multiplicative entries with k > l carry content.  For
+    k <= l, x_k x_l is already a PBW monomial, whose image under the PBW
+    extension is Delta(x_k) Delta(x_l) by construction, so those entries
+    check only the PBW order of _mono_image and no fault in the generator
+    maps can make them fail."""
     base = d.point
     gen = partial(gen_coproduct, d, corrupt_term)
     coproduct = partial(element_coproduct, d, corrupt_term)

@@ -48,6 +48,11 @@ def mono_of(word: Word) -> Mono:
     return tuple((k, m) for k, m in out)
 
 
+def is_normal(mono: Mono) -> bool:
+    """A PBW normal monomial: strictly ascending indices, exponents >= 1."""
+    return all(m >= 1 for _, m in mono) and all(a < b for (a, _), (b, _) in zip(mono, mono[1:]))
+
+
 def mono_degree(mono: Mono) -> int:
     return sum(k * m for k, m in mono)
 
@@ -90,7 +95,9 @@ def mono_mul(a: Mono, b: Mono) -> tuple[tuple[Mono, int], ...]:
 
 
 class Element(TensorElement):
-    """A finitely supported Q-linear combination of (tensors of) monomials."""
+    """A finitely supported Q-linear combination of (tensors of) monomials.
+    The constructor refuses a key that is not rank PBW normal monomials, as
+    ElementP's does; _like, the kernel's path, trusts its keys."""
 
     __slots__ = ()
 
@@ -100,6 +107,8 @@ class Element(TensorElement):
         self.rank = rank
         clean = {}
         for key, c in (terms or {}).items():
+            if len(key) != rank or not all(map(is_normal, key)):
+                raise ValueError(f"key {key!r} is not {rank} PBW normal monomials")
             c = Fraction(c)
             if c:
                 clean[key] = c

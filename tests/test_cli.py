@@ -260,12 +260,71 @@ D0, D1 = [[1, 0, 0]], [[0, 1, 0]]
         lambda: jsonio.parse_element([{"coeff": "1", "factors": [[[1, 1]], []]}], 1),
         # one key twice
         lambda: jsonio.parse_element_p([{"coeff": "1", "factors": D0}, {"coeff": "2", "factors": D0}], 3, 1),
+        # char-0 monomials not in PBW normal form: descending indices, a zero exponent
+        lambda: jsonio.parse_element([{"coeff": "1", "factors": [[[2, 1], [1, 1]]]}], 1),
+        lambda: jsonio.parse_element([{"coeff": "1", "factors": [[[1, 0]]]}], 1),
+        # scalars that are not a decimal integer or num/den string
+        lambda: jsonio.parse_element([{"coeff": "1e3", "factors": [[[1, 1]]]}], 1),
+        lambda: jsonio.parse_element([{"coeff": "1.5", "factors": [[[1, 1]]]}], 1),
+        lambda: jsonio.parse_element([{"coeff": " 1/2 ", "factors": [[[1, 1]]]}], 1),
     ],
-    ids=["poly-negative-degree", "series-negative-degree", "degree-above-order", "factor-count", "repeated-key"],
+    ids=[
+        "poly-negative-degree",
+        "series-negative-degree",
+        "degree-above-order",
+        "factor-count",
+        "repeated-key",
+        "descending-indices",
+        "zero-exponent",
+        "scalar-exponent",
+        "scalar-decimal",
+        "scalar-spaces",
+    ],
 )
 def test_parsers_refuse_malformed_documents(parse):
     with pytest.raises(ValueError):
         parse()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["tables", "--p", "3", "--i", "1"], ["counit", "--char", "0", "--i", "1", "--k", "2"]],
+    ids=["tables-json", "counit-text"],
+)
+def test_out_into_missing_directory_is_an_io_error(argv, tmp_path, capsys):
+    code = main(argv + ["--out", str(tmp_path / "missing" / "out")])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.err.startswith("i/o error:")
+    assert captured.out == ""
+
+
+# Runs argv and prints its exit code and peak RSS (KiB) from os.wait4.  A
+# process's peak RSS starts at that of the memory image it was exec'd from, so
+# the child is started from this small interpreter, not from the test process.
+_PEAK_RSS = """import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads ru_maxrss in KiB, as Linux reports it")
+def test_tables_p19_streams_the_document(tmp_path):
+    """The 15 MB p = 19 document is written chunk by chunk: the process peaks
+    far below the ~125 MB of rendering it to one string first."""
+    argv = [sys.executable, "-m", "wittq", "tables", "--p", "19", "--i", "1", "--out", str(tmp_path / "t.json")]
+    proc = subprocess.run(
+        [sys.executable, "-c", _PEAK_RSS, *argv],
+        capture_output=True,
+        text=True,
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        env=dict(os.environ, PYTHONPATH="src"),
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, peak_kib = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak_kib / 1024 < 64
 
 
 ALL_I_P3 = ["verify", "--char", "p", "--p", "3", "--all-i", "--t", "all"]

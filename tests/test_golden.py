@@ -3,7 +3,8 @@
 Each case runs in-process and its full output is hashed with SHA-256.  The
 digests were recorded from the implementation before the t-series layer was
 shared between the characteristics; any change to the bytes of a structure
-map, a table, a report or a mismatch witness fails here.
+map, a table, a report or a mismatch witness fails here.  Every JSON case
+also writes the same bytes through --out as to stdout.
 """
 
 import contextlib
@@ -94,3 +95,16 @@ def _run(name: str) -> str:
 def test_output_bytes_match_recorded_digest(name):
     digest = hashlib.sha256(_run(name).encode("utf-8")).hexdigest()
     assert digest == DIGESTS[name]
+
+
+JSON_CASES = sorted(name for name, argv in CLI_CASES.items() if "json" in argv or argv[0] == "tables")
+
+
+@pytest.mark.parametrize("name", JSON_CASES)
+def test_out_file_bytes_match_stdout(name, tmp_path):
+    path = tmp_path / "out.json"
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(CLI_CASES[name] + ["--out", str(path)])
+    assert buf.getvalue() == ""
+    assert f"exit {code}\n".encode() + path.read_bytes() == _run(name).encode("utf-8")

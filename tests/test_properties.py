@@ -1,12 +1,15 @@
 """Seeded property tests of the multiply kernels of both characteristics on
-random elements of every rank they serve.  Derandomized with fixed small
-budgets, so every run draws the same examples."""
+random elements of every rank they serve, and of the streamed JSON writer.
+Derandomized with fixed small budgets, so every run draws the same
+examples."""
 
+import io
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from wittq import jsonio
 from wittq.restricted import ElementP
 from wittq.uwitt import Element
 
@@ -95,3 +98,19 @@ def test_multiply_associative_q(xyz):
 def test_multiply_factorwise_on_tensors_q(abcd):
     a, b, c, d = abcd
     assert a.tensor(b) * c.tensor(d) == (a * c).tensor(b * d)
+
+
+# -- the JSON writer -------------------------------------------------------------
+
+_LEAVES = st.none() | st.booleans() | st.integers() | st.text()
+_DOCS = st.recursive(_LEAVES, lambda docs: st.lists(docs) | st.dictionaries(st.text(), docs), max_leaves=40)
+_DEEP = [{"ä": [[[[[[[[[[{}, [], "ε ⊗ 1"]]]]]]]]]]}]
+
+
+@PROPERTY
+@given(_DOCS)
+@example(_DEEP)
+def test_dump_streams_the_bytes_of_dumps(doc):
+    stream = io.StringIO()
+    jsonio.dump(doc, stream)
+    assert stream.getvalue() == jsonio.dumps(doc)
