@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -267,6 +268,19 @@ D0, D1 = [[1, 0, 0]], [[0, 1, 0]]
         lambda: jsonio.parse_element([{"coeff": "1e3", "factors": [[[1, 1]]]}], 1),
         lambda: jsonio.parse_element([{"coeff": "1.5", "factors": [[[1, 1]]]}], 1),
         lambda: jsonio.parse_element([{"coeff": " 1/2 ", "factors": [[[1, 1]]]}], 1),
+        # char-p coefficients that are not a decimal integer string (each read as 2 by int)
+        lambda: jsonio.parse_element_p([{"coeff": " 2 ", "factors": D0}], 3, 1),
+        lambda: jsonio.parse_element_p([{"coeff": "+2", "factors": D0}], 3, 1),
+        lambda: jsonio.parse_element_p([{"coeff": "1_1", "factors": D0}], 3, 1),
+        lambda: jsonio.parse_element_p([{"coeff": 2, "factors": D0}], 3, 1),
+        lambda: jsonio.parse_element_p([{"coeff": 2.9, "factors": D0}], 3, 1),
+        # factor entries that are not JSON integers (each read as D_0, the last as L_2)
+        lambda: jsonio.parse_element_p([{"coeff": "1", "factors": [[1.9, 0, 0]]}], 3, 1),
+        lambda: jsonio.parse_element_p([{"coeff": "1", "factors": [[True, 0, 0]]}], 3, 1),
+        lambda: jsonio.parse_element_p([{"coeff": "1", "factors": [["1", 0, 0]]}], 3, 1),
+        lambda: jsonio.parse_element([{"coeff": "1", "factors": [[["2", True]]]}], 1),
+        # a degree key series_doc does not write
+        lambda: jsonio.parse_poly({" 1": [{"coeff": "1", "factors": D0}]}, 3, 1),
     ],
     ids=[
         "poly-negative-degree",
@@ -279,6 +293,16 @@ D0, D1 = [[1, 0, 0]], [[0, 1, 0]]
         "scalar-exponent",
         "scalar-decimal",
         "scalar-spaces",
+        "charp-coeff-spaces",
+        "charp-coeff-plus",
+        "charp-coeff-underscore",
+        "charp-coeff-number",
+        "charp-coeff-float",
+        "entry-float",
+        "entry-bool",
+        "entry-string",
+        "char0-entry-string-and-bool",
+        "degree-key-space",
     ],
 )
 def test_parsers_refuse_malformed_documents(parse):
@@ -325,6 +349,29 @@ def test_tables_p19_streams_the_document(tmp_path):
     code, peak_kib = map(int, proc.stdout.split())
     assert code == 0
     assert peak_kib / 1024 < 64
+
+
+class _Writes(io.StringIO):
+    """A text stream that records the length of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, s):
+        self.sizes.append(len(s))
+        return super().write(s)
+
+
+def test_tables_document_is_written_in_bounded_chunks(monkeypatch):
+    """On any OS, the 1.2 MB p = 11 document reaches its stream in many writes
+    of at most 256 KiB each, not as one string."""
+    stream = _Writes()
+    monkeypatch.setattr(sys, "stdout", stream)
+    assert main(["tables", "--p", "11", "--i", "1"]) == 0
+    assert sum(stream.sizes) == len(stream.getvalue()) > 1 << 20
+    assert len(stream.sizes) > 1
+    assert max(stream.sizes) <= 1 << 18
 
 
 ALL_I_P3 = ["verify", "--char", "p", "--p", "3", "--all-i", "--t", "all"]

@@ -4,12 +4,16 @@ Derandomized with fixed small budgets, so every run draws the same
 examples."""
 
 import io
+import json
+import os
 from fractions import Fraction
+from unittest import mock
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from wittq import jsonio
+from wittq import cli, jsonio
 from wittq.restricted import ElementP
 from wittq.uwitt import Element
 
@@ -114,3 +118,49 @@ def test_dump_streams_the_bytes_of_dumps(doc):
     stream = io.StringIO()
     jsonio.dump(doc, stream)
     assert stream.getvalue() == jsonio.dumps(doc)
+
+
+def _tables_doc(p: int) -> dict:
+    """The document `wittq tables --p p --i 1` writes, as the CLI builds it."""
+    docs = []
+    with mock.patch.object(jsonio, "dump", lambda doc, stream: docs.append(doc)):
+        cli.main(["tables", "--p", str(p), "--i", "1", "--out", os.devnull])
+    return docs[0]
+
+
+_TEXT = st.text(st.sampled_from('"\\/\b\n\t\x00\x1f\x7f\u2028ä𝔽') | st.characters(), max_size=6)
+_ORACLE_LEAVES = st.none() | st.booleans() | st.integers() | st.integers(-(2**80), 2**80) | _TEXT
+_TREES = st.recursive(
+    _ORACLE_LEAVES,
+    lambda docs: st.lists(docs) | st.lists(docs).map(tuple) | st.dictionaries(_TEXT, docs),
+    max_leaves=40,
+)
+
+
+@st.composite
+def _shared_tuple(draw):
+    """One tuple object at three depths of a document."""
+    t = draw(st.lists(_TREES, max_size=4).map(tuple))
+    return [t, [t, {"t": t}], draw(_TREES)]
+
+
+@settings(derandomize=True, max_examples=50, deadline=None)
+@given(_TREES | _shared_tuple())
+@example(_tables_doc(5))
+@example([0, ({"big": [0, True, -1] * jsonio._CHUNK},)])  # a tuple past one write
+@example([(1, 0), (True, False), [1, True]])  # equal tuples, different text
+def test_writer_matches_the_stdlib_encoder(doc):
+    oracle = json.dumps(doc, indent=2, ensure_ascii=False) + "\n"
+    stream = io.StringIO()
+    jsonio.dump(doc, stream)
+    assert stream.getvalue() == jsonio.dumps(doc) == oracle
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [1.5, [0, 0.0], {1, 2}, Fraction(1, 2), {"a": {1: "b"}}, [(1,), (1.0,)]],
+    ids=["float", "float-in-list", "set", "fraction", "int-key", "float-tuple-equal-to-int-tuple"],
+)
+def test_writer_refuses_types_outside_the_schema(doc):
+    with pytest.raises(TypeError):
+        jsonio.dumps(doc)
