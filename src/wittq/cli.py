@@ -201,8 +201,14 @@ def _cmd_tables(parser, args) -> int:
 
 
 def _verify_cell(cell):
-    """Verify one (p, i) cell; the cells of an --all-i sweep share no state."""
+    """Verify one (p, i) cell."""
     return hopfp.verify_all_p(*cell)
+
+
+def _verify_pair(cell):
+    """Verify the cells (p, i) and (p, p - i), the second derived from the
+    first where it can be; the pairs of an --all-i sweep share no state."""
+    return hopfp.verify_pair_p(*cell)
 
 
 def _usable_cpus() -> int:
@@ -243,10 +249,16 @@ def _cmd_verify(parser, args) -> int:
         if args.i is None and not args.all_i:
             parser.error("characteristic p requires --i or --all-i")
         d = _deformation(parser, args, 1 if args.all_i else None)
-        t_values = tuple(_t_values(parser, args, d.char))
-        cells = [Deformation(d.char, None, i) for i in range(1, d.char)] if args.all_i else [d]
-        rep = restricted.verify_witt_iso(d.char)
-        for cell_rep in _map_cells(_verify_cell, [(cell, t_values) for cell in cells]):
+        p, t_values = d.char, tuple(_t_values(parser, args, d.char))
+        rep = restricted.verify_witt_iso(p)
+        if args.all_i:
+            # i = 1 .. (p-1)/2, each with its mirror p - i; the mirrors come
+            # in reverse, (p+1)/2 .. p-1
+            pairs = _map_cells(_verify_pair, [(Deformation(p, None, i), t_values) for i in range(1, (p + 1) // 2)])
+            cell_reps = [first for first, _ in pairs] + [mirror for _, mirror in reversed(pairs)]
+        else:
+            cell_reps = [_verify_cell((d, t_values))]
+        for cell_rep in cell_reps:
             rep.extend(cell_rep)
     _emit(args, lambda: jsonio.report_doc(rep), rep)
     return 0 if rep.ok else 1

@@ -15,11 +15,13 @@ tuples and dicts with str keys; any other value, a float, a set or a non-str
 key among them, is a TypeError.
 
 The parsers accept only what the writer emits and refuse, with ValueError, a
-char-0 scalar not of that form, a char-p coefficient not a decimal integer
-string, a factor entry not a JSON integer (a bool or float included), a
-degree key not written as series_doc writes it or above the order, a key
-given twice, a key whose factor count is not the rank, and a
-characteristic-0 monomial not in PBW normal form.
+document of another shape (a series not an object, a term list not an array,
+a term not an object of exactly coeff and factors, a key not nested as deep
+as its characteristic's monomials), a char-0 scalar not of that form, a char-p
+coefficient not a decimal integer string, a factor entry not a JSON integer
+(a bool or float included), a degree key not written as series_doc writes
+it or above the order, a key given twice, a key whose factor count is not
+the rank, and a characteristic-0 monomial not in PBW normal form.
 """
 
 from __future__ import annotations
@@ -64,21 +66,29 @@ def series_doc(s) -> dict:
     return {str(d): element_doc(c) for d, c in enumerate(s.coeffs) if c.terms}
 
 
-def _ints(doc):
-    """A JSON monomial (nested arrays of integers) as tuples of ints; any
-    other entry, a bool or a float included, is a ValueError."""
-    if isinstance(doc, list):
-        return tuple(map(_ints, doc))
+def _ints(doc, depth: int):
+    """A JSON key (arrays nested depth deep around integers) as tuples of
+    ints; any other shape or entry, a bool or a float included, is a
+    ValueError."""
+    if depth:
+        if not isinstance(doc, list):
+            raise ValueError(f"factor entry {doc!r} is not an array")
+        return tuple(_ints(x, depth - 1) for x in doc)
     if type(doc) is int:
         return doc
     raise ValueError(f"factor entry {doc!r} is not an integer")
 
 
-def _terms(doc: list, rank: int, scalar) -> dict:
-    """The {key: coefficient} map of a term list, each key rank factors, once."""
+def _terms(doc: list, rank: int, scalar, depth: int) -> dict:
+    """The {key: coefficient} map of a term list, each term an object of
+    exactly coeff and factors, each key rank factors (see _ints), once."""
+    if not isinstance(doc, list):
+        raise ValueError(f"term list {doc!r} is not an array")
     terms = {}
     for term in doc:
-        key = _ints(term["factors"])
+        if not isinstance(term, dict) or term.keys() != {"coeff", "factors"}:
+            raise ValueError(f"term {term!r} is not an object of coeff and factors")
+        key = _ints(term["factors"], depth)
         if len(key) != rank:
             raise ValueError(f"key {key!r} has {len(key)} factors, not {rank}")
         if key in terms:
@@ -91,6 +101,8 @@ def _coeffs(doc: dict, order, zero, parse) -> list:
     """The coefficients of a {degree: term-list} map, each degree key in the
     form series_doc writes (so no degree is given twice) and at most order
     (any degree when order is None)."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"series {doc!r} is not an object")
     out = {}
     for d, terms in doc.items():
         n = int(_match(d, r"0|[1-9][0-9]*", "degree"))
@@ -101,11 +113,13 @@ def _coeffs(doc: dict, order, zero, parse) -> list:
 
 
 def parse_element(doc: list, rank: int) -> Element:
-    return Element(rank, _terms(doc, rank, parse_scalar))
+    # a key is rank monomials, each a list of [index, exponent] pairs
+    return Element(rank, _terms(doc, rank, parse_scalar, 3))
 
 
 def parse_element_p(doc: list, p: int, rank: int) -> ElementP:
-    return ElementP(p, rank, _terms(doc, rank, lambda s: int(_match(s, r"-?[0-9]+", "coefficient"))))
+    # a key is rank exponent vectors
+    return ElementP(p, rank, _terms(doc, rank, lambda s: int(_match(s, r"-?[0-9]+", "coefficient")), 2))
 
 
 def parse_series(doc: dict, order: int, rank: int) -> Series:

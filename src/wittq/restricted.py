@@ -443,6 +443,34 @@ def act_derivation(k, m: int, p: int | None = None) -> tuple[FpElem, int]:
     return FpElem(m, p), (m + k) % p
 
 
+@lru_cache(maxsize=None)
+def involution_mono(mono: MonoP, p: int) -> ElementP:
+    """sigma of a PBW monomial, for sigma: D_k -> -D_{-k}: the product of
+    (-D_{-k})^a over its runs D_k^a, in PBW order, straightened."""
+    out = ElementP.one(p)
+    for k, a in enumerate(mono):
+        if a:
+            out = out * (-ElementP.gen(-k, p)) ** a
+    return out
+
+
+def involution(x: ElementP) -> ElementP:
+    """sigma: D_k -> -D_{-k} on every tensor factor of x.  It preserves the
+    bracket, [-D_{-k}, -D_{-l}] = (l - k)(-D_{-k-l}), and the p-power map, so
+    it is an automorphism of u(W), and an involution."""
+    p = x.p
+    sums: dict = {}
+    get = sums.get
+    for key, c in x.terms.items():
+        parts = {(): c}
+        for mono in key:
+            image = involution_mono(mono, p).terms
+            parts = {k + k2: v * v2 for k, v in parts.items() for k2, v2 in image.items()}
+        for k, v in parts.items():
+            sums[k] = get(k, 0) + v
+    return x.from_sums(x.rank, sums)
+
+
 def p_power_map(k, p: int | None = None) -> ElementP:
     """The restricted p-power of a generator: D_0 for k = 0, zero otherwise."""
     k, p = _residue(k, p)

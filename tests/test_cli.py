@@ -281,6 +281,14 @@ D0, D1 = [[1, 0, 0]], [[0, 1, 0]]
         lambda: jsonio.parse_element([{"coeff": "1", "factors": [[["2", True]]]}], 1),
         # a degree key series_doc does not write
         lambda: jsonio.parse_poly({" 1": [{"coeff": "1", "factors": D0}]}, 3, 1),
+        # documents of another shape: factors not an array, a term without
+        # coeff, a term given as a list, a polynomial given as a list, and
+        # char-0 monomials not nested as lists of [index, exponent] pairs
+        lambda: jsonio.parse_element_p([{"coeff": "1", "factors": 5}], 3, 1),
+        lambda: jsonio.parse_element_p([{"factors": D0}], 3, 1),
+        lambda: jsonio.parse_element_p([["1", D0]], 3, 1),
+        lambda: jsonio.parse_poly([], 3, 1),
+        lambda: jsonio.parse_element([{"coeff": "1", "factors": [[1, 1]]}], 1),
     ],
     ids=[
         "poly-negative-degree",
@@ -303,6 +311,11 @@ D0, D1 = [[1, 0, 0]], [[0, 1, 0]]
         "entry-string",
         "char0-entry-string-and-bool",
         "degree-key-space",
+        "factors-not-array",
+        "term-without-coeff",
+        "term-as-list",
+        "poly-as-list",
+        "char0-monomial-shape",
     ],
 )
 def test_parsers_refuse_malformed_documents(parse):
@@ -374,7 +387,7 @@ def test_tables_document_is_written_in_bounded_chunks(monkeypatch):
     assert max(stream.sizes) <= 1 << 18
 
 
-ALL_I_P3 = ["verify", "--char", "p", "--p", "3", "--all-i", "--t", "all"]
+ALL_I_P5 = ["verify", "--char", "p", "--p", "5", "--all-i", "--t", "all"]
 
 
 @pytest.fixture
@@ -409,9 +422,13 @@ def _run_with_cpus(monkeypatch, capsys, cpus, argv):
     return run_cli(argv, capsys)
 
 
+# p = 5: two pairs {1, 4} and {2, 3}, so two tasks, enough for a pool; at
+# p = 3 the one pair {1, 2} runs serially
+
+
 @pytest.mark.parametrize("fmt", ["text", "json"])
 def test_all_i_pool_matches_serial(fmt, monkeypatch, capsys, pools):
-    argv = ALL_I_P3 + ["--format", fmt]
+    argv = ALL_I_P5 + ["--format", fmt]
     serial = _run_with_cpus(monkeypatch, capsys, 1, argv)
     assert pools == []
     pooled = _run_with_cpus(monkeypatch, capsys, 2, argv)
@@ -420,24 +437,43 @@ def test_all_i_pool_matches_serial(fmt, monkeypatch, capsys, pools):
     assert serial[0] == 0
 
 
-def test_all_i_pool_reraises_a_failing_cell(monkeypatch, capsys, pools):
+def _raised_with_1_and_2_cpus(monkeypatch, capsys, raising, failing=None):
+    """The exception types of a serial and a pooled --p 5 --all-i run in
+    which verify_all_p raises for direction raising and, for direction
+    failing, returns a failing report."""
     import wittq.cli as cli
+    from wittq.report import VerificationReport
 
     verify = cli.hopfp.verify_all_p
 
-    def failing(params, t_values=(None,)):
-        if params.i == 2:
-            raise ArithmeticError("cell i=2")
+    def faulty(params, t_values=(None,)):
+        if params.i == raising:
+            raise ArithmeticError(f"cell i={raising}")
+        if params.i == failing:
+            rep = VerificationReport()
+            rep.add("injected", {"p": params.char, "i": params.i}, False, "forced failure")
+            return rep
         return verify(params, t_values)
 
-    monkeypatch.setattr(cli.hopfp, "verify_all_p", failing)
+    monkeypatch.setattr(cli.hopfp, "verify_all_p", faulty)
     raised = []
     for cpus in (1, 2):
         with pytest.raises(Exception) as exc:
-            _run_with_cpus(monkeypatch, capsys, cpus, ALL_I_P3)
+            _run_with_cpus(monkeypatch, capsys, cpus, ALL_I_P5)
         raised.append(exc.type)
+    return raised
+
+
+def test_all_i_pool_reraises_a_failing_cell(monkeypatch, capsys, pools):
+    # cell 2 is computed directly
+    assert _raised_with_1_and_2_cpus(monkeypatch, capsys, 2) == [ArithmeticError, ArithmeticError]
     assert pools == ["fork"]
-    assert raised == [ArithmeticError, ArithmeticError]
+
+
+def test_all_i_pool_reraises_a_failing_mirror_fallback(monkeypatch, capsys, pools):
+    # cell 2 fails, so its mirror, cell 3, is computed directly, and raises
+    assert _raised_with_1_and_2_cpus(monkeypatch, capsys, 3, 2) == [ArithmeticError, ArithmeticError]
+    assert pools == ["fork"]
 
 
 def test_single_i_never_makes_a_pool(monkeypatch, capsys):
@@ -451,8 +487,88 @@ def test_single_i_never_makes_a_pool(monkeypatch, capsys):
 def test_all_i_without_fork_runs_serially(fmt, monkeypatch, capsys):
     import multiprocessing
 
-    argv = ALL_I_P3 + ["--format", fmt]
+    argv = ALL_I_P5 + ["--format", fmt]
     serial = _run_with_cpus(monkeypatch, capsys, 1, argv)
     _no_pool(monkeypatch)
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"])
     assert _run_with_cpus(monkeypatch, capsys, 2, argv) == serial
+
+
+# -- --all-i derives cell p - i from cell i: the same bytes as direct cells ------
+
+
+def _direct_all_i(p, t_values, fmt):
+    """The --all-i output built from verify_witt_iso and a direct
+    verify_all_p of every i, in i order."""
+    from wittq.hopfp import verify_all_p
+    from wittq.restricted import verify_witt_iso
+
+    rep = verify_witt_iso(p)
+    for i in range(1, p):
+        rep.extend(verify_all_p(HopfParamsP(p, i), t_values))
+    return rep.ok, str(rep) + "\n" if fmt == "text" else jsonio.dumps(jsonio.report_doc(rep))
+
+
+def _cells_computed(monkeypatch, capsys, p, t, fmt):
+    """Exit code, output and the directions verify_all_p ran for, of one
+    serial --all-i run."""
+    import wittq.cli as cli
+
+    verify, ran = cli.hopfp.verify_all_p, []
+
+    def recorded(params, t_values=None):
+        ran.append(params.i)
+        return verify(params, t_values)
+
+    monkeypatch.setattr(cli.hopfp, "verify_all_p", recorded)
+    argv = ["verify", "--char", "p", "--p", str(p), "--all-i", "--t", t, "--format", fmt]
+    code, out = _run_with_cpus(monkeypatch, capsys, 1, argv)
+    monkeypatch.setattr(cli.hopfp, "verify_all_p", verify)
+    return code, out, ran
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize("t", ["symbolic", "2", "all"])
+@pytest.mark.parametrize("p", (3, 5))
+def test_all_i_derived_cells_match_direct_cells(p, t, fmt, monkeypatch, capsys):
+    code, out, ran = _cells_computed(monkeypatch, capsys, p, t, fmt)
+    assert ran == list(range(1, (p + 1) // 2))  # every mirror derived
+    t_values = {"symbolic": (None,), "2": (2,), "all": (None, *range(p))}[t]
+    ok, want = _direct_all_i(p, t_values, fmt)
+    assert (code, out) == (0, want) and ok
+
+
+@pytest.mark.parametrize("faulty", [{1}, {1, 2, 3, 4}], ids=["cell-1", "every-cell"])
+def test_all_i_failing_cell_computes_its_mirror_directly(faulty, monkeypatch, capsys):
+    # a wrong coproduct coefficient (corrupt_term) in the relation checks of
+    # the faulty directions
+    import wittq.cli as cli
+
+    check = cli.hopfp._check_relations
+
+    def relations(verdicts, params, corrupt_term=None):
+        check(verdicts, params, 1 if params.i in faulty else corrupt_term)
+
+    monkeypatch.setattr(cli.hopfp, "_check_relations", relations)
+    code, out, ran = _cells_computed(monkeypatch, capsys, 5, "all", "json")
+    assert ran == ([1, 4, 2] if faulty == {1} else [1, 4, 2, 3])
+    ok, want = _direct_all_i(5, (None, *range(5)), "json")
+    assert (code, out) == (1, want) and not ok
+    failed = {e["params"]["i"] for e in json.loads(out)["entries"] if e["status"] == "fail"}
+    assert failed == {str(i) for i in faulty}
+
+
+def test_all_i_without_equivariance_computes_the_mirror_directly(monkeypatch, capsys):
+    # direction 3's antipode doubled, in the relation checks and in the
+    # equivariance check: pair {2, 3} falls back, pair {1, 4} is derived
+    import wittq.cli as cli
+
+    antipode = cli.hopfp.gen_antipode
+    monkeypatch.setattr(cli.hopfp, "gen_antipode", lambda d, k: 2 * antipode(d, k) if d.i == 3 else antipode(d, k))
+    assert not cli.hopfp.sigma_equivariant(HopfParamsP(5, 2))
+    assert cli.hopfp.sigma_equivariant(HopfParamsP(5, 1))
+    code, out, ran = _cells_computed(monkeypatch, capsys, 5, "all", "text")
+    assert ran == [1, 2, 3]
+    ok, want = _direct_all_i(5, (None, *range(5)), "text")
+    assert (code, out) == (1, want) and not ok
+    assert "[FAIL] antipode-commutator (i=3, " in out

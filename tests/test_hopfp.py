@@ -18,8 +18,10 @@ from wittq.hopfp import (
     counit_p,
     e_element_p,
     radford_check,
+    sigma_equivariant,
     verify_all_p,
     verify_hopf_p,
+    verify_pair_p,
     verify_relations_preserved,
 )
 from wittq.report import VerificationReport
@@ -403,3 +405,18 @@ def test_numeric_request_never_computes_at_symbolic_t(monkeypatch):
     seen.clear()
     assert verify_all_p(HopfParamsP(5, 2), (None, 1)).ok
     assert seen == {None, "evaluated"}
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_sigma_is_equivariant_for_every_direction(p):
+    assert all(sigma_equivariant(HopfParamsP(p, i)) for i in range(1, p))
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_pair_reports_equal_direct_reports(p):
+    # both members of every pair, from either end, at symbolic t and at t = 1
+    for i in range(1, p):
+        for t in (None, 1):
+            first, mirror = verify_pair_p(HopfParamsP(p, i, t))
+            assert first.entries == verify_all_p(HopfParamsP(p, i, t)).entries
+            assert mirror.entries == verify_all_p(HopfParamsP(p, p - i, t)).entries

@@ -11,7 +11,9 @@ from wittq.restricted import (
     basis_size,
     bracket_p,
     embed_witt,
+    e_element_p,
     gen_mono,
+    involution,
     mono_times_gen_p,
     one_mono,
     p_power_map,
@@ -489,3 +491,72 @@ def test_element_p_str():
     assert str(x) == "3 * D_1^2*D_3"
     assert str(ElementP.one(5)) == "1 * 1"
     assert str(ElementP.zero(5)) == "0"
+
+
+# -- the involution sigma: D_k -> -D_{-k} ----------------------------------------
+
+
+@pytest.mark.parametrize("p", (3, 5, 7))
+def test_involution_is_an_automorphism(p):
+    sigma = {k: involution(D(k, p)) for k in range(p)}
+    for k in range(p):
+        assert sigma[k] == -D(-k, p)
+        for l in range(p):
+            assert involution(bracket_p(k, l, p)) == commutator(sigma[k], sigma[l])
+        assert sigma[k] ** p == involution(p_power_map(k, p))
+
+
+def test_involution_squares_to_the_identity():
+    for mono in itertools.product(range(3), repeat=3):
+        x = ElementP.from_mono(3, mono)
+        assert involution(involution(x)) == x
+    # p = 5: seeded monomials of degree at most 8 (sigma of a generic one of
+    # the 3125 straightens into thousands of terms), alone and in pairs
+    rng = random.Random(5)
+
+    def mono():
+        exps = [0] * 5
+        for _ in range(rng.randrange(1, 9)):
+            exps[rng.randrange(5)] += 1
+        return tuple(min(e, 4) for e in exps)
+
+    for rank in (1, 2):
+        for _ in range(30):
+            x = ElementP(5, rank, {tuple(mono() for _ in range(rank)): rng.randrange(1, 5)})
+            assert involution(involution(x)) == x
+
+
+def test_involution_maps_h_and_e_of_i_to_those_of_minus_i():
+    from wittq.series import Deformation, h_rising
+
+    for p in (3, 5, 7):
+        for i in range(1, p):
+            h = h_rising(Deformation(p, None, i), 0, 1)
+            assert involution(h) == h_rising(Deformation(p, None, -i), 0, 1)
+            assert involution(e_element_p(p, i)) == e_element_p(p, -i)
+
+
+def _unsigned(mono, p):
+    # D_k -> D_{-k}: not an automorphism, [D_{-k}, D_{-l}] = (k - l) D_{-k-l}
+    out = ElementP.one(p)
+    for k, a in enumerate(mono):
+        out = out * D(-k, p) ** a
+    return out
+
+
+def _fixed_index(mono, p):
+    # D_k -> -D_k
+    out = ElementP.one(p)
+    for k, a in enumerate(mono):
+        out = out * (-D(k, p)) ** a
+    return out
+
+
+@pytest.mark.parametrize("mutant", [_unsigned, _fixed_index], ids=["no-sign", "k-to-k"])
+def test_equivariance_check_refuses_a_wrong_involution(mutant, monkeypatch):
+    from wittq import restricted
+    from wittq.hopfp import HopfParamsP, sigma_equivariant
+
+    assert all(sigma_equivariant(HopfParamsP(p, i)) for p in (3, 5) for i in range(1, p))
+    monkeypatch.setattr(restricted, "involution_mono", mutant)
+    assert not any(sigma_equivariant(HopfParamsP(p, i)) for p in (3, 5) for i in range(1, p))
