@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import itertools
 import os
 import sys
 
@@ -200,17 +201,6 @@ def _cmd_tables(parser, args) -> int:
     return 0
 
 
-def _verify_cell(cell):
-    """Verify one (p, i) cell."""
-    return hopfp.verify_all_p(*cell)
-
-
-def _verify_pair(cell):
-    """Verify the cells (p, i) and (p, p - i), the second derived from the
-    first where it can be; the pairs of an --all-i sweep share no state."""
-    return hopfp.verify_pair_p(*cell)
-
-
 def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
@@ -218,19 +208,19 @@ def _usable_cpus() -> int:
 
 
 def _map_cells(fn, cells) -> list:
-    """fn of each cell, in cell order; fn is a module-level function of one
-    independent cell.  With two or more cells and CPUs, and fork available,
-    the cells run in a pool of forked processes, which inherit the memos the
-    parent has filled so far; spawn and forkserver would start from cold
-    memos, so there the cells run serially."""
+    """fn(*cell) of each cell, in cell order; fn is a module-level function
+    and the cells share no state.  With two or more cells and CPUs, and fork
+    available, the cells run in a pool of forked processes, which inherit the
+    memos the parent has filled so far; spawn and forkserver would start from
+    cold memos, so there the cells run serially."""
     n = min(len(cells), _usable_cpus())
     if n >= 2:
         import multiprocessing
 
         if "fork" in multiprocessing.get_all_start_methods():
             with multiprocessing.get_context("fork").Pool(n) as pool:
-                return pool.map(fn, cells, chunksize=1)
-    return list(map(fn, cells))
+                return pool.starmap(fn, cells, chunksize=1)
+    return list(itertools.starmap(fn, cells))
 
 
 def _cmd_verify(parser, args) -> int:
@@ -254,12 +244,12 @@ def _cmd_verify(parser, args) -> int:
         if args.all_i:
             # i = 1 .. (p-1)/2, each with its mirror p - i; the mirrors come
             # in reverse, (p+1)/2 .. p-1
-            pairs = _map_cells(_verify_pair, [(Deformation(p, None, i), t_values) for i in range(1, (p + 1) // 2)])
-            cell_reps = [first for first, _ in pairs] + [mirror for _, mirror in reversed(pairs)]
+            cells = [(Deformation(p, None, i), t_values) for i in range(1, (p + 1) // 2)]
+            pairs = _map_cells(hopfp.verify_pair_p, cells)
+            for cell_rep in [first for first, _ in pairs] + [mirror for _, mirror in reversed(pairs)]:
+                rep.extend(cell_rep)
         else:
-            cell_reps = [_verify_cell((d, t_values))]
-        for cell_rep in cell_reps:
-            rep.extend(cell_rep)
+            rep.extend(hopfp.verify_all_p(d, t_values))
     _emit(args, lambda: jsonio.report_doc(rep), rep)
     return 0 if rep.ok else 1
 

@@ -23,6 +23,7 @@ reading.
 
 from __future__ import annotations
 
+from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -129,13 +130,10 @@ def _u_inverse(params: Deformation) -> Series:
 # -- deformed structure maps ---------------------------------------------------
 
 
-def coproduct_closed(k: int, params: Deformation, corrupt_term: int | None = None) -> Series:
-    """Closed-form deformed coproduct of L_k.
-
-    corrupt_term deliberately flips the sign of the degree-l summand; it exists
-    so the verification harness can prove it would notice a wrong formula.
-    """
-    return gen_coproduct(params, corrupt_term, k)
+def coproduct_closed(k: int, params: Deformation) -> Series:
+    """Closed-form deformed coproduct of L_k, with the sign of the degree-l
+    summand flipped at l = params.fault if the params carry one."""
+    return gen_coproduct(params, k)
 
 
 def coproduct_twist(x: Element, params: Deformation) -> Series:
@@ -176,9 +174,9 @@ def antipode_general(x: Element, params: Deformation) -> Series:
 # -- multiplicative/antimultiplicative extension --------------------------------
 
 
-def coproduct_element(x: Element, params: Deformation, corrupt_term: int | None = None) -> Series:
+def coproduct_element(x: Element, params: Deformation) -> Series:
     """Deformed coproduct extended to arbitrary elements (algebra morphism)."""
-    return element_coproduct(params, corrupt_term, x)
+    return element_coproduct(params, x)
 
 
 def antipode_element(x: Element, params: Deformation) -> Series:
@@ -236,9 +234,10 @@ def cobracket_semiclassical(k: int, i: int) -> Element:
 def verify_hopf0(params: Deformation, k_range, corrupt_term: int | None = None) -> VerificationReport:
     """Hopf axiom suite on generators: coassociativity, counit, antipode
     convolution, and well-definedness (multiplicativity + bracket compatibility)
-    on generator pairs.  Failures are reported, never raised."""
+    on generator pairs.  Failures are reported, never raised.  A fault given
+    here becomes the fault of the params checked (see Deformation)."""
     verdicts = Verdicts()
-    check_hopf(verdicts, params, corrupt_term, k_range, True)
+    check_hopf(verdicts, replace(params, fault=corrupt_term), k_range, True)
     return verdicts.reports[0]
 
 

@@ -98,14 +98,10 @@ first_mismatch_p = first_mismatch
 # -- deformed structure maps ------------------------------------------------------
 
 
-def coproduct_p(k, params: Deformation, corrupt_term: int | None = None) -> PolyP:
+def coproduct_p(k, params: Deformation) -> PolyP:
     """Deformed coproduct of D_k as an exact polynomial; specialized if the
-    params carry a t value.
-
-    corrupt_term bumps the degree-l coefficient by one, existing only so the
-    verifiers can demonstrate they would catch a wrong table.
-    """
-    return gen_coproduct(params, corrupt_term, _residue(k, params.char)[0])
+    params carry a t value, with N_l + 1 at l = params.fault if they carry one."""
+    return gen_coproduct(params, _residue(k, params.char)[0])
 
 
 def antipode_p(k, params: Deformation) -> PolyP:
@@ -123,8 +119,8 @@ def counit_p(x: ElementP) -> FpElem:
 # -- multiplicative/antimultiplicative extension ----------------------------------
 
 
-def coproduct_element_p(x: ElementP, params: Deformation, corrupt_term: int | None = None) -> PolyP:
-    return element_coproduct(params, corrupt_term, x)
+def coproduct_element_p(x: ElementP, params: Deformation) -> PolyP:
+    return element_coproduct(params, x)
 
 
 def antipode_element_p(x: ElementP, params: Deformation) -> PolyP:
@@ -138,9 +134,9 @@ def _t_linear(x: PolyP, mono_map, params: Deformation) -> PolyP:
     return out if params.t is None else _at(out, params.t)
 
 
-def coproduct_poly(x: PolyP, params: Deformation, corrupt_term: int | None = None) -> PolyP:
+def coproduct_poly(x: PolyP, params: Deformation) -> PolyP:
     """Coproduct of a t-polynomial of elements, t-linearly."""
-    return _t_linear(x, partial(mono_coproduct, params.at(None), corrupt_term), params)
+    return _t_linear(x, partial(mono_coproduct, params.at(None)), params)
 
 
 def antipode_poly(x: PolyP, params: Deformation) -> PolyP:
@@ -166,9 +162,9 @@ def _per_t(params: Deformation, t_values, check) -> VerificationReport:
     return rep
 
 
-def _check_relations(verdicts: Verdicts, params: Deformation, corrupt_term: int | None = None) -> None:
+def _check_relations(verdicts: Verdicts, params: Deformation) -> None:
     p, base = params.char, params.point
-    dk = {k: coproduct_p(k, params, corrupt_term) for k in range(p)}
+    dk = {k: coproduct_p(k, params) for k in range(p)}
     sk = {k: antipode_p(k, params) for k in range(p)}
 
     # each unordered pair once: [x_l, x_k] = -[x_k, x_l], and [x_k, x_k] = 0
@@ -196,12 +192,13 @@ def _check_relations(verdicts: Verdicts, params: Deformation, corrupt_term: int 
 def verify_relations_preserved(params: Deformation, corrupt_term: int | None = None) -> VerificationReport:
     """The deformed maps must respect the defining relations: commutators of
     generator images, and the p-power relations, for both the coproduct
-    (morphism) and the antipode (antimorphism)."""
-    return _per_t(params, (params.t,), partial(_check_relations, corrupt_term=corrupt_term))
+    (morphism) and the antipode (antimorphism).  A fault given here becomes
+    the fault of the params checked (see Deformation)."""
+    return _per_t(replace(params, fault=corrupt_term), (params.t,), _check_relations)
 
 
-def _check_hopf(verdicts: Verdicts, params: Deformation, corrupt_term: int | None = None) -> None:
-    check_hopf(verdicts, params, corrupt_term, range(params.char), False)
+def _check_hopf(verdicts: Verdicts, params: Deformation) -> None:
+    check_hopf(verdicts, params, range(params.char), False)
 
 
 def verify_hopf_p(params: Deformation, t_values=None) -> VerificationReport:
@@ -280,13 +277,13 @@ def sigma_equivariant(params: Deformation) -> bool:
     (sigma (x) sigma) Delta_i(D_k) = -Delta_{-i}(D_{-k}) and
     sigma S_i(D_k) = -S_{-i}(D_{-k})."""
     p = params.char
-    d, mirror = params.at(None), Deformation(p, None, -params.i)
+    d, mirror = Deformation(p, None, params.i), Deformation(p, None, -params.i)
 
     def sigma(s: PolyP) -> PolyP:
         return PolyP(p, s.rank, [involution(c) for c in s.coeffs])
 
     return all(
-        sigma(gen_coproduct(d, None, k)) == -gen_coproduct(mirror, None, -k % p)
+        sigma(gen_coproduct(d, k)) == -gen_coproduct(mirror, -k % p)
         and sigma(gen_antipode(d, k)) == -gen_antipode(mirror, -k % p)
         for k in range(p)
     )

@@ -17,8 +17,9 @@ key among them, is a TypeError.
 The parsers accept only what the writer emits and refuse, with ValueError, a
 document of another shape (a series not an object, a term list not an array,
 a term not an object of exactly coeff and factors, a key not nested as deep
-as its characteristic's monomials), a char-0 scalar not of that form, a char-p
-coefficient not a decimal integer string, a factor entry not a JSON integer
+as its characteristic's monomials), a char-0 scalar not written as
+scalar_str writes it, a char-p coefficient not a nonzero residue so written,
+a zero coefficient, a degree with no terms, a factor entry not a JSON integer
 (a bool or float included), a degree key not written as series_doc writes
 it or above the order, a key given twice, a key whose factor count is not
 the rank, and a characteristic-0 monomial not in PBW normal form.
@@ -43,16 +44,17 @@ def scalar_str(c) -> str:
     return str(int(c))
 
 
-def _match(s, pattern: str, what: str) -> str:
-    """s itself when it is a string matching pattern whole, else ValueError."""
-    if isinstance(s, str) and re.fullmatch(pattern, s):
-        return s
-    raise ValueError(f"{what} {s!r} does not match {pattern}")
+def _read(s, pattern: str, read, what: str):
+    """read(s) if s is a string matching pattern that scalar_str writes back."""
+    c = read(s) if isinstance(s, str) and re.fullmatch(pattern, s) else None
+    if c is None or scalar_str(c) != s:
+        raise ValueError(f"{what} {s!r} is not written as the schema writes it")
+    return c
 
 
 def parse_scalar(s: str) -> Fraction:
-    """A decimal integer or "num/den" string of the schema, nothing else."""
-    return Fraction(_match(s, r"-?[0-9]+(/0*[1-9][0-9]*)?", "scalar"))
+    """A decimal integer or "num/den" string as scalar_str writes it, nothing else."""
+    return _read(s, r"-?[0-9]+(/[1-9][0-9]*)?", Fraction, "scalar")
 
 
 def element_doc(x) -> list:
@@ -94,6 +96,8 @@ def _terms(doc: list, rank: int, scalar, depth: int) -> dict:
         if key in terms:
             raise ValueError(f"repeated key {key!r}")
         terms[key] = scalar(term["coeff"])
+        if not terms[key]:
+            raise ValueError(f"zero coefficient at {key!r}")
     return terms
 
 
@@ -105,10 +109,12 @@ def _coeffs(doc: dict, order, zero, parse) -> list:
         raise ValueError(f"series {doc!r} is not an object")
     out = {}
     for d, terms in doc.items():
-        n = int(_match(d, r"0|[1-9][0-9]*", "degree"))
+        n = _read(d, "[0-9]+", int, "degree")
         if order is not None and n > order:
             raise ValueError(f"degree {d} out of range")
         out[n] = parse(terms)
+        if not out[n].terms:
+            raise ValueError(f"degree {d} has no terms")
     return [out.get(n, zero) for n in range(max(out, default=-1) + 1)]
 
 
@@ -118,8 +124,8 @@ def parse_element(doc: list, rank: int) -> Element:
 
 
 def parse_element_p(doc: list, p: int, rank: int) -> ElementP:
-    # a key is rank exponent vectors
-    return ElementP(p, rank, _terms(doc, rank, lambda s: int(_match(s, r"-?[0-9]+", "coefficient")), 2))
+    # a key is rank exponent vectors, a coefficient a residue as scalar_str writes it
+    return ElementP(p, rank, _terms(doc, rank, lambda c: _read(c, "[0-9]+", lambda s: int(s) % p, "coefficient"), 2))
 
 
 def parse_series(doc: dict, order: int, rank: int) -> Series:

@@ -24,9 +24,9 @@ axiom block (check_generator) and the whole axiom suite on generators and
 generator pairs (check_hopf), which both verifiers call.
 
 Last come the deformation and its maps.  One Deformation value names the
-construction in either characteristic: (char, order, i, t), validated and
-normalized once, with what the characteristics differ in derived from it.  The
-characteristic-p maps are the characteristic-0 formulas read mod p, so each
+construction in either characteristic: (char, order, i, t, fault), validated
+and normalized once, with what the characteristics differ in derived from it.
+The characteristic-p maps are the characteristic-0 formulas read mod p, so each
 generator map, its extension to monomials and elements, and the Hopf axiom
 suite is written once and takes the Deformation first; the memoized ones are
 keyed on it.  The extension helpers take the image of the unit monomial and of
@@ -403,12 +403,17 @@ class Deformation:
     It also holds what the characteristics differ in: the rank-1 zero (whose
     _scalar reduces coefficients) and the count of t-degrees the closed
     formulas sum over, which in characteristic p stops below p: e^p = 0, and
-    only below p do the coefficients have one residue over all lifts."""
+    only below p do the coefficients have one residue over all lifts.
+
+    fault, if set, is the degree l < degrees of the one coproduct summand the
+    mutation tests falsify; at() keeps it, point leaves it out, and it is
+    compared and hashed, so a faulty map never shares a clean memo entry."""
 
     char: int
     order: int | None
     i: int
     t: int | None = None
+    fault: int | None = None
     zero: TensorElement = field(init=False, repr=False, compare=False)
     degrees: int = field(init=False, repr=False, compare=False)
 
@@ -432,6 +437,8 @@ class Deformation:
             derived = {"zero": Element.zero(1), "degrees": order + 1}
         for name, value in derived.items():
             object.__setattr__(self, name, value)
+        if self.fault is not None and self.fault not in range(self.degrees):
+            raise ValueError(f"fault {self.fault!r} names no summand: the degrees are 0 .. {self.degrees - 1}")
 
     def at(self, t) -> "Deformation":
         """The same deformation with t set to t (None: symbolic)."""
@@ -487,16 +494,16 @@ def _at(g: TSeries, t) -> TSeries:
 
 
 @lru_cache(maxsize=None)
-def gen_coproduct(d: Deformation, corrupt_term, k: int) -> TSeries:
-    """Coproduct of L_k.  corrupt_term deliberately falsifies the degree-l
-    summand, so the verifiers can show they would notice a wrong formula: a
-    sign flip in characteristic 0, C_l + 1 in characteristic p."""
+def gen_coproduct(d: Deformation, k: int) -> TSeries:
+    """Coproduct of L_k.  A fault of d deliberately falsifies the degree-l
+    summand, l = d.fault: a sign flip in characteristic 0, C_l + 1 in
+    characteristic p."""
     if d.t is not None:
-        return _at(gen_coproduct(d.at(None), corrupt_term, k), d.t)
+        return _at(gen_coproduct(d.at(None), k), d.t)
     out = binomial_series(d, Fraction(k, d.i)).tensor_left(d.gen(k))
     for l in range(d.degrees):
         c = int_coeff(d.i, k - d.i, l)
-        if corrupt_term == l:
+        if d.fault == l:
             c = c + 1 if d.char else -c
         if not d.zero._scalar(c):
             continue
@@ -546,10 +553,10 @@ def _element_image(x, mono_map, zero):
 
 
 @lru_cache(maxsize=None)
-def mono_coproduct(d: Deformation, corrupt_term, mono) -> TSeries:
+def mono_coproduct(d: Deformation, mono) -> TSeries:
     """Coproduct of a monomial (an algebra morphism)."""
     one = d.series(2, [d.zero.one_of(2)])
-    return _mono_image(d.zero.runs(mono), partial(gen_coproduct, d, corrupt_term), one, False)
+    return _mono_image(d.zero.runs(mono), partial(gen_coproduct, d), one, False)
 
 
 @lru_cache(maxsize=None)
@@ -559,8 +566,8 @@ def mono_antipode(d: Deformation, mono) -> TSeries:
     return _mono_image(d.zero.runs(mono), partial(gen_antipode, d), one, True)
 
 
-def element_coproduct(d: Deformation, corrupt_term, x) -> TSeries:
-    return _element_image(x, partial(mono_coproduct, d, corrupt_term), d.series(2))
+def element_coproduct(d: Deformation, x) -> TSeries:
+    return _element_image(x, partial(mono_coproduct, d), d.series(2))
 
 
 def element_antipode(d: Deformation, x) -> TSeries:
@@ -570,7 +577,7 @@ def element_antipode(d: Deformation, x) -> TSeries:
 # -- the Hopf axioms on generators and generator pairs ----------------------------
 
 
-def check_hopf(verdicts: Verdicts, d: Deformation, corrupt_term, ks, bracket: bool) -> None:
+def check_hopf(verdicts: Verdicts, d: Deformation, ks, bracket: bool) -> None:
     """Check the Hopf axioms of the deformation d on the generators x_k, k in
     ks: the check_generator block of each x_k, then for each ordered pair
     (k, l) that the coproduct is multiplicative on x_k x_l and, if bracket is
@@ -583,9 +590,9 @@ def check_hopf(verdicts: Verdicts, d: Deformation, corrupt_term, ks, bracket: bo
     check only the PBW order of _mono_image and no fault in the generator
     maps can make them fail."""
     base = d.point
-    gen = partial(gen_coproduct, d, corrupt_term)
-    coproduct = partial(element_coproduct, d, corrupt_term)
-    cp_mono = partial(mono_coproduct, d, corrupt_term)
+    gen = partial(gen_coproduct, d)
+    coproduct = partial(element_coproduct, d)
+    cp_mono = partial(mono_coproduct, d)
     ap_mono = partial(mono_antipode, d)
     ks = list(ks)
 

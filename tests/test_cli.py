@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -74,6 +75,19 @@ def test_cobracket(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["element"]  # nonzero cobracket at k=0
+
+
+def test_cobracket_exit1_on_route_mismatch(monkeypatch, capsys):
+    # route (a) reads a closed form whose degree-1 summand has its sign flipped
+    import wittq.cli as cli
+
+    closed = cli.hopf0.coproduct_closed
+    monkeypatch.setattr(cli.hopf0, "coproduct_closed", lambda k, params: closed(k, replace(params, fault=1)))
+    code = main(["cobracket", "--i", "1", "--k", "0", "--format", "json"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out == ""
+    assert captured.err == "verification failure: cobracket routes differ at k=0, i=1\n"
 
 
 def test_json_byte_identical(capsys):
@@ -289,6 +303,23 @@ D0, D1 = [[1, 0, 0]], [[0, 1, 0]]
         lambda: jsonio.parse_element_p([["1", D0]], 3, 1),
         lambda: jsonio.parse_poly([], 3, 1),
         lambda: jsonio.parse_element([{"coeff": "1", "factors": [[1, 1]]}], 1),
+        # scalars scalar_str never writes: leading zeros, "-0", a fraction not
+        # in lowest terms or with denominator 1, a denominator with a leading zero
+        lambda: jsonio.parse_scalar("007"),
+        lambda: jsonio.parse_scalar("-0"),
+        lambda: jsonio.parse_scalar("2/4"),
+        lambda: jsonio.parse_scalar("1/1"),
+        lambda: jsonio.parse_scalar("1/02"),
+        # char-p coefficients that are not a residue as written (7 and -1 read
+        # as 1 and 2 at p = 3), and zero coefficients in both characteristics
+        lambda: jsonio.parse_element_p([{"coeff": "7", "factors": D0}], 3, 1),
+        lambda: jsonio.parse_element_p([{"coeff": "-1", "factors": D0}], 3, 1),
+        lambda: jsonio.parse_element_p([{"coeff": "02", "factors": D0}], 3, 1),
+        lambda: jsonio.parse_element_p([{"coeff": "0", "factors": D0}], 3, 1),
+        lambda: jsonio.parse_element([{"coeff": "0", "factors": [[[1, 1]]]}], 1),
+        # a degree with an empty term list
+        lambda: jsonio.parse_series({"0": []}, 2, 1),
+        lambda: jsonio.parse_poly({"0": []}, 3, 1),
     ],
     ids=[
         "poly-negative-degree",
@@ -316,6 +347,18 @@ D0, D1 = [[1, 0, 0]], [[0, 1, 0]]
         "term-as-list",
         "poly-as-list",
         "char0-monomial-shape",
+        "scalar-leading-zeros",
+        "scalar-minus-zero",
+        "scalar-not-lowest-terms",
+        "scalar-denominator-one",
+        "scalar-denominator-leading-zero",
+        "charp-coeff-not-reduced",
+        "charp-coeff-negative",
+        "charp-coeff-leading-zeros",
+        "charp-coeff-zero",
+        "char0-coeff-zero",
+        "series-empty-degree",
+        "poly-empty-degree",
     ],
 )
 def test_parsers_refuse_malformed_documents(parse):
@@ -540,14 +583,14 @@ def test_all_i_derived_cells_match_direct_cells(p, t, fmt, monkeypatch, capsys):
 
 @pytest.mark.parametrize("faulty", [{1}, {1, 2, 3, 4}], ids=["cell-1", "every-cell"])
 def test_all_i_failing_cell_computes_its_mirror_directly(faulty, monkeypatch, capsys):
-    # a wrong coproduct coefficient (corrupt_term) in the relation checks of
-    # the faulty directions
+    # a wrong coproduct coefficient (a fault) in the relation checks of the
+    # faulty directions
     import wittq.cli as cli
 
     check = cli.hopfp._check_relations
 
-    def relations(verdicts, params, corrupt_term=None):
-        check(verdicts, params, 1 if params.i in faulty else corrupt_term)
+    def relations(verdicts, params):
+        check(verdicts, replace(params, fault=1) if params.i in faulty else params)
 
     monkeypatch.setattr(cli.hopfp, "_check_relations", relations)
     code, out, ran = _cells_computed(monkeypatch, capsys, 5, "all", "json")

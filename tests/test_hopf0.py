@@ -1,7 +1,9 @@
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from wittq import hopf0
 from wittq.hopf0 import (
     HopfParams,
     antipode_closed,
@@ -17,6 +19,7 @@ from wittq.hopf0 import (
     twist,
     undeformed_antipode,
     undeformed_coproduct,
+    verify_all0,
     verify_hopf0,
 )
 from wittq.series import Deformation, Series, TSeries, binomial_series, element_antipode, element_coproduct
@@ -91,7 +94,7 @@ def test_undeformed_maps():
 def test_undeformed_maps_are_the_degree0_slice_of_the_closed_forms(x):
     # the closed forms and the twist route's Delta_0, S_0 share extension code, no formula
     d = HopfParams(2, 2)
-    assert element_coproduct(d, None, x).coeff(0) == undeformed_coproduct(x)
+    assert element_coproduct(d, x).coeff(0) == undeformed_coproduct(x)
     assert element_antipode(d, x).coeff(0) == undeformed_antipode(x)
 
 
@@ -238,6 +241,23 @@ def test_mutation_detected():
     rep = verify_hopf0(HopfParams(1, 3), range(-2, 3), corrupt_term=1)
     assert not rep.ok
     assert len(rep.failures()) > 0
+
+
+def test_cobracket_route_mismatch_is_a_failing_entry(monkeypatch):
+    # route (a) of cobracket_semiclassical reads the closed form through
+    # coproduct_closed; with the sign of its degree-1 summand flipped, the
+    # routes differ at k = -2, 0, 2, while at k = -1 and 1 the flipped t^1
+    # term is symmetric and Delta - Delta^op keeps it out
+    closed = hopf0.coproduct_closed
+    monkeypatch.setattr(hopf0, "coproduct_closed", lambda k, params: closed(k, replace(params, fault=1)))
+    rep = verify_all0(HopfParams(1, 2), range(-2, 3))
+    cobracket = {dict(e.params)["k"]: e for e in rep.entries if e.identity == "cobracket-semiclassical"}
+    failed = {k for k, e in cobracket.items() if not e.passed}
+    assert failed == {"-2", "0", "2"} and not rep.ok
+    assert all(cobracket[k].witness == f"cobracket routes differ at k={k}, i=1" for k in failed)
+    # no cocommutativity witness where the cobracket is unknown
+    witnessed = {dict(e.params)["k"] for e in rep.entries if e.identity == "cocommutativity-witness"}
+    assert witnessed == {"-1", "1"}
 
 
 def test_coproduct_element_linear():

@@ -1,5 +1,3 @@
-from functools import partial
-
 import pytest
 
 from wittq import cli, hopfp, series
@@ -326,23 +324,22 @@ def test_coproduct_accepts_fp_elem_index():
         coproduct_p(FpElem(1, 3), pp)
 
 
-def _direct(block, p, i, t_values, corrupt_term=None):
+def _direct(block, p, i, t_values, fault=None):
     """A check block's report built one t at a time, each pass computed at its own t."""
     rep = VerificationReport()
     for tv in t_values:
         verdicts = Verdicts()
-        block(verdicts, HopfParamsP(p, i, tv), corrupt_term)
+        block(verdicts, Deformation(p, None, i, tv, fault))
         rep.extend(verdicts.reports[0])
     return rep
 
 
-def _derived_and_direct(cell):
+def _derived_and_direct(p, i, block, fault):
     """The residue entries of one check block: from one pass at symbolic t
     over (None, 0, ..., p-1), and from a direct pass per residue."""
-    p, i, block, corrupt_term = cell
     residues = range(p)
-    derived = _per_t(HopfParamsP(p, i), (None, *residues), partial(block, corrupt_term=corrupt_term)).entries
-    direct = _direct(block, p, i, residues, corrupt_term).entries
+    derived = _per_t(Deformation(p, None, i, None, fault), (None, *residues), block).entries
+    direct = _direct(block, p, i, residues, fault).entries
     assert len(derived) == len(direct) // p * (p + 1)  # the symbolic entries come first
     return derived[-len(direct) :], direct
 
@@ -352,8 +349,8 @@ def test_derived_entries_equal_direct(p):
     # every i, every t, clean and with each corrupted coefficient; the cells
     # are independent, so they share the verify --all-i process pool
     cells = [
-        (p, i, block, corrupt_term)
-        for corrupt_term in (None, 0, 1, 2)
+        (p, i, block, fault)
+        for fault in (None, 0, 1, 2)
         for i in range(1, p)
         for block in (_check_relations, _check_hopf)
     ]

@@ -148,13 +148,13 @@ def test_mono_images_of_unit_and_generators(char, order):
         unit, g2, g12 = (), ((2, 1),), ((1, 1), (2, 1))
         one = partial(Series.one, order)
     d = Deformation(char, order, 1)
-    cp = partial(gen_coproduct, d, None)
+    cp = partial(gen_coproduct, d)
     ap = partial(gen_antipode, d)
-    assert mono_coproduct(d, None, unit) == one(2)
+    assert mono_coproduct(d, unit) == one(2)
     assert mono_antipode(d, unit) == one(1)
-    assert mono_coproduct(d, None, g2) == cp(2)
+    assert mono_coproduct(d, g2) == cp(2)
     assert mono_antipode(d, g2) == ap(2)
-    assert mono_coproduct(d, None, g12) == cp(1) * cp(2)
+    assert mono_coproduct(d, g12) == cp(1) * cp(2)
     assert mono_antipode(d, g12) == ap(2) * ap(1)
 
 
@@ -308,7 +308,7 @@ def test_small_powers(x, unit):
 def test_series_product_packs_each_left_coefficient_once(monkeypatch):
     # warm the structure-map memo, then count the kernel steps of one product
     p = 5
-    d2 = gen_coproduct(Deformation(p, None, 1), None, 2)
+    d2 = gen_coproduct(Deformation(p, None, 1), 2)
     want = d2 * d2
     nonzero = [c for c in d2.coeffs if c.terms]
     assert len(nonzero) > 1
@@ -341,3 +341,41 @@ def test_series_product_packs_each_left_coefficient_once(monkeypatch):
     assert calls["trie"].count(2) == 1
     assert calls["left"].count(2) == len(nonzero)
     assert calls["pack"] == 2 * sum(len(c.terms) for c in nonzero)
+
+
+# -- the injected fault ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("char, order", [(0, 3), (5, None)])
+def test_fault_must_name_a_summand(char, order):
+    # the summed degrees are 0 .. order in characteristic 0, 0 .. p-1 in
+    # characteristic p: both ends are faults, one past either end is refused
+    top = 3 if char == 0 else 4
+    for fault in (0, top):
+        assert Deformation(char, order, 1, fault=fault).fault == fault
+    for fault in (-1, top + 1, 99):
+        with pytest.raises(ValueError, match="names no summand"):
+            Deformation(char, order, 1, fault=fault)
+
+
+def test_fault_is_kept_by_at_and_left_out_of_point():
+    d = Deformation(5, None, 2, fault=1)
+    assert d.at(3).fault == 1 and d.at(3).at(None) == d
+    assert d.at(3).point == Deformation(5, None, 2, 3).point
+    assert Deformation(0, 3, 1, fault=2).point == Deformation(0, 3, 1).point
+
+
+@pytest.mark.parametrize("char, order", [(0, 3), (5, None)])
+def test_faulty_map_stays_out_of_the_clean_memo_entry(char, order):
+    # the faulty value is computed first, so a fault that compared and hashed
+    # like no fault would hand it back for the clean deformation
+    clean, faulty = Deformation(char, order, 1), Deformation(char, order, 1, fault=1)
+    changed = 0
+    for k in range(-1, 3):
+        ((mono,),) = clean.gen(k).terms
+        bad, bad_mono = gen_coproduct(faulty, k), mono_coproduct(faulty, mono)
+        good = gen_coproduct.__wrapped__(clean, k)
+        assert gen_coproduct(clean, k) == mono_coproduct(clean, mono) == good
+        assert bad == bad_mono
+        changed += bad != good
+    assert changed
