@@ -294,9 +294,10 @@ def verify_pair_p(params: Deformation, t_values=None) -> tuple[VerificationRepor
     from the first through sigma when every entry of direction i passes and
     sigma_equivariant holds: then it is the report of direction i with the
     parameter i set to p - i (see the module docstring for why), and
-    otherwise it is computed directly, so every witness is a direct one."""
+    otherwise it is computed directly, on params with i negated and its t and
+    fault kept, so every witness is a direct one."""
     rep = verify_all_p(params, t_values)
-    mirror = Deformation(params.char, None, -params.i, params.t)
+    mirror = replace(params, i=-params.i)
     if rep.ok and sigma_equivariant(params):
         label = str(mirror.i)
         entries = [replace(e, params=tuple((k, label if k == "i" else v) for k, v in e.params)) for e in rep.entries]

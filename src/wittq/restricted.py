@@ -16,28 +16,39 @@ base-p integer (a_j is the digit of p^j), so inserting a generator is integer
 arithmetic on the code.  A rank-1 product folds the word of each right key
 (its letters are generators) across the whole left element; the words go into
 a trie, so a prefix that several keys share is folded once, depth first, so
-that only the products of one root-to-node path are alive.  A tensor product
-goes slot by slot: with X = sum m (x) X_m and Y = sum n (x) Y_n grouped by
-first-slot monomial, X Y is the sum over pairs of (m n) (x) (X_m Y_n), merged
-by first-slot monomial.  The products m n are rank-1 folds of n's word
-through the first slot alone, and X_m Y_n recurses on the rank, with Y_n's
-trie built once.  The first slot of Delta(D_k) has at most p + 1 monomials
-(8 for the 78 terms of Delta(D_2) at p = 7) and its powers stay within the p^2
-monomials D_0^a D_k^b, so the long inner words are folded through the small
-X_m, never through all of X.  Left first-slot monomials whose inner parts
-agree up to a scalar are folded together, so that a factor like
+that only the products of one root-to-node path are alive.  Only a word that
+another word extends needs a product of its own.  A leaf word w D_g with
+coefficient c at label l is deferred: c (x w) goes into a bucket keyed (g, l),
+and when the walk ends each bucket is reduced mod p and multiplied by D_g once,
+which by linearity is the sum of the leaves' products.  S(D_2) at p = 7, i = 1
+has 112 words, 81 of them leaves ending in 6 letters, so at t = 1 its 81 leaf
+passes become 6 (31 at symbolic t, one per letter and degree).
+
+A tensor product goes slot by slot: with X = sum m (x) X_m and Y = sum n (x)
+Y_n grouped by first-slot monomial, X Y is the sum over pairs of (m n) (x)
+(X_m Y_n), merged by first-slot monomial.  The right factor keeps a trie of
+its first-slot words and one trie of the other slots for all of them, whose
+values carry the label (n, l) of the word n and the label l they came with.
+For each left pair, one walk of its first-slot monomials through the words
+gives every product m n, and one fold of its inner part through the shared
+inner trie gives every X_m Y_n; each (n, l) result is joined to m n, and is
+dropped where m n is zero.  The first slot of Delta(D_k) has at most p + 1
+monomials (8 for the 78 terms of Delta(D_2) at p = 7, whose inner parts take
+33 trie nodes as one trie and took 95 as eight) and its powers stay within
+the p^2 monomials D_0^a D_k^b, so the long inner words are folded through the
+small X_m, never through all of X.  Left first-slot monomials whose inner
+parts agree up to a scalar are folded together, so that a factor like
 sum m (x) 1 costs one fold per right first-slot word rather than one per
 pair.  Keys are packed on entry and unpacked on exit; `terms` keeps tuple
 keys everywhere else.
 
 The kernel multiplies t-polynomials whole (series_mul, the ring hook of the
-series product): the right factor's words of every t-degree go into one trie
-whose values are {t-degree: coefficient} at the last slot, so a word that
-several degrees share, or a prefix of it, is folded once.  Each nonzero left
-coefficient is packed and grouped once and folded through that trie, its
-products summed straight into degree da + db; each output degree is reduced
-mod p and unpacked once.  An element product is the degree-0 case.  Every
-other element operation is shared with characteristic 0 (tensor.py).
+series product): the top labels are the right factor's t-degrees, so a word
+that several degrees share, or a prefix of it, is folded once.  Each nonzero
+left coefficient is packed and grouped once and folded through the right
+factor, its products summed into degree da + db; each output degree is
+reduced mod p and unpacked once.  An element product is the degree-0 case.
+Every other element operation is shared with characteristic 0 (tensor.py).
 """
 
 from __future__ import annotations
@@ -120,13 +131,35 @@ def _times_gen(acc: dict, g: int, p: int) -> dict:
 
 class _Trie:
     """Words of generators, with the value of the word that ends at each node
-    (None where none does)."""
+    (None where none does).  In a trie that _fold folds, the words that end
+    in a leaf are not children but the parent's leaves: a pair ((g, label),
+    c) per label of a leaf word w D_g, c the word's coefficient there."""
 
-    __slots__ = ("children", "value")
+    __slots__ = ("children", "value", "leaves")
 
     def __init__(self):
         self.children: dict[int, _Trie] = {}
         self.value = None
+        self.leaves: list = []
+
+
+def _node(root: _Trie, mono: MonoP) -> _Trie:
+    """The node of mono's word D_0^a_0 D_1^a_1 ..., made where missing."""
+    node = root
+    for g, e in enumerate(mono):
+        for _ in range(e):
+            node = node.children.setdefault(g, _Trie())
+    return node
+
+
+def _split_leaves(node: _Trie) -> None:
+    """Make the childless children below node leaves (see _Trie)."""
+    for g, child in list(node.children.items()):
+        if child.children:
+            _split_leaves(child)
+        else:
+            del node.children[g]
+            node.leaves += [((g, label), c) for label, c in child.value.items()]
 
 
 def _by_first_slot(terms: dict) -> dict:
@@ -155,33 +188,36 @@ def _left(terms: dict, rank: int, p: int):
     return [(first, _left(rest, rank - 1, p)) for first, rest in groups.values()]
 
 
-def _trie(series, rank: int) -> _Trie:
-    """The right factor of a product, a t-polynomial given as (degree, terms)
-    pairs: the first-slot words of every degree in one trie, whose values are
-    {degree: coefficient} (rank 1) or one trie of the inner slots, built the
-    same way from the inner parts that word has at each degree."""
-    groups: dict = {}
-    for d, terms in series:
-        for key, c in terms.items():
-            if rank == 1:
-                groups.setdefault(key[0], {})[d] = c
-            else:
-                groups.setdefault(key[0], {}).setdefault(d, {})[key[1:]] = c
-    root = _Trie()
-    for mono, value in groups.items():
-        node = root
-        for g, e in enumerate(mono):
-            for _ in range(e):
-                node = node.children.setdefault(g, _Trie())
-        node.value = value if rank == 1 else _trie(value.items(), rank - 1)
-    return root
+def _trie(terms: dict, rank: int):
+    """The right factor of a product, from {key: {label: coefficient}} (the
+    labels are t-degrees at the top).  At rank 1, the trie of the keys'
+    words, valued by their {label: coefficient}, its leaves split off for
+    _fold.  Above, a pair (words, inner): words the trie of the first-slot
+    words, each valued by its monomial n, and inner the right factor of the
+    other slots, where n's inner part at label l has label (n, l), so that
+    one inner trie serves every first-slot word."""
+    if rank == 1:
+        root = _Trie()
+        for (mono,), labels in terms.items():
+            _node(root, mono).value = labels
+        _split_leaves(root)
+        return root
+    words, inner = _Trie(), {}
+    for key, labels in terms.items():
+        n = key[0]
+        _node(words, n).value = n
+        tgt = inner.setdefault(key[1:], {})
+        for label, c in labels.items():
+            tgt[n, label] = c
+    return words, _trie(inner, rank - 1)
 
 
 def _walk(acc: dict, trie: _Trie, p: int):
-    """(value, acc * w) for every word w of the trie that has a value, except
-    where acc * w is zero.  Depth first, and a node's product is made when the
-    node is popped, not when its parent is, so each shared prefix is folded
-    once and only the products of the current root-to-node path are alive."""
+    """(node, acc * w) for every node of the trie, w the node's word, except
+    where acc * w is zero (and below it).  Depth first, and a node's product
+    is made when the node is popped, not when its parent is, so each shared
+    prefix is folded once and only the products of the current root-to-node
+    path are alive."""
     stack = [(trie, acc, None)]
     while stack:
         node, acc, g = stack.pop()
@@ -189,8 +225,7 @@ def _walk(acc: dict, trie: _Trie, p: int):
             acc = _times_gen(acc, g, p)
             if not acc:
                 continue
-        if node.value is not None:
-            yield node.value, acc
+        yield node, acc
         for h, child in node.children.items():
             stack.append((child, acc, h))
 
@@ -206,25 +241,57 @@ def _add_into(out: dict, x: dict, c: int, rank: int) -> None:
             _add_into(out.setdefault(m, {}), xm, c, rank - 1)
 
 
-def _product(x, y: _Trie, rank: int, p: int, out: dict, shift: int) -> dict:
-    """out[shift + d] += x * y_d for x a left factor (_left) and y a right
-    t-polynomial (_trie), y_d its coefficient of t^d; out maps degrees to
-    sums: {first-slot monomial: sums of the other slots} down to {monomial:
+def _merge(out: dict, key, x: dict, rank: int) -> None:
+    """out[key] += x on sums, taking x itself where out has no key."""
+    if key in out:
+        _add_into(out[key], x, 1, rank)
+    else:
+        out[key] = x
+
+
+def _fold(x: dict, trie: _Trie, p: int) -> dict:
+    """{label: x * y_label} at rank 1, y_label the sum of c w over the words
+    w of the trie valued c at label; sums unreduced.  The walk makes x w only
+    for the words that other words extend.  A leaf word w D_g is deferred:
+    c (x w) goes into a bucket keyed (g, label), and when the walk ends each
+    bucket is reduced mod p and multiplied by D_g once, which by linearity is
+    the sum of its leaves' products: one D_g pass per (g, label), not one per
+    leaf."""
+    out: dict = {}
+    buckets: dict = {}
+    for node, acc in _walk(x, trie, p):
+        for label, c in (node.value or {}).items():
+            _add_into(out.setdefault(label, {}), acc, c, 1)
+        for key, c in node.leaves:
+            _add_into(buckets.setdefault(key, {}), acc, c, 1)
+    for (g, label), acc in buckets.items():
+        acc = {m: r for m, v in acc.items() if (r := v % p)}
+        _merge(out, label, _times_gen(acc, g, p), 1)
+    return out
+
+
+def _product(x, y, rank: int, p: int) -> dict:
+    """{label: x * y_label} for x a left factor (_left) and y a right factor
+    (_trie), y_label its coefficient at each label; each product as sums,
+    {first-slot monomial: sums of the other slots} down to {monomial:
     coefficient}, coefficients unreduced.  Above rank 1, x is the sum of
-    first (x) inner over its pairs and y = sum n (x) y_n by first-slot
-    monomial, so x y is the sum over pairs of (first n) (x) (inner y_n)."""
+    first (x) inner over its pairs and y_l = sum n (x) y_(n, l) by first-slot
+    monomial n, so x y_l is the sum over pairs and n of (first n) (x) (inner
+    y_(n, l)): one walk of first through the first-slot words gives every
+    first n, and one fold of inner through the shared inner trie every inner
+    y_(n, l)."""
     if rank == 1:
-        for cs, acc in _walk(x, y, p):
-            for d, c in cs.items():
-                tgt = out.setdefault(shift + d, {})
-                get = tgt.get
-                for m, v in acc.items():
-                    tgt[m] = get(m, 0) + v * c
-        return out
+        return _fold(x, y, p)
+    words, inner_y = y
+    out: dict = {}
     for first, inner in x:
-        for yn, fn in _walk(first, y, p):
-            for d, prod in _product(inner, yn, rank - 1, p, {}, 0).items():
-                tgt = out.setdefault(shift + d, {})
+        fns = {node.value: fn for node, fn in _walk(first, words, p) if node.value is not None}
+        if not fns:
+            continue
+        for (n, label), prod in _product(inner, inner_y, rank - 1, p).items():
+            fn = fns.get(n)
+            if fn is not None:
+                tgt = out.setdefault(label, {})
                 for m, c in fn.items():
                     _add_into(tgt.setdefault(m, {}), prod, c, rank - 1)
     return out
@@ -321,12 +388,17 @@ class ElementP(TensorElement):
         factor goes into one trie for all its degrees, and each nonzero left
         coefficient is packed, grouped and folded through it once."""
         p, rank = self.p, self.rank
-        y = _trie([(d, c.terms) for d, c in enumerate(b_coeffs[:n]) if c.terms], rank)
+        right: dict = {}
+        for d, c in enumerate(b_coeffs[:n]):
+            for key, v in c.terms.items():
+                right.setdefault(key, {})[d] = v
+        y = _trie(right, rank)
         out: dict = {}
-        for d, c in enumerate(a_coeffs[:n]):
+        for a, c in enumerate(a_coeffs[:n]):
             if c.terms:
                 x = _left({tuple([_pack(m, p) for m in key]): v for key, v in c.terms.items()}, rank, p)
-                _product(x, y, rank, p, out, d)
+                for d, sums in _product(x, y, rank, p).items():
+                    _merge(out, a + d, sums, rank)
         return [self._like(rank, _terms(out[d], rank, p) if d in out else {}) for d in range(n)]
 
     def supported_indices(self) -> set[int]:

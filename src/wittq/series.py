@@ -39,7 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache, partial, wraps
 
 from .report import VerificationReport
 from .restricted import ElementP, e_element_p
@@ -407,7 +407,8 @@ class Deformation:
 
     fault, if set, is the degree l < degrees of the one coproduct summand the
     mutation tests falsify; at() keeps it, point leaves it out, and it is
-    compared and hashed, so a faulty map never shares a clean memo entry."""
+    compared and hashed, so a map the fault changes never shares a clean memo
+    entry.  The maps it leaves alone are memoized without it (_fault_free)."""
 
     char: int
     order: int | None
@@ -476,13 +477,27 @@ class Deformation:
 # first: its t None keeps t symbolic, a residue specializes it.
 
 
-@lru_cache(maxsize=None)
+def _fault_free(fn):
+    """fn memoized on its deformation with the fault left out, for a map that
+    no fault changes: a faulty deformation shares the clean entries rather
+    than caching a second copy of them."""
+    memo = lru_cache(maxsize=None)(fn)
+
+    @wraps(fn)
+    def call(d: Deformation, *args):
+        return memo(d if d.fault is None else replace(d, fault=None), *args)
+
+    call.cache_info = memo.cache_info
+    return call
+
+
+@_fault_free
 def h_rising(d: Deformation, a: int, l: int):
     """(h+a)(h+a+1)...(h+a+l-1) for h = (1/i) L_0: h^(l) at a = 0, (h+1)^(l) at a = 1."""
     return rising(Fraction(1, d.i) * d.gen(0) + a, l)
 
 
-@lru_cache(maxsize=None)
+@_fault_free
 def binomial_series(d: Deformation, q) -> TSeries:
     """(1 - et)^q = sum_n binom(q, n) (-e)^n t^n for rational q."""
     return d.series(1, [gen_binomial(q, n) * (-1) ** n * d.e_power(n) for n in range(d.degrees)])
@@ -512,7 +527,7 @@ def gen_coproduct(d: Deformation, k: int) -> TSeries:
     return out
 
 
-@lru_cache(maxsize=None)
+@_fault_free
 def gen_antipode(d: Deformation, k: int) -> TSeries:
     """Antipode of L_k, operand order as in the defining formula."""
     if d.t is not None:
@@ -559,7 +574,7 @@ def mono_coproduct(d: Deformation, mono) -> TSeries:
     return _mono_image(d.zero.runs(mono), partial(gen_coproduct, d), one, False)
 
 
-@lru_cache(maxsize=None)
+@_fault_free
 def mono_antipode(d: Deformation, mono) -> TSeries:
     """Antipode of a monomial (an algebra antimorphism)."""
     one = d.series(1, [d.zero.one_of(1)])

@@ -417,3 +417,21 @@ def test_pair_reports_equal_direct_reports(p):
             first, mirror = verify_pair_p(HopfParamsP(p, i, t))
             assert first.entries == verify_all_p(HopfParamsP(p, i, t)).entries
             assert mirror.entries == verify_all_p(HopfParamsP(p, p - i, t)).entries
+
+
+def test_pair_keeps_the_fault_in_the_mirror_direction():
+    # a faulty direction never passes, so the mirror is checked directly,
+    # and with the same fault
+    first, mirror = verify_pair_p(Deformation(5, None, 1, fault=1))
+    assert not first.ok and not mirror.ok
+    assert mirror.entries == verify_all_p(Deformation(5, None, 4, fault=1)).entries
+
+
+def test_faulty_run_shares_the_maps_no_fault_changes():
+    # the fault changes only the coproduct maps: after a clean run, a faulty
+    # run of the same direction finds every other map in the clean entries
+    maps = (h_rising, binomial_series, series.gen_antipode, mono_antipode)
+    assert verify_all_p(HopfParamsP(5, 1)).ok
+    sizes = [f.cache_info().currsize for f in maps]
+    assert not verify_all_p(Deformation(5, None, 1, fault=1)).ok
+    assert [f.cache_info().currsize for f in maps] == sizes

@@ -22,6 +22,7 @@ from wittq.restricted import (
     _unpack,
 )
 from wittq.scalars import FpElem
+from wittq.series import PolyP
 from wittq.tensor import commutator
 
 D = ElementP.gen
@@ -329,6 +330,90 @@ def test_tensor_product_matches_pairwise_straightening(rank):
     for x, y in cases:
         assert x * y == _pairwise_product(x, y)
         assert y * x == _pairwise_product(y, x)
+
+
+def _pairwise_series(x, y):
+    """x * y on t-polynomials, each pair of nonzero degrees through
+    _pairwise_product."""
+    p, rank = x._zero.p, x.rank
+    coeffs = [ElementP.zero(p, rank) for _ in range(len(x.coeffs) + len(y.coeffs) - 1)]
+    for a, ca in enumerate(x.coeffs):
+        for b, cb in enumerate(y.coeffs):
+            coeffs[a + b] = coeffs[a + b] + _pairwise_product(ca, cb)
+    return PolyP(p, rank, coeffs)
+
+
+def _random_series(rng, p, rank):
+    return PolyP(p, rank, [_random_element(rng, p, rank, rng.randint(0, 4)) for _ in range(rng.randint(1, 3))])
+
+
+def _kernel_cases(p, rank):
+    """(name, x, y) products that exercise the shared inner trie and the
+    deferred leaf letters of the kernel; the last slot of each key carries
+    the case, the first slots (from rank 2) the first-slot words."""
+    u, g = one_mono(p), p - 1
+    d0, d1, d2, d01 = _mono(p, (0, 1)), _mono(p, (1, 1)), _mono(p, (2, 1)), _mono(p, (0, 1), (1, 1))
+
+    def key(last, *front):
+        return (tuple(front) + (u,) * rank)[: rank - 1] + (last,)
+
+    def poly(*degrees):
+        return PolyP(p, rank, [ElementP(p, rank, terms) for terms in degrees])
+
+    w = _mono(p, (1, 1), (g, 1))
+    return [
+        # one inner word under two first-slot words, at degrees 0, 1 and 3
+        (
+            "inner-words-shared-across-degrees",
+            poly({key(d0, d1): 1, key(u): 2}, {key(d2, d0): 1}),
+            poly({key(w, d1): 1, key(u): 1}, {key(w, d2): 2}, {}, {key(w, d1): 1, key(d1, d2): p - 1}),
+        ),
+        # first = D_1^(p-1): first * D_1 = 0, while the inner D_1 D_2 is not
+        (
+            "first-slot-product-zero",
+            poly({key(d1, _mono(p, (1, p - 1))): 1}),
+            poly({key(d2, d1): 1, key(d2, d2): 3}, {key(d1, d1): 1}),
+        ),
+        # the leaf words D_0 D_g, D_1 D_g, D_0 D_1 D_g and D_g end in one
+        # generator, under different prefixes, degrees and first slots
+        (
+            "leaves-sharing-a-last-letter",
+            poly({key(d2): 1, key(d0, d1): 1}),
+            poly(
+                {key(_mono(p, (0, 1), (g, 1))): 1, key(w): 2, key(w, d1): 1},
+                {key(_mono(p, (0, 1), (1, 1), (g, 1))): 1, key(_mono(p, (g, 1))): 3},
+                {key(w): p - 1, key(_mono(p, (0, 1), (g, 1)), d1): 1},
+            ),
+        ),
+        # D_1 is a proper prefix of D_1 D_g and of D_1^2, and both are words
+        (
+            "word-a-proper-prefix-of-another",
+            poly({key(d01): 1, key(d2, d1): 2}),
+            poly({key(d1): 1, key(w): 1, key(_mono(p, (1, 2))): 2}, {key(d1): 1}),
+        ),
+        # D_0 D_0^(p-1) = D_0^p = D_0: the leaves D_0^(p-1) D_g and (p-1) D_g
+        # put D_0 and (p-1) D_0 into one bucket, which cancels mod p
+        (
+            "deferred-bucket-cancels",
+            poly({key(d0): 1}),
+            poly({key(_mono(p, (0, p - 1), (g, 1))): 1, key(_mono(p, (g, 1))): p - 1}),
+        ),
+    ]
+
+
+@pytest.mark.parametrize("p", [3, 5])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_kernel_paths_match_pairwise_straightening(p, rank):
+    rng = random.Random(70 * p + rank)
+    for name, x, y in _kernel_cases(p, rank):
+        assert x * y == _pairwise_series(x, y), name
+        assert y * x == _pairwise_series(y, x), name
+        for _ in range(3):
+            z = _random_series(rng, p, rank)
+            assert z * y == _pairwise_series(z, y), name
+            assert y * z == _pairwise_series(y, z), name
+        if name == "deferred-bucket-cancels":
+            assert (x * y).is_zero()
 
 
 def test_basis_size():

@@ -343,6 +343,32 @@ def test_series_product_packs_each_left_coefficient_once(monkeypatch):
     assert calls["pack"] == 2 * sum(len(c.terms) for c in nonzero)
 
 
+def test_series_product_applies_each_last_letter_once_per_label(monkeypatch):
+    # the right factor's words: D_a D_4 for a = 0 .. 3 and D_0 D_1 D_4 at
+    # t^0, D_a D_4 for a = 0 .. 2 at t^1; five leaves end in D_4, under five
+    # inner nodes (D_0 .. D_3, D_0 D_1) and two labels (the degrees)
+    p = 5
+    words = [_mono(p, (a, 1), (4, 1)) for a in range(4)] + [_mono(p, (0, 1), (1, 1), (4, 1))]
+    deg0 = ElementP(p, 1, {(w,): 1 + n % 3 for n, w in enumerate(words)})
+    deg1 = ElementP(p, 1, {(w,): 2 for w in words[:3]})
+    y = PolyP(p, 1, [deg0, deg1])
+    x = PolyP.const(ElementP.one(p) + ElementP.gen(4, p))
+    want = x * y  # warms the memo
+    assert want == oracle_mul(x, y)
+    passes = []
+    times_gen = restricted._times_gen
+
+    def counted(acc, g, p):
+        passes.append(g)
+        return times_gen(acc, g, p)
+
+    monkeypatch.setattr(restricted, "_times_gen", counted)
+    assert x * y == want
+    # one D_4 pass per label, not one per leaf word; one pass per inner node
+    assert passes.count(4) == 2
+    assert len(passes) == 5 + 2
+
+
 # -- the injected fault ---------------------------------------------------------
 
 
