@@ -20,7 +20,7 @@ import os
 import sys
 
 from . import hopf0, hopfp, jsonio, restricted
-from .series import Deformation
+from .series import Deformation, counit
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -145,7 +145,6 @@ def _head(args, d: Deformation, *omit) -> dict:
 
 
 def _counit(d: Deformation, k: int) -> str:
-    counit = hopfp.counit_p if d.char else hopf0.counit
     return str(counit(d.gen(k)))
 
 

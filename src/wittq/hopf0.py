@@ -8,12 +8,14 @@ yields closed-form structure maps on generators:
                      + sum_l (-1)^l C_l h^(l) (x) (1-et)^(-l) L_{k+li} t^l
     antipode(L_k)  = -(1-et)^(-k/i) sum_l C_l L_{k+li} (h+1)^(l) t^l
 
-with C_l = int_coeff(i, k-i, l), an integer.  The closed forms are written once
-for both characteristics in series.py (the characteristic-p maps are these
-formulas read mod p), over a Deformation(0, order, i), and HopfParams(i, order)
-is that value.  Every map here exists in two independently computed routes
-(closed form vs. twist conjugation), and the verifiers check them against
-each other and against the Hopf axioms, up to the caller-chosen truncation
+with C_l = int_coeff(i, k-i, l), an integer.  The closed forms, the undeformed
+maps Delta_0 and S_0, F, u = m(S_0 (x) Id)(F) and the cocycle block are written
+once for both characteristics in series.py, over a Deformation(0, order, i);
+HopfParams(i, order) is that value.  What is characteristic-0 specific stays
+here: the inverses of the truncated F and u, the twist-conjugation routes
+F^{-1} Delta_0 F and u^{-1} S_0 u, the degree-graded antipode, the
+semiclassical cobracket, and the verifiers that check the closed forms against
+these routes and against the Hopf axioms, up to the caller-chosen truncation
 order.
 
 Fractional powers (1-et)^(k/i) with i not dividing k are the generalized
@@ -26,7 +28,6 @@ from __future__ import annotations
 from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
 
 from .report import VerificationReport
 from .scalars import int_coeff
@@ -34,20 +35,20 @@ from .series import (
     Deformation,
     Series,
     Verdicts,
-    _element_image,
-    _mono_image,
     binomial_series,
     check_hopf,
-    convolve,
-    counit_slot,
+    check_twist,
     element_antipode,
     element_coproduct,
     gen_antipode,
     gen_coproduct,
     h_rising,
-    slot_apply,
+    twist,
+    u_series,
+    undeformed_antipode,
+    undeformed_coproduct,
 )
-from .uwitt import Element, Mono, ONE_MONO, ad_power, ad_power_closed
+from .uwitt import Element, ad_power, ad_power_closed
 
 
 class CrossRouteMismatch(ArithmeticError):
@@ -59,72 +60,17 @@ def HopfParams(i: int, order: int = 4) -> Deformation:
     return Deformation(0, order, i)
 
 
-# -- undeformed structure maps ------------------------------------------------
-
-
-def _primitive(k: int) -> Element:
-    """L_k (x) 1 + 1 (x) L_k."""
-    g = Element.gen(k)
-    return g.tensor(Element.one()) + Element.one().tensor(g)
-
-
-@lru_cache(maxsize=None)
-def _delta0_mono(mono: Mono) -> Element:
-    return _mono_image(mono, _primitive, Element.one(2), False)
-
-
-def undeformed_coproduct(x: Element) -> Element:
-    """Delta_0: L_k -> L_k (x) 1 + 1 (x) L_k, extended as an algebra map."""
-    return _element_image(x, _delta0_mono, Element.zero(2))
-
-
-@lru_cache(maxsize=None)
-def _s0_mono(mono: Mono) -> Element:
-    return _mono_image(mono, lambda k: -Element.gen(k), Element.one(), True)
-
-
-def undeformed_antipode(x: Element) -> Element:
-    """S_0: L_k -> -L_k, extended as an algebra antimorphism."""
-    return _element_image(x, _s0_mono, Element.zero(1))
-
-
-def counit(x: Element) -> Fraction:
-    """The algebra morphism to Q killing every generator (unchanged by the twist)."""
-    if x.rank != 1:
-        raise ValueError("counit takes rank-1 elements")
-    return x.terms.get((ONE_MONO,), Fraction(0))
-
-
-# -- twist and fractional powers ----------------------------------------------
-
-
-@lru_cache(maxsize=None)
-def _twist(params: Deformation) -> Series:
-    coeffs = []
-    for r in range(params.order + 1):
-        coeffs.append(Fraction(1, factorial(r)) * h_rising(params, 0, r).tensor(params.e_power(r)))
-    return params.series(2, coeffs)
-
-
-def twist(params: Deformation) -> Series:
-    """F = sum_r (1/r!) h^(r) (x) e^r t^r, truncated."""
-    return _twist(params)
+# -- inverses of the truncated twist and u --------------------------------------
 
 
 @lru_cache(maxsize=None)
 def _twist_inverse(params: Deformation) -> Series:
-    return _twist(params).invert()
-
-
-@lru_cache(maxsize=None)
-def _u_series(params: Deformation) -> Series:
-    """u = m o (S_0 (x) Id)(F)."""
-    return convolve(_twist(params), lambda mono: params.series(1, [_s0_mono(mono)]), "left")
+    return twist(params).invert()
 
 
 @lru_cache(maxsize=None)
 def _u_inverse(params: Deformation) -> Series:
-    return _u_series(params).invert()
+    return u_series(params).invert()
 
 
 # -- deformed structure maps ---------------------------------------------------
@@ -138,8 +84,7 @@ def coproduct_closed(k: int, params: Deformation) -> Series:
 
 def coproduct_twist(x: Element, params: Deformation) -> Series:
     """Twist-conjugation route F^{-1} Delta_0(x) F; independent of the closed form."""
-    mid = params.series(2, [undeformed_coproduct(x)])
-    return _twist_inverse(params) * mid * _twist(params)
+    return _twist_inverse(params) * undeformed_coproduct(params, x) * twist(params)
 
 
 def antipode_closed(k: int, params: Deformation) -> Series:
@@ -149,8 +94,7 @@ def antipode_closed(k: int, params: Deformation) -> Series:
 
 def antipode_twist(x: Element, params: Deformation) -> Series:
     """Conjugation route u^{-1} S_0(x) u with u = m(S_0 (x) Id)(F)."""
-    mid = params.series(1, [undeformed_antipode(x)])
-    return _u_inverse(params) * mid * _u_series(params)
+    return _u_inverse(params) * undeformed_antipode(params, x) * u_series(params)
 
 
 def antipode_general(x: Element, params: Deformation) -> Series:
@@ -161,7 +105,7 @@ def antipode_general(x: Element, params: Deformation) -> Series:
     deg = x.degree()
     if deg is None:
         raise ValueError("antipode_general needs a homogeneous element")
-    s0x = undeformed_antipode(x)
+    s0x = undeformed_antipode(params, x).coeff(0)
     pre = binomial_series(params, Fraction(-deg, params.i))
     tail = params.series(1)
     for n in range(params.order + 1):
@@ -188,27 +132,10 @@ def antipode_element(x: Element, params: Deformation) -> Series:
 
 
 def cocycle_check(params: Deformation) -> VerificationReport:
-    """Cocycle identity and counit normalization of the twisting element.
-
-    The convention here conjugates as F^{-1} Delta_0 F, so the cocycle reads
-    (Delta_0 (x) Id)(F) . (F (x) 1) = (Id (x) Delta_0)(F) . (1 (x) F);
-    equivalently, F^{-1} satisfies the familiar mirrored form.  With the
-    factors transposed the displayed identity already fails at t^2, so the
-    orientation is forced by coassociativity of the conjugated coproduct.
-    """
-    order = params.order
-    F = _twist(params)
-    pt = params.point
+    """Cocycle identity and counit normalization of the twisting element
+    (series.check_twist)."""
     verdicts = Verdicts()
-
-    d0 = lambda mono: Series.const(_delta0_mono(mono), order)
-    one_F = F.tensor_left(Element.one(1))
-    F_one = Series(order, 3, [c.tensor(Element.one(1)) for c in F.coeffs])
-    verdicts.check("twist-cocycle", pt, slot_apply(F, 0, d0) * F_one, slot_apply(F, 1, d0) * one_F)
-
-    unit = Series.one(order, 1)
-    verdicts.check("twist-counit-left", pt, counit_slot(F, 0), unit)
-    verdicts.check("twist-counit-right", pt, counit_slot(F, 1), unit)
+    check_twist(verdicts, params)
     return verdicts.reports[0]
 
 
@@ -218,12 +145,13 @@ def cobracket_semiclassical(k: int, i: int) -> Element:
     Route (a): the degree-1 coefficient of coproduct - opposite coproduct.
     Route (b): the adjoint action of L_k on L_0 (x) L_i minus its flip.
     """
-    dk = coproduct_closed(k, Deformation(0, 1, i))
+    d = Deformation(0, 1, i)
+    dk = coproduct_closed(k, d)
     route_a = (dk - dk.swap()).coeff(1)
 
     r = Element.gen(0).tensor(Element.gen(i))
     rm = r - r.swap()
-    d0k = _primitive(k)
+    d0k = undeformed_coproduct(d, d.gen(k)).coeff(0)
     route_b = d0k * rm - rm * d0k
 
     if route_a != route_b:

@@ -48,7 +48,9 @@ that several degrees share, or a prefix of it, is folded once.  Each nonzero
 left coefficient is packed and grouped once and folded through the right
 factor, its products summed into degree da + db; each output degree is
 reduced mod p and unpacked once.  An element product is the degree-0 case.
-Every other element operation is shared with characteristic 0 (tensor.py).
+Besides the monomial rule and the kernel, only the Witt-algebra presentation
+lives here: every other element operation (tensor.py) and every map on the
+algebra, sigma among them (series.py), is shared with characteristic 0.
 """
 
 from __future__ import annotations
@@ -513,34 +515,6 @@ def act_derivation(k, m: int, p: int | None = None) -> tuple[FpElem, int]:
     """D_k . X^m = m X^{(m+k) mod p} in Der(F_p[X]/(X^p - 1))."""
     k, p = _residue(k, p)
     return FpElem(m, p), (m + k) % p
-
-
-@lru_cache(maxsize=None)
-def involution_mono(mono: MonoP, p: int) -> ElementP:
-    """sigma of a PBW monomial, for sigma: D_k -> -D_{-k}: the product of
-    (-D_{-k})^a over its runs D_k^a, in PBW order, straightened."""
-    out = ElementP.one(p)
-    for k, a in enumerate(mono):
-        if a:
-            out = out * (-ElementP.gen(-k, p)) ** a
-    return out
-
-
-def involution(x: ElementP) -> ElementP:
-    """sigma: D_k -> -D_{-k} on every tensor factor of x.  It preserves the
-    bracket, [-D_{-k}, -D_{-l}] = (l - k)(-D_{-k-l}), and the p-power map, so
-    it is an automorphism of u(W), and an involution."""
-    p = x.p
-    sums: dict = {}
-    get = sums.get
-    for key, c in x.terms.items():
-        parts = {(): c}
-        for mono in key:
-            image = involution_mono(mono, p).terms
-            parts = {k + k2: v * v2 for k, v in parts.items() for k2, v2 in image.items()}
-        for k, v in parts.items():
-            sums[k] = get(k, 0) + v
-    return x.from_sums(x.rank, sums)
 
 
 def p_power_map(k, p: int | None = None) -> ElementP:

@@ -4,7 +4,8 @@ D_{k mod p}, coefficients mod p) gives the char-p maps of D_k exactly.
 
 The char-0 side is truncated at t^(2p-2), the top degree of the char-p maps;
 up to there every char-0 coefficient is p-integral, so the reduction is
-defined.
+defined.  The same holds for the twist F and u = m(S_0 (x) Id)(F), whose
+char-p sums stop below t^p.
 """
 
 import pytest
@@ -12,6 +13,7 @@ import pytest
 from wittq.hopf0 import HopfParams, antipode_closed, coproduct_closed
 from wittq.hopfp import HopfParamsP, PolyP, antipode_p, coproduct_p
 from wittq.restricted import ElementP
+from wittq.series import twist, u_series
 
 
 def _reduce_mono(mono, p):
@@ -48,3 +50,11 @@ def test_char0_maps_reduce_to_charp_maps(p):
         for k in range(-p, 2 * p):
             assert _reduce_series(coproduct_closed(k, params), p) == coproduct_p(k, pp), (p, i, k)
             assert _reduce_series(antipode_closed(k, params), p) == antipode_p(k, pp), (p, i, k)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_char0_twist_reduces_to_charp_twist(p):
+    for i in _lifts(p):
+        params, pp = HopfParams(i, p - 1), HopfParamsP(p, i)
+        assert _reduce_series(twist(params), p) == twist(pp), (p, i)
+        assert _reduce_series(u_series(params), p) == u_series(pp), (p, i)

@@ -252,6 +252,33 @@ def test_module_entrypoint_runs():
     assert proc.stdout.strip() == "0"
 
 
+_STDLIB_ONLY = """
+import contextlib, io, json, sys
+before = set(sys.modules)
+import wittq
+from wittq.cli import main
+for argv in (["verify", "--char", "p", "--p", "3", "--i", "1"], ["tables", "--p", "3", "--i", "1"], ["twist", "--i", "1"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(argv) == 0, argv
+loaded = {name.partition(".")[0] for name in set(sys.modules) - before}
+print(json.dumps(sorted(loaded - set(sys.stdlib_module_names) - {"wittq"})))
+"""
+
+
+def test_runtime_imports_only_the_standard_library():
+    # pyproject declares no dependencies; the modules site loaded before wittq do not count
+    env = dict(os.environ, PYTHONPATH="src")
+    proc = subprocess.run(
+        [sys.executable, "-c", _STDLIB_ONLY],
+        capture_output=True,
+        text=True,
+        cwd=os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []
+
+
 def test_scalar_str_roundtrip():
     from fractions import Fraction
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import pytest
 
 from wittq import cli, hopfp, series
@@ -24,7 +26,21 @@ from wittq.hopfp import (
 )
 from wittq.report import VerificationReport
 from wittq.restricted import ElementP
-from wittq.series import Deformation, Verdicts, binomial_series, convolve, h_rising, mono_antipode
+from wittq.series import (
+    Deformation,
+    Verdicts,
+    binomial_series,
+    check_twist,
+    convolve,
+    gen_antipode,
+    gen_coproduct,
+    h_rising,
+    mono_antipode,
+    twist,
+    u_series,
+    undeformed_antipode,
+    undeformed_coproduct,
+)
 from wittq.scalars import FpElem, int_coeff, n_coeff
 
 D = ElementP.gen
@@ -435,3 +451,32 @@ def test_faulty_run_shares_the_maps_no_fault_changes():
     sizes = [f.cache_info().currsize for f in maps]
     assert not verify_all_p(Deformation(5, None, 1, fault=1)).ok
     assert [f.cache_info().currsize for f in maps] == sizes
+
+
+# -- the twist route mod p ------------------------------------------------------
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_twist_conjugates_the_undeformed_maps_mod_p(p):
+    # F Delta(D_k) = Delta_0(D_k) F and u S(D_k) = S_0(D_k) u, exactly at symbolic t
+    for i in range(1, p):
+        d = Deformation(p, None, i)
+        verdicts = Verdicts()
+        check_twist(verdicts, d)
+        rep = verdicts.report()
+        assert rep.ok and len(rep.entries) == 3, rep.summary()
+        F, u = twist(d), u_series(d)
+        for k in range(p):
+            assert F * gen_coproduct(d, k) == undeformed_coproduct(d, d.gen(k)) * F, (i, k)
+            assert u * gen_antipode(d, k) == undeformed_antipode(d, d.gen(k)) * u, (i, k)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_every_fault_breaks_the_twist_conjugation(p):
+    for i in range(1, p):
+        d = Deformation(p, None, i)
+        F = twist(d)
+        for fault in range(p):
+            bad = replace(d, fault=fault)
+            for k in range(p):
+                assert F * gen_coproduct(bad, k) != undeformed_coproduct(d, d.gen(k)) * F, (i, fault, k)

@@ -13,7 +13,6 @@ from wittq.restricted import (
     embed_witt,
     e_element_p,
     gen_mono,
-    involution,
     mono_times_gen_p,
     one_mono,
     p_power_map,
@@ -22,7 +21,7 @@ from wittq.restricted import (
     _unpack,
 )
 from wittq.scalars import FpElem
-from wittq.series import PolyP
+from wittq.series import Deformation, PolyP, sigma
 from wittq.tensor import commutator
 
 D = ElementP.gen
@@ -581,6 +580,12 @@ def test_element_p_str():
 # -- the involution sigma: D_k -> -D_{-k} ----------------------------------------
 
 
+def involution(x):
+    """series.sigma on every tensor factor of the element x."""
+    d = Deformation(x.p, None, 1)
+    return sigma(d, d.series(x.rank, [x])).coeff(0)
+
+
 @pytest.mark.parametrize("p", (3, 5, 7))
 def test_involution_is_an_automorphism(p):
     sigma = {k: involution(D(k, p)) for k in range(p)}
@@ -621,27 +626,27 @@ def test_involution_maps_h_and_e_of_i_to_those_of_minus_i():
             assert involution(e_element_p(p, i)) == e_element_p(p, -i)
 
 
-def _unsigned(mono, p):
+def _unsigned(d, mono):
     # D_k -> D_{-k}: not an automorphism, [D_{-k}, D_{-l}] = (k - l) D_{-k-l}
-    out = ElementP.one(p)
+    out = ElementP.one(d.char)
     for k, a in enumerate(mono):
-        out = out * D(-k, p) ** a
-    return out
+        out = out * D(-k, d.char) ** a
+    return d.series(1, [out])
 
 
-def _fixed_index(mono, p):
+def _fixed_index(d, mono):
     # D_k -> -D_k
-    out = ElementP.one(p)
+    out = ElementP.one(d.char)
     for k, a in enumerate(mono):
-        out = out * (-D(k, p)) ** a
-    return out
+        out = out * (-D(k, d.char)) ** a
+    return d.series(1, [out])
 
 
 @pytest.mark.parametrize("mutant", [_unsigned, _fixed_index], ids=["no-sign", "k-to-k"])
 def test_equivariance_check_refuses_a_wrong_involution(mutant, monkeypatch):
-    from wittq import restricted
+    from wittq import series
     from wittq.hopfp import HopfParamsP, sigma_equivariant
 
     assert all(sigma_equivariant(HopfParamsP(p, i)) for p in (3, 5) for i in range(1, p))
-    monkeypatch.setattr(restricted, "involution_mono", mutant)
+    monkeypatch.setattr(series, "sigma_mono", mutant)
     assert not any(sigma_equivariant(HopfParamsP(p, i)) for p in (3, 5) for i in range(1, p))

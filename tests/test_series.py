@@ -17,7 +17,9 @@ from wittq.series import (
     gen_coproduct,
     mono_antipode,
     mono_coproduct,
+    sigma,
 )
+from wittq.tensor import commutator
 from wittq.uwitt import Element
 
 L = Element.gen
@@ -405,3 +407,21 @@ def test_faulty_map_stays_out_of_the_clean_memo_entry(char, order):
         assert bad == bad_mono
         changed += bad != good
     assert changed
+
+
+def test_sigma_in_characteristic_0():
+    # sigma: L_k -> -L_{-k} is an automorphism of U(W) and carries direction i to -i
+    d = Deformation(0, 0, 1)
+
+    def sig(x):
+        return sigma(d, d.series(x.rank, [x])).coeff(0)
+
+    for a in range(-3, 4):
+        assert sig(L(a)) == -L(-a)
+        for b in range(-3, 4):
+            assert sig(commutator(L(a), L(b))) == commutator(sig(L(a)), sig(L(b)))
+    for i in (1, 2, 3):
+        d, mirror = Deformation(0, 4, i), Deformation(0, 4, -i)
+        for k in range(-3, 4):
+            assert sigma(d, gen_coproduct(d, k)) == -gen_coproduct(mirror, -k), (i, k)
+            assert sigma(d, gen_antipode(d, k)) == -gen_antipode(mirror, -k), (i, k)
