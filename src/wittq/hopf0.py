@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 
 from .report import VerificationReport
 from .scalars import int_coeff
@@ -43,6 +43,7 @@ from .series import (
     gen_antipode,
     gen_coproduct,
     h_rising,
+    run_checks,
     twist,
     u_series,
     undeformed_antipode,
@@ -134,9 +135,7 @@ def antipode_element(x: Element, params: Deformation) -> Series:
 def cocycle_check(params: Deformation) -> VerificationReport:
     """Cocycle identity and counit normalization of the twisting element
     (series.check_twist)."""
-    verdicts = Verdicts()
-    check_twist(verdicts, params)
-    return verdicts.reports[0]
+    return run_checks(params, (None,), check_twist)
 
 
 def cobracket_semiclassical(k: int, i: int) -> Element:
@@ -164,19 +163,14 @@ def verify_hopf0(params: Deformation, k_range, corrupt_term: int | None = None) 
     convolution, and well-definedness (multiplicativity + bracket compatibility)
     on generator pairs.  Failures are reported, never raised.  A fault given
     here becomes the fault of the params checked (see Deformation)."""
-    verdicts = Verdicts()
-    check_hopf(verdicts, replace(params, fault=corrupt_term), k_range, True)
-    return verdicts.reports[0]
+    return run_checks(replace(params, fault=corrupt_term), (None,), partial(check_hopf, ks=k_range, bracket=True))
 
 
-def verify_all0(params: Deformation, k_range) -> VerificationReport:
-    """Full characteristic-0 suite: cocycle, cross-route equalities,
-    semiclassical limit, cocommutativity witness, and the Hopf axioms."""
+def _check_routes(verdicts: Verdicts, params: Deformation, ks) -> None:
+    """Per generator L_k, k in ks: the closed forms against the twist and
+    graded routes, the semiclassical limit, the cocommutativity witness and
+    the integrality of the structure coefficients."""
     i, order = params.i, params.order
-    ks = list(k_range)
-    verdicts = Verdicts()
-    rep = verdicts.reports[0].extend(cocycle_check(params))
-
     for k in ks:
         pt = dict(params.point, k=k)
         gk = Element.gen(k)
@@ -187,18 +181,24 @@ def verify_all0(params: Deformation, k_range) -> VerificationReport:
 
         try:
             delta = cobracket_semiclassical(k, i)
-            rep.add("cobracket-semiclassical", pt, True)
+            verdicts.record("cobracket-semiclassical", pt, True)
         except CrossRouteMismatch as exc:
-            rep.add("cobracket-semiclassical", pt, False, str(exc))
+            verdicts.record("cobracket-semiclassical", pt, False, str(exc))
             delta = None
         if delta is not None:
             # the order-t cobracket vanishes exactly at k = i
-            rep.add("cocommutativity-witness", pt, delta.is_zero() == (k == i))
+            verdicts.record("cocommutativity-witness", pt, delta.is_zero() == (k == i))
 
         # the rational closed form of (1/l!) ad(e)^l L_k is C_l L_{k+li}, C_l an integer
         closed_ad = [ad_power_closed(k, l, i) for l in range(order + 1)]
         ok_int = all(c == int_coeff(i, k - i, l) * Element.gen(k + l * i) for l, c in enumerate(closed_ad))
-        rep.add("structure-coefficient-integrality", pt, ok_int)
+        verdicts.record("structure-coefficient-integrality", pt, ok_int)
 
-    rep.extend(verify_hopf0(params, ks))
-    return rep
+
+def verify_all0(params: Deformation, k_range) -> VerificationReport:
+    """Full characteristic-0 suite: cocycle, cross-route equalities,
+    semiclassical limit, cocommutativity witness, and the Hopf axioms."""
+    ks = list(k_range)
+    rep = cocycle_check(params)
+    rep.extend(run_checks(params, (None,), partial(_check_routes, ks=ks)))
+    return rep.extend(verify_hopf0(params, ks))

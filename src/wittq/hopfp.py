@@ -18,13 +18,10 @@ exact polynomial in t (never truncated), and t can be specialized to any
 residue.  The sums run over the full printed range even where coefficients
 vanish; vanishing is a checked property, not an assumption.
 
-A verifier asked for symbolic t together with residues (``verify --t all``)
-computes each identity's two sides once, at symbolic t, and derives the
-pass flag and witness of every residue c from both sides evaluated at t = c.
-Evaluation at t = c is a ring homomorphism F_p[t] (x) u(W)^(x)r -> u(W)^(x)r
-that commutes with products, slot_apply, counit_slot and convolve, and every
-numeric-t map is the evaluation of its symbolic one, so the derived entries
-are those a direct check at t = c would give.  A request without symbolic t
+Each verifier is a check block run by series.run_checks.  A request with
+symbolic t together with residues (``verify --t all``) computes each
+identity's two sides once, at symbolic t, and derives every residue's entries
+from them; run_checks states why that is sound.  A request without symbolic t
 is checked directly at each of its residues.
 
 The directions i and -i = p - i are checked as a pair (verify_pair_p), the
@@ -82,6 +79,7 @@ from .series import (
     h_rising,
     mono_antipode,
     mono_coproduct,
+    run_checks,
     sigma,
     slot_apply,
 )
@@ -147,22 +145,6 @@ def antipode_poly(x: PolyP, params: Deformation) -> PolyP:
 # -- verifiers -----------------------------------------------------------------------
 
 
-def _per_t(params: Deformation, t_values, check) -> VerificationReport:
-    """Run check(verdicts, params at t) over the requested t values, each
-    reduced mod p, and return the entries t after t in request order.  When
-    symbolic t is among several requested values, check runs once, at
-    symbolic t, and every entry of a residue comes from the evaluated sides;
-    otherwise it runs once per t, directly at that t."""
-    ts = [params.at(tv).t for tv in t_values]
-    passes = [(None, ts)] if None in ts else [(tv, (None,)) for tv in ts]
-    rep = VerificationReport()
-    for t, at in passes:
-        verdicts = Verdicts(at)
-        check(verdicts, params.at(t))
-        rep.extend(verdicts.report())
-    return rep
-
-
 def _check_relations(verdicts: Verdicts, params: Deformation) -> None:
     p, base = params.char, params.point
     dk = {k: coproduct_p(k, params) for k in range(p)}
@@ -195,30 +177,20 @@ def verify_relations_preserved(params: Deformation, corrupt_term: int | None = N
     generator images, and the p-power relations, for both the coproduct
     (morphism) and the antipode (antimorphism).  A fault given here becomes
     the fault of the params checked (see Deformation)."""
-    return _per_t(replace(params, fault=corrupt_term), (params.t,), _check_relations)
-
-
-def _check_hopf(verdicts: Verdicts, params: Deformation) -> None:
-    check_hopf(verdicts, params, range(params.char), False)
+    return run_checks(replace(params, fault=corrupt_term), (params.t,), _check_relations)
 
 
 def verify_hopf_p(params: Deformation, t_values=None) -> VerificationReport:
     """Full Hopf axiom suite on generators, once per requested t mode
-    (None = symbolic, ints = specializations; by default the params' own);
-    with symbolic t and more modes, every mode comes from the one symbolic
-    computation, as in verify_all_p."""
-    return _per_t(params, (params.t,) if t_values is None else t_values, _check_hopf)
+    (None = symbolic, ints = specializations; by default the params' own),
+    through series.run_checks."""
+    checks = partial(check_hopf, ks=range(params.char), bracket=False)
+    return run_checks(params, (params.t,) if t_values is None else t_values, checks)
 
 
-def radford_check(params: Deformation) -> VerificationReport:
-    """Relations of the distinguished subalgebra generated by h = h^(1),
-    e and alpha = (1 - et)^{-1}, plus its closure under the structure maps."""
-    p, i = params.char, params.i
-    pp = params.at(None)  # symbolic
+def _check_radford(verdicts: Verdicts, pp: Deformation) -> None:
+    p, i = pp.char, pp.i
     base = {"p": p, "i": i}
-    verdicts = Verdicts()
-    rep = verdicts.reports[0]
-
     h, e, a = h_rising(pp, 0, 1), e_element_p(p, i), binomial_series(pp, -1)
     hp = PolyP.const(h)
 
@@ -237,7 +209,7 @@ def radford_check(params: Deformation) -> VerificationReport:
     sh = antipode_poly(hp, pp)
     verdicts.check("antipode-h", base, sh, -(hp * binomial_series(pp, 1)))
 
-    rep.add("counit-h", base, counit_p(h) == FpElem(0, p))
+    verdicts.record("counit-h", base, counit_p(h) == FpElem(0, p))
 
     allowed = {0, i % p}
     closed = True
@@ -245,26 +217,24 @@ def radford_check(params: Deformation) -> VerificationReport:
     for poly in (dh, coproduct_poly(ep, pp), sh, antipode_poly(ep, pp)):
         for c in poly.coeffs:
             closed = closed and c.supported_indices() <= allowed
-    rep.add("subalgebra-closed", base, closed)
-    return rep
+    verdicts.record("subalgebra-closed", base, closed)
+
+
+def radford_check(params: Deformation) -> VerificationReport:
+    """Relations of the distinguished subalgebra generated by h = h^(1),
+    e and alpha = (1 - et)^{-1}, plus its closure under the structure maps,
+    at symbolic t."""
+    return run_checks(params, (None,), _check_radford)
 
 
 def verify_all_p(params: Deformation, t_values=None) -> VerificationReport:
     """Relations per t mode, then the Hopf axioms per t mode (by default the
     params' own mode), then the distinguished-subalgebra relations, for one
-    (p, i).
-
-    When the request holds symbolic t and more modes (``--t all``), each
-    identity's two sides are computed once, at symbolic t, and every residue
-    c gets its pass flag and witness from both sides evaluated at t = c.  That
-    is sound because evaluation at t = c is a ring homomorphism that commutes
-    with products, slot_apply, counit_slot and convolve, and every numeric-t
-    map is the evaluation of its symbolic one: the entries equal those of a
-    direct run at t = c.  A request without symbolic t runs directly at each
-    t."""
+    (p, i).  With symbolic t and more modes (``--t all``), series.run_checks
+    derives every residue's entries from the one symbolic computation."""
     if t_values is None:
         t_values = (params.t,)
-    rep = _per_t(params, t_values, _check_relations)
+    rep = run_checks(params, t_values, _check_relations)
     rep.extend(verify_hopf_p(params, t_values))
     rep.extend(radford_check(params))
     return rep

@@ -29,18 +29,15 @@ Y_n grouped by first-slot monomial, X Y is the sum over pairs of (m n) (x)
 (X_m Y_n), merged by first-slot monomial.  The right factor keeps a trie of
 its first-slot words and one trie of the other slots for all of them, whose
 values carry the label (n, l) of the word n and the label l they came with.
-For each left pair, one walk of its first-slot monomials through the words
-gives every product m n, and one fold of its inner part through the shared
-inner trie gives every X_m Y_n; each (n, l) result is joined to m n, and is
-dropped where m n is zero.  The first slot of Delta(D_k) has at most p + 1
-monomials (8 for the 78 terms of Delta(D_2) at p = 7, whose inner parts take
-33 trie nodes as one trie and took 95 as eight) and its powers stay within
-the p^2 monomials D_0^a D_k^b, so the long inner words are folded through the
-small X_m, never through all of X.  Left first-slot monomials whose inner
-parts agree up to a scalar are folded together, so that a factor like
-sum m (x) 1 costs one fold per right first-slot word rather than one per
-pair.  Keys are packed on entry and unpacked on exit; `terms` keeps tuple
-keys everywhere else.
+For each left first-slot monomial m, one walk of m through the words gives
+every product m n, and one fold of X_m through the shared inner trie gives
+every X_m Y_n; each (n, l) result is joined to m n, and is dropped where m n
+is zero.  The first slot of Delta(D_k) has at most p + 1 monomials (8 for the
+78 terms of Delta(D_2) at p = 7, whose inner parts take 33 trie nodes as one
+trie and took 95 as eight) and its powers stay within the p^2 monomials
+D_0^a D_k^b, so the long inner words are folded through the small X_m, never
+through all of X.  Keys are packed on entry and unpacked on exit; `terms`
+keeps tuple keys everywhere else.
 
 The kernel multiplies t-polynomials whole (series_mul, the ring hook of the
 series product): the top labels are the right factor's t-degrees, so a word
@@ -164,30 +161,18 @@ def _split_leaves(node: _Trie) -> None:
             node.leaves += [((g, label), c) for label, c in child.value.items()]
 
 
-def _by_first_slot(terms: dict) -> dict:
-    """Tensor terms grouped by first-slot monomial: {mono: {rest of key: c}}."""
-    groups: dict = {}
-    for key, c in terms.items():
-        groups.setdefault(key[0], {})[key[1:]] = c
-    return groups
-
-
-def _left(terms: dict, rank: int, p: int):
+def _left(terms: dict, rank: int):
     """The left factor of a product, from terms keyed on tuples of packed
     monomials.  At rank 1 it is {monomial: coefficient}; above, a list of pairs
-    (first, inner), first a {monomial: coefficient} of the first slot and inner
-    the left form of the other slots, whose tensor products sum to the factor.
-    First-slot monomials whose inner parts agree up to a scalar share one
-    pair, so that a product folds their first-slot words together."""
+    (first, inner), one per first-slot monomial m: first is {m: 1} and inner
+    the left form of the other slots of m's terms, whose tensor products sum
+    to the factor."""
     if rank == 1:
         return {key[0]: c for key, c in terms.items()}
     groups: dict = {}
-    for mono, rest in _by_first_slot(terms).items():
-        c0 = rest[min(rest)]
-        inv = pow(c0, -1, p)
-        rest = {key: c * inv % p for key, c in rest.items()}
-        groups.setdefault(frozenset(rest.items()), ({}, rest))[0][mono] = c0
-    return [(first, _left(rest, rank - 1, p)) for first, rest in groups.values()]
+    for key, c in terms.items():
+        groups.setdefault(key[0], {})[key[1:]] = c
+    return [({m: 1}, _left(rest, rank - 1)) for m, rest in groups.items()]
 
 
 def _trie(terms: dict, rank: int):
@@ -398,7 +383,7 @@ class ElementP(TensorElement):
         out: dict = {}
         for a, c in enumerate(a_coeffs[:n]):
             if c.terms:
-                x = _left({tuple([_pack(m, p) for m in key]): v for key, v in c.terms.items()}, rank, p)
+                x = _left({tuple([_pack(m, p) for m in key]): v for key, v in c.terms.items()}, rank)
                 for d, sums in _product(x, y, rank, p).items():
                     _merge(out, a + d, sums, rank)
         return [self._like(rank, _terms(out[d], rank, p) if d in out else {}) for d in range(n)]

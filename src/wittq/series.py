@@ -17,11 +17,13 @@ element), ``runs`` (monomial to (generator, exponent) pairs in PBW order),
 degree).
 
 Below the classes sit the pieces the Hopf verifiers of both characteristics
-share: the verdicts of a pass of checks (Verdicts, which can fan one
+share: the verdicts of a pass of checks (Verdicts) and the one function that
+runs a check block over the requested t modes (run_checks, which can fan one
 symbolic-t computation out to every requested t), applying a map to one
 tensor slot, the counit on one slot, antipode convolution, the per-generator
 axiom block (check_generator) and the whole axiom suite on generators and
-generator pairs (check_hopf), which both verifiers call.
+generator pairs (check_hopf).  Every verifier of both characteristics is a
+check block, (verdicts, deformation) -> None, and one run_checks call.
 
 Last come the deformation and its maps.  One Deformation value names the
 construction in either characteristic: (char, order, i, t, fault), validated
@@ -276,10 +278,7 @@ class Verdicts:
 
     Each identity's two sides are computed once, at the pass's own t.  A mode
     None takes them as they are; a residue c evaluates both at t = c and
-    labels the point t=c.  So one pass at symbolic t gives the verdict and
-    witness of every specialization: evaluation at t = c is a ring
-    homomorphism that commutes with products, slot_apply, counit_slot and
-    convolve, and every numeric-t map is defined as _at of its symbolic one."""
+    labels the point t=c (see run_checks for why that is sound)."""
 
     __slots__ = ("at", "reports")
 
@@ -302,12 +301,33 @@ class Verdicts:
     def check(self, identity: str, pt: dict, lhs: TSeries, rhs: TSeries) -> None:
         self.add(self.judge(identity, pt, lhs, rhs))
 
-    def report(self) -> VerificationReport:
-        """Every mode's entries, mode after mode."""
-        out = VerificationReport()
-        for rep in self.reports:
-            out.extend(rep)
-        return out
+    def record(self, identity: str, pt: dict, passed: bool, witness: str | None = None) -> None:
+        """Enter a verdict that does not depend on t once per mode, each
+        labelled as judge labels it."""
+        self.add([(identity, pt if c is None else dict(pt, t=c), passed, witness) for c in self.at])
+
+
+def run_checks(d: Deformation, t_values, block) -> VerificationReport:
+    """Run the check block block(verdicts, d at t) over the requested t
+    values, each normalized by d.at, and return the entries t after t in
+    request order.
+
+    When symbolic t is among the requested values, block runs once, at
+    symbolic t, and every residue c takes its pass flag and witness from both
+    sides of each identity evaluated at t = c.  That is sound because
+    evaluation at t = c is a ring homomorphism that commutes with products,
+    slot_apply, counit_slot and convolve, and every numeric-t map is defined
+    as _at of its symbolic one, so the entries equal those of a direct run at
+    t = c.  Otherwise block runs once per t, directly at that t."""
+    ts = [d.at(tv).t for tv in t_values]
+    passes = [(None, ts)] if None in ts else [(tv, (None,)) for tv in ts]
+    rep = VerificationReport()
+    for t, at in passes:
+        verdicts = Verdicts(at)
+        block(verdicts, d.at(t))
+        for mode in verdicts.reports:
+            rep.extend(mode)
+    return rep
 
 
 # -- slot plumbing on tensor series ---------------------------------------------

@@ -7,6 +7,7 @@ from wittq import hopf0
 from wittq.hopf0 import (
     HopfParams,
     antipode_closed,
+    antipode_element,
     antipode_general,
     antipode_twist,
     cobracket_semiclassical,
@@ -183,6 +184,19 @@ def test_antipode_general_on_products():
     assert antipode_general(Element.one(), params) == Series.one(3, 1)
     y = L(2) * L(-1)
     assert antipode_general(y, params) == antipode_twist(y, params)
+
+
+def test_twist_route_agrees_with_the_extended_closed_forms_on_products():
+    # on a generator S_0 could as well be a morphism; on L_a L_b with a != b
+    # the twist route u^{-1} S_0(x) u sees the order S_0 puts the factors in
+    for i in (1, 2):
+        params = HopfParams(i, 3)
+        for a in range(-2, 3):
+            for b in range(-2, 3):
+                if a != b:
+                    x = L(a) * L(b)
+                    assert coproduct_twist(x, params) == coproduct_element(x, params), (i, a, b)
+                    assert antipode_twist(x, params) == antipode_element(x, params), (i, a, b)
 
 
 def test_antipode_general_rejects_inhomogeneous():

@@ -1,4 +1,5 @@
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -6,9 +7,7 @@ from wittq import cli, hopfp, series
 from wittq.hopfp import (
     HopfParamsP,
     PolyP,
-    _check_hopf,
     _check_relations,
-    _per_t,
     antipode_element_p,
     antipode_p,
     antipode_poly,
@@ -30,12 +29,14 @@ from wittq.series import (
     Deformation,
     Verdicts,
     binomial_series,
+    check_hopf,
     check_twist,
     convolve,
     gen_antipode,
     gen_coproduct,
     h_rising,
     mono_antipode,
+    run_checks,
     twist,
     u_series,
     undeformed_antipode,
@@ -340,6 +341,11 @@ def test_coproduct_accepts_fp_elem_index():
         coproduct_p(FpElem(1, 3), pp)
 
 
+def _check_hopf(p):
+    """The Hopf-axiom block of verify_hopf_p at the prime p."""
+    return partial(check_hopf, ks=range(p), bracket=False)
+
+
 def _direct(block, p, i, t_values, fault=None):
     """A check block's report built one t at a time, each pass computed at its own t."""
     rep = VerificationReport()
@@ -354,7 +360,7 @@ def _derived_and_direct(p, i, block, fault):
     """The residue entries of one check block: from one pass at symbolic t
     over (None, 0, ..., p-1), and from a direct pass per residue."""
     residues = range(p)
-    derived = _per_t(Deformation(p, None, i, None, fault), (None, *residues), block).entries
+    derived = run_checks(Deformation(p, None, i, None, fault), (None, *residues), block).entries
     direct = _direct(block, p, i, residues, fault).entries
     assert len(derived) == len(direct) // p * (p + 1)  # the symbolic entries come first
     return derived[-len(direct) :], direct
@@ -368,7 +374,7 @@ def test_derived_entries_equal_direct(p):
         (p, i, block, fault)
         for fault in (None, 0, 1, 2)
         for i in range(1, p)
-        for block in (_check_relations, _check_hopf)
+        for block in (_check_relations, _check_hopf(p))
     ]
     witnessed = 0
     for derived, direct in cli._map_cells(_derived_and_direct, cells):
@@ -381,7 +387,7 @@ def test_verify_all_p_t_values_unnormalized_and_repeated():
     p, i, ts = 5, 2, (None, 6, 1, -4)
     rep = verify_all_p(HopfParamsP(p, i), ts)
     want = _direct(_check_relations, p, i, ts)
-    want.extend(_direct(_check_hopf, p, i, ts))
+    want.extend(_direct(_check_hopf(p), p, i, ts))
     want.extend(radford_check(HopfParamsP(p, i)))
     assert rep.entries == want.entries
     labels = [dict(e.params)["t"] for e in rep.entries if e.identity == "coassociativity" and dict(e.params)["k"] == "0"]
@@ -461,9 +467,7 @@ def test_twist_conjugates_the_undeformed_maps_mod_p(p):
     # F Delta(D_k) = Delta_0(D_k) F and u S(D_k) = S_0(D_k) u, exactly at symbolic t
     for i in range(1, p):
         d = Deformation(p, None, i)
-        verdicts = Verdicts()
-        check_twist(verdicts, d)
-        rep = verdicts.report()
+        rep = run_checks(d, (None,), check_twist)
         assert rep.ok and len(rep.entries) == 3, rep.summary()
         F, u = twist(d), u_series(d)
         for k in range(p):

@@ -17,6 +17,7 @@ from wittq.series import (
     gen_coproduct,
     mono_antipode,
     mono_coproduct,
+    run_checks,
     sigma,
 )
 from wittq.tensor import commutator
@@ -321,9 +322,9 @@ def test_series_product_packs_each_left_coefficient_once(monkeypatch):
         calls["trie"].append(rank)
         return trie(series, rank)
 
-    def counted_left(terms, rank, p):
+    def counted_left(terms, rank):
         calls["left"].append(rank)
-        return left(terms, rank, p)
+        return left(terms, rank)
 
     def counted_pack(mono, p):
         calls["pack"] += 1
@@ -425,3 +426,38 @@ def test_sigma_in_characteristic_0():
         for k in range(-3, 4):
             assert sigma(d, gen_coproduct(d, k)) == -gen_coproduct(mirror, -k), (i, k)
             assert sigma(d, gen_antipode(d, k)) == -gen_antipode(mirror, -k), (i, k)
+
+
+def test_run_checks_enters_each_verdict_once_per_mode():
+    # with symbolic t requested, one pass serves every mode, symbolic first: a
+    # recorded verdict is entered as it is, a checked identity is judged at
+    # each mode's t; a residue-only request runs the block once per residue
+    p, one = 5, ElementP.one(5)
+    passes = []
+
+    def block(verdicts, d):
+        passes.append(d.t)
+        verdicts.record("recorded", d.point, False, "no t in it")
+        verdicts.check("t-is-one", d.point, PolyP(p, 1, [ElementP.zero(p), one]), PolyP.const(one))
+
+    rep = run_checks(Deformation(p, None, 2), (None, 1, 2), block)
+    assert passes == [None]
+    assert [(e.identity, dict(e.params)["t"], e.passed) for e in rep.entries] == [
+        ("recorded", "symbolic", False),
+        ("t-is-one", "symbolic", False),
+        ("recorded", "1", False),
+        ("t-is-one", "1", True),
+        ("recorded", "2", False),
+        ("t-is-one", "2", False),
+    ]
+    assert [e.witness for e in rep.entries if e.identity == "recorded"] == ["no t in it"] * 3
+
+    passes.clear()
+    rep = run_checks(Deformation(p, None, 2), (1, 7), block)
+    assert passes == [1, 2]
+    assert [(e.identity, dict(e.params)["t"]) for e in rep.entries] == [
+        ("recorded", "1"),
+        ("t-is-one", "1"),
+        ("recorded", "2"),
+        ("t-is-one", "2"),
+    ]
