@@ -316,9 +316,10 @@ def run_checks(d: Deformation, t_values, block) -> VerificationReport:
     symbolic t, and every residue c takes its pass flag and witness from both
     sides of each identity evaluated at t = c.  That is sound because
     evaluation at t = c is a ring homomorphism that commutes with products,
-    slot_apply, counit_slot and convolve, and every numeric-t map is defined
-    as _at of its symbolic one, so the entries equal those of a direct run at
-    t = c.  Otherwise block runs once per t, directly at that t."""
+    slot_apply, counit_slot and convolve, and every numeric-t map is _at of
+    its symbolic one (by definition; F and u, built at the residue, term by
+    term), so the entries equal those of a direct run at t = c.  Otherwise
+    block runs once per t, directly at that t."""
     ts = [d.at(tv).t for tv in t_values]
     passes = [(None, ts)] if None in ts else [(tv, (None,)) for tv in ts]
     rep = VerificationReport()
@@ -669,14 +670,17 @@ def sigma(d: Deformation, s: TSeries) -> TSeries:
 
 @_fault_free
 def twist(d: Deformation) -> TSeries:
-    """F = sum_r (1/r!) h^(r) (x) e^r t^r at symbolic t, r over the degrees of
-    d: in characteristic p below p, where e^p = 0 and 1/r! is p-integral."""
-    return d.series(2, [Fraction(1, factorial(r)) * h_rising(d, 0, r).tensor(d.e_power(r)) for r in range(d.degrees)])
+    """F = sum_r (1/r!) h^(r) (x) e^r t^r, r over the degrees of d: in
+    characteristic p below p, where e^p = 0 and 1/r! is p-integral.  At a
+    residue t = c it is built there, as the constant sum_r (c^r/r!) h^(r) (x) e^r."""
+    scale = [Fraction(1 if d.t is None else d.t**r, factorial(r)) for r in range(d.degrees)]
+    terms = [s * h_rising(d, 0, r).tensor(d.e_power(r)) for r, s in enumerate(scale)]
+    return d.series(2, terms if d.t is None else [sum(terms, d.zero.zero_of(2))])
 
 
 @_fault_free
 def u_series(d: Deformation) -> TSeries:
-    """u = m o (S_0 (x) Id)(F)."""
+    """u = m o (S_0 (x) Id)(F), at the t of d as F is."""
     return convolve(twist(d), partial(s0_mono, d), "left")
 
 

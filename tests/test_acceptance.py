@@ -118,6 +118,8 @@ def test_criterion_08_charp_relations_and_axioms():
     # p=7: i in {1,3}, t in {0,1} (each t directly at its residue)
     # p=5: all i, symbolic t
     # p=3: all i, symbolic plus every specialization
+    # each cell derives its p-power entries from the twist conjugation, checked
+    # at its own t; tests/test_hopfp.py raises a p = 7 power directly
     cells = [(HopfParamsP(7, i), (0, 1)) for i in (1, 3)]
     cells += [(HopfParamsP(5, i), (None,)) for i in (1, 2, 3, 4)]
     cells += [(HopfParamsP(3, i), (None, 0, 1, 2)) for i in (1, 2)]

@@ -2,9 +2,11 @@
 
 Each case runs in-process and its full output is hashed with SHA-256.  The
 digests were recorded from the implementation before the t-series layer was
-shared between the characteristics; any change to the bytes of a structure
-map, a table, a report or a mismatch witness fails here.  Every JSON case
-also writes the same bytes through --out as to stdout.
+shared between the characteristics, and that of the p = 7 grid
+(verify-p7-text) before its p-powers were derived from the twist; any change
+to the bytes of a structure map, a table, a report or a mismatch witness
+fails here.  Every JSON case also writes the same bytes through --out as to
+stdout.
 """
 
 import contextlib
@@ -39,6 +41,7 @@ CLI_CASES = {
     "tables-p5": ["tables", "--p", "5", "--i", "3"],
     "verify-p-json": ["verify", "--char", "p", "--p", "3", "--all-i", "--t", "all", "--format", "json"],
     "verify-p-text": ["verify", "--char", "p", "--p", "5", "--i", "2", "--t", "1"],
+    "verify-p7-text": ["verify", "--char", "p", "--p", "7", "--all-i", "--t", "all"],
 }
 
 
@@ -77,6 +80,7 @@ DIGESTS = {
     "verify-0-text": "565cb2c4c1f6be4c7d24b4390d59261e6da81942309ecfaf05784556705c7707",
     "verify-p-json": "901db53fe247de5d8fb4a765d6e01768cb9ffacf49c1b039531aea9d3b613b1c",
     "verify-p-text": "c420abb96322d55c53ec80edeeec595d8e937655e96003120badc310d7b1cf58",
+    "verify-p7-text": "01420f6708352b26cf2366951af62b14a87ef38c75d4addad3853abbc90fd2e5",
     "witness-0": "c5b50e50f0e4087e4559a61c4d7b1ba5eeb604c68e175de6a7802d5402c84d35",
     "witness-p": "5c50006872a5310b0b2e5a54d17fa29c33b628219dd88c2ed8a91c02003026c4",
 }

@@ -18,6 +18,7 @@ from wittq.hopfp import (
     e_element_p,
     radford_check,
     sigma_equivariant,
+    twist_conjugates,
     verify_all_p,
     verify_hopf_p,
     verify_pair_p,
@@ -28,6 +29,7 @@ from wittq.restricted import ElementP
 from wittq.series import (
     Deformation,
     Verdicts,
+    _at,
     binomial_series,
     check_hopf,
     check_twist,
@@ -346,12 +348,25 @@ def _check_hopf(p):
     return partial(check_hopf, ks=range(p), bracket=False)
 
 
+def _powers_direct(block):
+    """block with twist_conjugates forced false, so that _check_relations
+    raises every p-power directly: the independent oracle of the derivation."""
+
+    def run(verdicts, d):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(hopfp, "twist_conjugates", lambda *args: False)
+            block(verdicts, d)
+
+    return run
+
+
 def _direct(block, p, i, t_values, fault=None):
-    """A check block's report built one t at a time, each pass computed at its own t."""
+    """A check block's report built one t at a time, each pass computed at its
+    own t, with every p-power raised directly."""
     rep = VerificationReport()
     for tv in t_values:
         verdicts = Verdicts()
-        block(verdicts, Deformation(p, None, i, tv, fault))
+        _powers_direct(block)(verdicts, Deformation(p, None, i, tv, fault))
         rep.extend(verdicts.reports[0])
     return rep
 
@@ -484,3 +499,95 @@ def test_every_fault_breaks_the_twist_conjugation(p):
             bad = replace(d, fault=fault)
             for k in range(p):
                 assert F * gen_coproduct(bad, k) != undeformed_coproduct(d, d.gen(k)) * F, (i, fault, k)
+
+
+def test_twist_at_a_residue_is_the_symbolic_twist_evaluated():
+    for p, i in ((3, 2), (5, 1), (7, 3)):
+        d = Deformation(p, None, i)
+        for c in range(p):
+            assert twist(d.at(c)) == _at(twist(d), c), (p, i, c)
+            assert u_series(d.at(c)) == _at(u_series(d), c), (p, i, c)
+
+
+# -- the p-power entries derived from the twist -----------------------------------
+
+
+def _generator_maps(d):
+    return {k: coproduct_p(k, d) for k in range(d.char)}, {k: antipode_p(k, d) for k in range(d.char)}
+
+
+def _relations_derived_and_direct(d, t_values):
+    """The relation entries of d over t_values, with the p-powers as
+    _check_relations gives them and with every p-power raised directly."""
+    derived = run_checks(d, t_values, _check_relations).entries
+    return derived, run_checks(d, t_values, _powers_direct(_check_relations)).entries
+
+
+def _checked_identities(monkeypatch):
+    """The identities that go through Verdicts.check from now on, i.e. are
+    computed rather than recorded."""
+    seen, check = set(), Verdicts.check
+
+    def spy(self, identity, *args):
+        seen.add(identity)
+        return check(self, identity, *args)
+
+    monkeypatch.setattr(Verdicts, "check", spy)
+    return seen
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_derived_p_powers_equal_direct_p_powers(p, monkeypatch):
+    # every i, symbolic t with every residue and residues alone; the
+    # conjugation holds at each t, so no power is raised on the derived side
+    requests = ((None, *range(p)), (1, 3))
+    cells = [(Deformation(p, None, i), ts) for i in range(1, p) for ts in requests]
+    for derived, direct in cli._map_cells(_relations_derived_and_direct, cells):
+        assert derived == direct
+        assert len(derived) == len(direct) > 0 and all(e.passed for e in derived)
+    for i in range(1, p):
+        for t in (None, *range(p)):
+            d = Deformation(p, None, i, t)
+            assert twist_conjugates(d, *_generator_maps(d)), (i, t)
+    checked = _checked_identities(monkeypatch)
+    assert verify_relations_preserved(HopfParamsP(p, 1)).ok
+    assert "coproduct-commutator" in checked and not checked & {"coproduct-p-power", "antipode-p-power"}
+
+
+@pytest.mark.parametrize("p", (3, 5))
+def test_every_fault_takes_the_direct_power_path(p):
+    # the conjugation fails for every fault and direction, at symbolic t and
+    # at t = 1 (a fault of degree l falsifies a summand of t^l)
+    for i in range(1, p):
+        for fault in range(p):
+            for t in (None, 1):
+                d = Deformation(p, None, i, t, fault)
+                assert not twist_conjugates(d, *_generator_maps(d)), d
+    # so the powers are raised directly, with the witnesses they had before
+    cells = [(Deformation(p, None, 1, None, fault), (None, *range(p))) for fault in range(p)]
+    for derived, direct in cli._map_cells(_relations_derived_and_direct, cells):
+        assert derived == direct
+        assert any(not e.passed and e.witness for e in derived if e.identity.endswith("p-power"))
+
+
+@pytest.mark.parametrize("name", ("twist", "u_series"))
+def test_corrupted_twist_takes_the_direct_power_path(name, monkeypatch):
+    # 2F - 1 (or 2u - 1) is still 1 at t^0 and unipotent, but conjugates no
+    # more; the corruption reaches the predicate only, not the maps it checks
+    real = getattr(hopfp, name)
+    monkeypatch.setattr(hopfp, name, lambda d: real(d) * 2 - 1)
+    checked = _checked_identities(monkeypatch)
+    for t in (None, 1):
+        d = HopfParamsP(3, 1, t)
+        assert not twist_conjugates(d, *_generator_maps(d)), t
+        derived, direct = _relations_derived_and_direct(d, (t,))
+        assert derived == direct and all(e.passed for e in derived)
+    assert {"coproduct-p-power", "antipode-p-power"} <= checked
+
+
+def test_p7_powers_vanish_directly():
+    # criterion 8 now derives its p = 7 powers, so one is still raised here:
+    # Delta(D_2)^7 = 0 and S(D_2)^7 = 0 at i = 1, t = 1
+    pp = HopfParamsP(7, 1, 1)
+    assert (coproduct_p(2, pp) ** 7).is_zero()
+    assert (antipode_p(2, pp) ** 7).is_zero()
