@@ -365,6 +365,12 @@ class ElementP(TensorElement):
     def runs(self, mono: MonoP) -> tuple[tuple[int, int], ...]:
         return tuple((k, m) for k, m in enumerate(mono) if m)
 
+    def split_letter(self, mono: MonoP, first: bool) -> tuple[int, MonoP]:
+        """(k, rest): the first (or last) letter D_k of mono, which is not the
+        unit, and the monomial rest that is left without it."""
+        k = next(j for j in (range(self.p) if first else reversed(range(self.p))) if mono[j])
+        return k, mono[:k] + (mono[k] - 1,) + mono[k + 1 :]
+
     def mono_str(self, mono: MonoP) -> str:
         parts = [f"D_{k}" if m == 1 else f"D_{k}^{m}" for k, m in enumerate(mono) if m]
         return "*".join(parts) if parts else "1"

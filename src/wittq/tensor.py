@@ -15,7 +15,8 @@ A subclass supplies its ring and its monomial rule:
 - ``from_sums(rank, sums)``: a same-ring element from raw coefficient sums;
 - ``_scalar(x)``: x as a coefficient, or NotImplemented if x is no scalar of
   the ring;
-- ``unit_mono()``, ``runs(mono)`` and ``mono_str(mono)``;
+- ``unit_mono()``, ``runs(mono)``, ``split_letter(mono, first)`` and
+  ``mono_str(mono)``;
 - ``series_mul(a_coeffs, b_coeffs, n)``, the one multiply kernel: the
   coefficients of t^0 .. t^(n-1) in the product of two t-series of its ring
   and rank.
@@ -51,26 +52,39 @@ class TensorElement:
         if self.rank != other.rank:
             raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
 
-    def __add__(self, other):
+    def _sum(self, other, sign: int):
+        """self + other (sign 1) or self - other (sign -1), normalizing only
+        the keys that other touches.  Adding or subtracting zero gives back
+        self, and adding to zero gives back other."""
         if not isinstance(other, TensorElement):
             s = self._scalar(other)
             if s is NotImplemented:
                 return NotImplemented
             other = self.from_sums(self.rank, {(self.unit_mono(),) * self.rank: s})
         self._check(other)
-        # normalize only the keys the right operand touches
+        if not other.terms:
+            return self
+        if not self.terms and sign > 0:
+            return other
         out = dict(self.terms)
         get = out.get
-        touched = self.from_sums(self.rank, {key: get(key, 0) + c for key, c in other.terms.items()}).terms
+        if sign > 0:
+            sums = {key: get(key, 0) + c for key, c in other.terms.items()}
+        else:
+            sums = {key: get(key, 0) - c for key, c in other.terms.items()}
+        touched = self.from_sums(self.rank, sums).terms
         for key in other.terms.keys() - touched.keys():
             out.pop(key, None)
         out.update(touched)
         return self._like(self.rank, out)
 
+    def __add__(self, other):
+        return self._sum(other, 1)
+
     __radd__ = __add__
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._sum(other, -1)
 
     def __neg__(self):
         return -1 * self

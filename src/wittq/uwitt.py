@@ -7,22 +7,29 @@ encoded as ((index, exponent), ...).  Element adds this monomial rule and its
 multiply kernel to the sparse tensors of tensor.py.
 
 Straightening rewrites L_a L_b -> L_b L_a + (b - a) L_{a+b} whenever a > b,
-one inserted generator at a time; monomial products are memoized because the
-tensor series computations multiply the same small monomials over and over.
-Their structure constants are integers, so the multiply kernel runs on
-integers too, over whole truncated t-series (series_mul, the ring hook of the
-series product; an element product is the degree-0 case): it scales each
-operand series once to integer numerators over the lcm of all its
-denominators, sums numerator products times the monomial constants in plain
-ints per (degree, output key) for every pair of degrees the product keeps,
-and divides by the product of the two denominators once per key at the end.
+one inserted generator at a time.
+
+The multiply kernel works on interned monomials: each monomial the kernel
+meets gets a small int id once, in a module-level table, and the products of
+monomials are memoized on pairs of ids, because the tensor series
+computations multiply the same small monomials over and over.  Their
+structure constants are integers, so the kernel runs on integers too, over
+whole truncated t-series (series_mul, the ring hook of the series product; an
+element product is the degree-0 case): it turns each key into a tuple of ids
+and scales each operand series once to integer numerators over the lcm of all
+its denominators, sums numerator products times the monomial constants in
+plain ints per (degree, output id key) for every pair of degrees the product
+keeps, with flat loops at ranks 1 and 2, and on exit turns the ids back into
+monomials and divides by the product of the two denominators once per key.
+An id says only in which order the process first met its monomial.  The
+kernel's output keys follow the order of its terms and of the memoized
+products, never the order of ids, so no output depends on them.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import product as iproduct
 from math import factorial, lcm
 
 from .tensor import TensorElement, commutator
@@ -42,10 +49,10 @@ def mono_of(word: Word) -> Mono:
     out = []
     for k in word:
         if out and out[-1][0] == k:
-            out[-1][1] += 1
+            out[-1] = (k, out[-1][1] + 1)
         else:
-            out.append([k, 1])
-    return tuple((k, m) for k, m in out)
+            out.append((k, 1))
+    return tuple(out)
 
 
 def is_normal(mono: Mono) -> bool:
@@ -89,9 +96,79 @@ def straighten(word: Word) -> tuple[tuple[Mono, int], ...]:
     return _fold({(): 1}, word)
 
 
-@lru_cache(maxsize=None)
 def mono_mul(a: Mono, b: Mono) -> tuple[tuple[Mono, int], ...]:
+    """Normal form of the product of two monomials, unmemoized: the kernel
+    memoizes it once, on interned ids (_id_mul)."""
     return _fold({word_of(a): 1}, word_of(b))
+
+
+# -- the multiply kernel on interned monomial ids ------------------------------
+
+_IDS: dict[Mono, int] = {ONE_MONO: 0}
+_MONOS: list[Mono] = [ONE_MONO]
+
+
+def _intern(mono: Mono) -> int:
+    """The id of mono, assigned when the kernel first meets it; the unit is 0."""
+    i = _IDS.get(mono)
+    if i is None:
+        i = _IDS[mono] = len(_MONOS)
+        _MONOS.append(mono)
+    return i
+
+
+@lru_cache(maxsize=None)
+def _id_mul(a: int, b: int) -> tuple[tuple[int, int], ...]:
+    """mono_mul on ids: ((id, constant), ...) in the order of mono_mul."""
+    if not a or not b:
+        return ((a or b, 1),)
+    return tuple((_intern(m), c) for m, c in mono_mul(_MONOS[a], _MONOS[b]))
+
+
+def _scaled(x: "Element", d: int, rank: int) -> list:
+    """(id key, integer numerator over d) per term of x; an id key is one id
+    at rank 1 and a tuple of ids above."""
+    if rank == 1:
+        return [(_intern(m), c.numerator * (d // c.denominator)) for (m,), c in x.terms.items()]
+    return [(tuple(map(_intern, key)), c.numerator * (d // c.denominator)) for key, c in x.terms.items()]
+
+
+# _pairs_<rank>: for every pair of a left and a right term (see _scaled), add
+# its numerator product times the monomial constants into tgt, per output id
+# key; flat loops at ranks 1 and 2, slot by slot above (and at rank 0)
+
+
+def _pairs_1(tgt: dict, left: list, right: list) -> None:
+    get = tgt.get
+    for ia, na in left:
+        for ib, nb in right:
+            m = na * nb
+            for k, c in _id_mul(ia, ib):
+                tgt[k] = get(k, 0) + m * c
+
+
+def _pairs_2(tgt: dict, left: list, right: list) -> None:
+    get = tgt.get
+    for (a1, a2), na in left:
+        for (b1, b2), nb in right:
+            second = _id_mul(a2, b2)
+            m = na * nb
+            for k1, c1 in _id_mul(a1, b1):
+                m1 = m * c1
+                for k2, c2 in second:
+                    key = (k1, k2)
+                    tgt[key] = get(key, 0) + m1 * c2
+
+
+def _pairs_n(tgt: dict, left: list, right: list) -> None:
+    get = tgt.get
+    for ka, na in left:
+        for kb, nb in right:
+            combos = [((), na * nb)]
+            for ia, ib in zip(ka, kb):
+                combos = [(key + (k,), m * c) for key, m in combos for k, c in _id_mul(ia, ib)]
+            for key, m in combos:
+                tgt[key] = get(key, 0) + m
 
 
 class Element(TensorElement):
@@ -153,6 +230,14 @@ class Element(TensorElement):
     def runs(self, mono: Mono) -> Mono:
         return mono
 
+    def split_letter(self, mono: Mono, first: bool) -> tuple[int, Mono]:
+        """(k, rest): the first (or last) letter L_k of mono, which is not the
+        unit, and the monomial rest that is left without it."""
+        (k, m), rest = (mono[0], mono[1:]) if first else (mono[-1], mono[:-1])
+        if m == 1:
+            return k, rest
+        return k, ((k, m - 1),) + rest if first else rest + ((k, m - 1),)
+
     def mono_str(self, mono: Mono) -> str:
         if not mono:
             return "1"
@@ -164,32 +249,30 @@ class Element(TensorElement):
 
     def series_mul(self, a_coeffs, b_coeffs, n: int) -> list:
         """The coefficients of t^0 .. t^(n-1) in the product of the t-series
-        with coefficients a_coeffs and b_coeffs, in integers: each series is
-        scaled once to numerators over the lcm of its denominators, and each
-        output key of each degree becomes one reduced Fraction."""
+        with coefficients a_coeffs and b_coeffs, in integers on interned
+        monomial ids: each series is scaled once to numerators over the lcm
+        of its denominators, every pair of terms adds its numerator product
+        times the memoized monomial constants (_id_mul) to its output id key,
+        and each output key of each degree becomes one reduced Fraction."""
+        rank = self.rank
         a_coeffs, b_coeffs = a_coeffs[:n], b_coeffs[:n]
         da = lcm(*(c.denominator for x in a_coeffs for c in x.terms.values()))
         db = lcm(*(c.denominator for y in b_coeffs for c in y.terms.values()))
-        right = [[(kb, cb.numerator * (db // cb.denominator)) for kb, cb in y.terms.items()] for y in b_coeffs]
+        pairs = _pairs_1 if rank == 1 else _pairs_2 if rank == 2 else _pairs_n
+        right = [_scaled(y, db, rank) for y in b_coeffs]
         out: list[dict] = [{} for _ in range(n)]
         for a, x in enumerate(a_coeffs):
-            if not x.terms:
-                continue
-            left = [(ka, ca.numerator * (da // ca.denominator)) for ka, ca in x.terms.items()]
-            for b, rb in enumerate(right[: n - a]):
-                tgt = out[a + b]
-                for ka, na in left:
-                    for kb, nb in rb:
-                        # a product with a unit slot is answered here, not cached
-                        parts = [mono_mul(ma, mb) if ma and mb else ((ma or mb, 1),) for ma, mb in zip(ka, kb)]
-                        for combo in iproduct(*parts):
-                            m = na * nb
-                            for _, ci in combo:
-                                m *= ci
-                            key = tuple(mono for mono, _ in combo)
-                            tgt[key] = tgt.get(key, 0) + m
-        d = da * db
-        return [self._like(self.rank, {key: Fraction(m, d) for key, m in sums.items() if m}) for sums in out]
+            if x.terms:
+                left = _scaled(x, da, rank)
+                for b, rb in enumerate(right[: n - a]):
+                    pairs(out[a + b], left, rb)
+        d, monos = da * db, _MONOS
+        if rank == 1:
+            return [self._like(1, {(monos[k],): Fraction(m, d) for k, m in sums.items() if m}) for sums in out]
+        return [
+            self._like(rank, {tuple([monos[i] for i in k]): Fraction(m, d) for k, m in sums.items() if m})
+            for sums in out
+        ]
 
     def degree(self):
         """Common degree under |L_k| = k, or None if inhomogeneous."""

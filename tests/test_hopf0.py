@@ -23,10 +23,12 @@ from wittq.series import (
     Deformation,
     Series,
     TSeries,
+    Verdicts,
     binomial_series,
     counit,
     element_antipode,
     element_coproduct,
+    mono_coproduct,
     u_series,
     undeformed_antipode,
     undeformed_coproduct,
@@ -294,17 +296,29 @@ def test_pair_loop_makes_each_product_once(monkeypatch):
     # warm the structure-map memos, then count the series products of one run
     params, ks = HopfParams(1, 2), range(-1, 2)
     want = verify_hopf0(params, ks).entries
-    calls = []
-    mul = TSeries.__mul__
+    calls, rhs = [], {}
+    mul, judge = TSeries.__mul__, Verdicts.judge
 
     def counted(self, other):
         calls.append(other)
         return mul(self, other)
 
+    def judged(self, identity, pt, lhs, right):
+        if identity == "coproduct-multiplicative":
+            rhs[pt["k"], pt["l"]] = right
+        return judge(self, identity, pt, lhs, right)
+
     monkeypatch.setattr(TSeries, "__mul__", counted)
+    monkeypatch.setattr(Verdicts, "judge", judged)
     assert verify_hopf0(params, ks).entries == want
-    # 9 ordered generator-pair products and 18 scalar multiples summing
-    # coproduct_element; with dk * dl and dk * dl - dl * dk at every ordered
-    # pair it was 27 + 18 = 45
-    assert sum(isinstance(x, TSeries) for x in calls) == 9
-    assert len(calls) == 27
+    # Delta(x_k) Delta(x_l) for k <= l is the memo entry of the PBW monomial
+    # x_k x_l, so only the 3 products with k > l are made; each sum of
+    # coproduct_element scales only its 7 terms with a coefficient other than
+    # 1.  Before, all 9 ordered pairs were multiplied and all 18 terms scaled
+    for k in ks:
+        for l in ks:
+            if k <= l:
+                ((mono,),) = (L(k) * L(l)).terms
+                assert rhs[k, l] is mono_coproduct(params, mono)
+    assert sum(isinstance(x, TSeries) for x in calls) == 3
+    assert len(calls) == 10

@@ -1,6 +1,9 @@
 import random
+import sys
+from dataclasses import replace
 from fractions import Fraction
 from functools import partial
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -21,7 +24,7 @@ from wittq.series import (
     sigma,
 )
 from wittq.tensor import commutator
-from wittq.uwitt import Element
+from wittq.uwitt import Element, mono_of
 
 L = Element.gen
 
@@ -119,6 +122,20 @@ def test_evaluate_cancels_across_degrees():
     assert s.evaluate(FpElem(4, 5)).is_zero() and s.evaluate(4) == _evaluate_per_degree(s, 4)
     with pytest.raises(TypeError):
         Series(2, 1, [L(1)]).evaluate(FpElem(1, 5))
+
+
+def test_sum_with_a_zero_series():
+    # a zero that does not truncate hands back the other operand; one of
+    # lower order truncates it; subtraction equals adding the negation
+    s, z3, z1 = Series(3, 1, [L(1), L(2)]), Series.zero(3), Series.zero(1)
+    assert s + z3 is s and z3 + s is s and s - z3 is s
+    assert z3 - s == -s and s - s == z3
+    assert s + z1 == z1 + s == s - z1 == Series(1, 1, [L(1), L(2)])
+    assert (s - z1).order == 1
+    f, zf = PolyP(5, 1, [ElementP.gen(1, 5), ElementP.gen(2, 5)]), PolyP.zero(5)
+    assert f + zf is f and zf + f is f and f - zf is f
+    assert zf - f == -f and (f - f).coeffs == ()
+    assert f - 2 * f == f + (-2) * f
 
 
 def test_swap():
@@ -461,3 +478,66 @@ def test_run_checks_enters_each_verdict_once_per_mode():
         ("recorded", "2"),
         ("t-is-one", "2"),
     ]
+
+
+# -- the multiplicative extension to monomials ----------------------------------
+
+
+def _image_by_generators(d, word, anti):
+    """The image of the monomial with ascending word under the coproduct, or
+    under the antipode when anti is set, multiplied generator by generator:
+    the reference the prefix-built extension is checked against."""
+    gen = gen_antipode if anti else gen_coproduct
+    out = None
+    for k in reversed(word) if anti else word:
+        g = gen(d, k)
+        out = g if out is None else out * g
+    return out
+
+
+def _mono_of_word(d, word):
+    if d.char:
+        return tuple(word.count(j) for j in range(d.char))
+    return mono_of(word)
+
+
+@pytest.mark.parametrize(
+    "d, gens, longest",
+    [
+        (Deformation(0, 3, 1), range(-1, 3), 4),
+        (Deformation(0, 3, 2), range(-1, 3), 4),
+        (Deformation(3, None, 1), range(3), 4),
+        (Deformation(3, None, 2, t=2), range(3), 4),
+        (Deformation(5, None, 2), range(5), 3),
+        (Deformation(5, None, 1, t=3), range(5), 3),
+    ],
+    ids=["c0-i1", "c0-i2", "p3", "p3-t2", "p5", "p5-t3"],
+)
+def test_prefix_extension_matches_generator_products(d, gens, longest):
+    # every monomial up to the given length, longest first so that images are
+    # built through several unmemoized parts, clean and with one fault
+    words = [w for n in range(longest, 0, -1) for w in combinations_with_replacement(gens, n)]
+    for dd in (d, replace(d, fault=1)):
+        for word in words:
+            mono = _mono_of_word(dd, word)
+            assert mono_coproduct(dd, mono) == _image_by_generators(dd, word, False), word
+            assert mono_antipode(dd, mono) == _image_by_generators(dd, word, True), word
+
+
+def test_extension_of_a_long_monomial_does_not_recurse():
+    # L_1^n with n above the recursion limit: its image is built in a loop
+    # over its letters, not one call per letter (L_1^n L_1 needs no
+    # straightening, whose own recursion grows with the word)
+    d = Deformation(0, 0, 1)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit, n = sys.getrecursionlimit(), depth + 150
+    sys.setrecursionlimit(depth + 100)
+    try:
+        cp, ap = mono_coproduct(d, ((1, n),)), mono_antipode(d, ((1, n),))
+    finally:
+        sys.setrecursionlimit(limit)
+    one, x = Element.one(), L(1)
+    assert cp.coeff(0) == (x.tensor(one) + one.tensor(x)) ** n
+    assert ap.coeff(0) == (-x) ** n

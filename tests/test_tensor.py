@@ -82,3 +82,22 @@ def test_scalars_of_another_ring_raise():
         ElementP.gen(1, 5) + FpElem(1, 7)
     with pytest.raises(TypeError):
         FpElem(1, 5) * Element.gen(1)
+
+
+@pytest.mark.parametrize("char", [0, 5])
+def test_subtraction_and_zero_operands(char):
+    # x - y subtracts directly and equals x + (-y), cancelled keys dropped;
+    # a zero operand hands back the other one, and ring and rank still count
+    rng = random.Random(20 + char)
+    make = _random_element_0 if char == 0 else lambda rng: _random_element_p(rng, 5)
+    zero = Element.zero() if char == 0 else ElementP.zero(5)
+    for _ in range(20):
+        x, y = make(rng), make(rng)
+        assert x - y == x + (-y)
+        assert (x - x).is_zero() and (x - x).terms == {}
+        assert x + zero is x and zero + x is x and x - zero is x
+        assert zero - x == -x
+    with pytest.raises(ValueError):
+        x + zero.zero_of(2)
+    with pytest.raises(ValueError):
+        x - (Element.zero() if char else ElementP.zero(5))

@@ -5,6 +5,7 @@ from math import gcd
 
 import pytest
 
+from wittq import uwitt
 from wittq.uwitt import (
     Element,
     act_on_laurent,
@@ -12,6 +13,7 @@ from wittq.uwitt import (
     ad_power_closed,
     bracket,
     commutator,
+    is_normal,
     mono_mul,
     mono_of,
     normal_order,
@@ -289,3 +291,39 @@ def test_element_str():
     assert str(L(-1) * Element(1, {(((2, 3),),): 1})) == "1 * L_{-1}*L_2^3"
     assert str(Element.zero()) == "0"
     assert str(Element.one()) == "1 * 1"
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_series_kernel_below_both_lengths_matches_pairwise_oracle(rank):
+    # the ring hook itself, asked for fewer degrees than either operand has:
+    # every kept coefficient is the oracle's pairwise Fraction sum
+    rng = random.Random(130 + rank)
+    for _ in range(6):
+        a = [_random_element(rng, rank) if rng.random() < 0.8 else Element.zero(rank) for _ in range(rng.randint(3, 5))]
+        b = [_random_element(rng, rank) if rng.random() < 0.8 else Element.zero(rank) for _ in range(rng.randint(3, 5))]
+        n = rng.randint(1, min(len(a), len(b)) - 1)
+        got = Element.zero(rank).series_mul(a, b, n)
+        assert len(got) == n
+        for d, coeff in enumerate(got):
+            want = Element.zero(rank)
+            for j in range(d + 1):
+                want = want + oracle_mul(a[j], b[d - j])
+            assert coeff == want
+            _assert_reduced(coeff)
+            # keys are canonical monomials, and the kernel's element equals
+            # and hashes as the one the validating constructor builds
+            assert all(len(key) == rank and all(map(is_normal, key)) for key in coeff.terms)
+            built = Element(rank, dict(coeff.terms))
+            assert coeff == built and hash(coeff) == hash(built)
+
+
+def test_kernel_memo_is_keyed_on_monomial_ids():
+    # a repeated product finds every monomial pair in the id-pair memo
+    x = L(2) * L(-1) + Fraction(1, 3) * L(0)
+    y = L(1) * L(1) - 2 * L(-3)
+    first = x * y
+    before = uwitt._id_mul.cache_info()
+    assert x * y == first
+    after = uwitt._id_mul.cache_info()
+    assert after.hits >= before.hits + len(x.terms) * len(y.terms)
+    assert after.misses == before.misses
