@@ -25,7 +25,6 @@ reading.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from fractions import Fraction
 from functools import lru_cache, partial
 
@@ -158,12 +157,12 @@ def cobracket_semiclassical(k: int, i: int) -> Element:
     return route_a
 
 
-def verify_hopf0(params: Deformation, k_range, corrupt_term: int | None = None) -> VerificationReport:
+def verify_hopf0(params: Deformation, k_range) -> VerificationReport:
     """Hopf axiom suite on generators: coassociativity, counit, antipode
     convolution, and well-definedness (multiplicativity + bracket compatibility)
-    on generator pairs.  Failures are reported, never raised.  A fault given
-    here becomes the fault of the params checked (see Deformation)."""
-    return run_checks(replace(params, fault=corrupt_term), (None,), partial(check_hopf, ks=k_range, bracket=True))
+    on generator pairs.  Failures are reported, never raised.  A fault of the
+    params is checked as it is (see Deformation)."""
+    return run_checks(params, (None,), partial(check_hopf, ks=k_range, bracket=True))
 
 
 def _check_routes(verdicts: Verdicts, params: Deformation, ks) -> None:

@@ -218,9 +218,10 @@ def _check_relations(verdicts: Verdicts, params: Deformation) -> None:
 def verify_relations_preserved(params: Deformation, corrupt_term: int | None = None) -> VerificationReport:
     """The deformed maps must respect the defining relations: commutators of
     generator images, and the p-power relations, for both the coproduct
-    (morphism) and the antipode (antimorphism).  A fault given here becomes
+    (morphism) and the antipode (antimorphism).  A fault given here replaces
     the fault of the params checked (see Deformation)."""
-    return run_checks(replace(params, fault=corrupt_term), (params.t,), _check_relations)
+    d = params if corrupt_term is None else replace(params, fault=corrupt_term)
+    return run_checks(d, (d.t,), _check_relations)
 
 
 def verify_hopf_p(params: Deformation, t_values=None) -> VerificationReport:

@@ -362,9 +362,6 @@ class ElementP(TensorElement):
     def unit_mono(self) -> MonoP:
         return one_mono(self.p)
 
-    def runs(self, mono: MonoP) -> tuple[tuple[int, int], ...]:
-        return tuple((k, m) for k, m in enumerate(mono) if m)
-
     def split_letter(self, mono: MonoP, first: bool) -> tuple[int, MonoP]:
         """(k, rest): the first (or last) letter D_k of mono, which is not the
         unit, and the monomial rest that is left without it."""

@@ -11,9 +11,8 @@ unit-leading-term recursion and applies to truncated series only.
 
 The coefficient ring enters only through methods of the element classes:
 ``zero_of``/``one_of`` a rank, ``unit_mono``, ``monomial`` (monomial to
-element), ``runs`` (monomial to (generator, exponent) pairs in PBW order),
-``split_letter`` (a monomial to its first or last letter and the rest),
-``from_sums`` (raw coefficient sums to a normalized element) and
+element), ``split_letter`` (a monomial to its first or last letter and the
+rest), ``from_sums`` (raw coefficient sums to a normalized element) and
 ``series_mul`` (the coefficients of a product of two series, below a
 degree).
 
@@ -32,18 +31,21 @@ and normalized once, with what the characteristics differ in derived from it.
 The characteristic-p maps are the characteristic-0 formulas read mod p, so each
 generator map, its extension to monomials and elements, and the Hopf axiom
 suite is written once and takes the Deformation first; the memoized ones are
-keyed on it.  The coproduct and antipode of a monomial extend through its
-memoized parts: Delta(m x_k) = Delta(m) Delta(x_k) drops the last letter and
-S(x_k m) = S(m) S(x_k) the first, so a monomial's image is one series
-product on the image of a prefix (suffix) that other monomials share, and
-the image built so far is always the left factor.  check_hopf takes
-Delta(x_k) Delta(x_l) for k <= l from that memo, since x_k x_l is then a PBW
-monomial.
+keyed on it.  Every algebra morphism (Delta, Delta_0, sigma) and
+antimorphism (S, S_0) is fixed by where it sends the generators, and one
+extension (_extension) turns each such generator map into its map on
+monomials, through the monomial's memoized parts: f(m x_k) = f(m) f(x_k)
+drops the last letter of a morphism's argument and f(x_k m) = f(m) f(x_k)
+the first of an antimorphism's, so a monomial's image is one series product
+on the image of a prefix (suffix) that other monomials share, and the image
+built so far is always the left factor.  check_hopf takes
+Delta(x_k) Delta(x_l) for k <= l from the coproduct's memo, since x_k x_l is
+then a PBW monomial.
 
 The twist route is written once too, through the same slot maps and the
-generator-by-generator extension (_mono_image): the undeformed coproduct
-Delta_0 and antipode S_0, the counit, the automorphism and involution sigma:
-x_k -> -x_{-k} (one tensor slot at a time), the twisting element
+same extension: the undeformed coproduct Delta_0 and antipode S_0, the
+counit, the automorphism and involution sigma: x_k -> -x_{-k} (one tensor
+slot at a time), the twisting element
 F = sum_r (1/r!) h^(r) (x) e^r t^r, u = m(S_0 (x) Id)(F) and the check block
 of F's cocycle identity and counit normalization.  They share no formula
 with the closed forms, so conjugation, F Delta(x) = Delta_0(x) F and
@@ -52,7 +54,6 @@ u S(x) = S_0(x) u, is an independent route to the deformed maps.
 
 from __future__ import annotations
 
-from collections import namedtuple
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from functools import lru_cache, partial, wraps
@@ -62,7 +63,7 @@ from .report import VerificationReport
 from .restricted import ElementP, e_element_p
 from .scalars import check_odd_prime, gen_binomial, int_coeff, rising
 from .tensor import TensorElement
-from .uwitt import Element, e_element
+from .uwitt import CacheInfo, Element, e_element
 
 
 def _meet(a, b):
@@ -379,19 +380,11 @@ def slot_apply(s: TSeries, slot: int, fn) -> TSeries:
 
 
 def counit_slot(s: TSeries, slot: int) -> TSeries:
-    """Apply the counit to tensor factor `slot`: keep the terms with the unit there."""
+    """Apply the counit to tensor factor `slot`: the unit monomial maps to the
+    rank-0 unit, every other monomial to zero."""
     unit = s._zero.unit_mono()
-    out_rank = s.rank - 1
-    zero = s._zero.zero_of(out_rank)
-    coeffs = []
-    for elem in s.coeffs:
-        sums: dict = {}
-        for key, c in elem.terms.items():
-            if key[slot] == unit:
-                nkey = key[:slot] + key[slot + 1 :]
-                sums[nkey] = sums.get(nkey, 0) + c
-        coeffs.append(zero.from_sums(out_rank, sums))
-    return s._like(s.order, out_rank, coeffs)
+    one, zero = s._const(s._zero.one_of(0)), s._like(None, 0, ())
+    return slot_apply(s, slot, lambda mono: one if mono == unit else zero)
 
 
 def convolve(s: TSeries, apode, side: str) -> TSeries:
@@ -593,30 +586,14 @@ def gen_antipode(d: Deformation, k: int) -> TSeries:
 # -- multiplicative extension of the generator maps ---------------------------------
 
 
-def _mono_image(runs, gen, one, anti: bool):
-    """Image of the monomial with PBW runs `runs` ((generator, exponent)
-    pairs) under the algebra morphism sending generator k to the element
-    gen(k), or under the antimorphism when anti is set; one is the image of
-    the unit monomial."""
-    out = None
-    for k, m in reversed(runs) if anti else runs:
-        g = gen(k)
-        for _ in range(m):
-            out = g if out is None else out * g
-    return one if out is None else out
-
-
-def _element_image(x, mono_map, zero):
-    """Linear extension of mono_map (monomial -> image) to a rank-1 element;
-    zero is the image of the zero element."""
-    out = zero
+def _element_image(d: Deformation, x, mono_map) -> TSeries:
+    """Linear extension of the monomial map mono_map(d, monomial) to a rank-1
+    element; its images have the rank of the unit monomial's."""
+    out = d.series(mono_map(d, d.zero.unit_mono()).rank)
     for (mono,), c in x.terms.items():
-        image = mono_map(mono)
+        image = mono_map(d, mono)
         out = out + (image if c == 1 else image * c)
     return out
-
-
-_CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
 
 
 def _extension(rank: int, anti: bool, fault_free: bool = False):
@@ -665,7 +642,7 @@ def _extension(rank: int, anti: bool, fault_free: bool = False):
                 out = memo[d, part] = g if out is None else out * g
             return out
 
-        image.cache_info = lambda: _CacheInfo(counts[0], counts[1], None, len(memo))
+        image.cache_info = lambda: CacheInfo(counts[0], counts[1], None, len(memo))
         return image
 
     return wrap
@@ -686,11 +663,11 @@ def mono_antipode(d: Deformation, k: int) -> TSeries:
 
 
 def element_coproduct(d: Deformation, x) -> TSeries:
-    return _element_image(x, partial(mono_coproduct, d), d.series(2))
+    return _element_image(d, x, mono_coproduct)
 
 
 def element_antipode(d: Deformation, x) -> TSeries:
-    return _element_image(x, partial(mono_antipode, d), d.series(1))
+    return _element_image(d, x, mono_antipode)
 
 
 # -- the undeformed Hopf structure, sigma and the twist ------------------------------
@@ -704,37 +681,34 @@ def counit(x):
     return x.coeff((x.unit_mono(),))
 
 
-def _gen_image(d: Deformation, mono, gen, rank: int, anti: bool) -> TSeries:
-    """The constant series of mono's image under the algebra morphism (the
-    antimorphism if anti is set) sending generator k to the element gen(k)."""
-    return d.series(rank, [_mono_image(d.zero.runs(mono), gen, d.zero.one_of(rank), anti)])
+@_extension(2, anti=False, fault_free=True)
+def delta0_mono(d: Deformation, k: int) -> TSeries:
+    """Delta_0 of a monomial, an algebra morphism: x_k -> x_k (x) 1 + 1 (x)
+    x_k.  (This body gives the image of one letter.)"""
+    x, one = d.gen(k), d.zero.one_of(1)
+    return d.series(2, [x.tensor(one) + one.tensor(x)])
 
 
-@_fault_free
-def delta0_mono(d: Deformation, mono) -> TSeries:
-    """Delta_0 of a monomial: x_k -> x_k (x) 1 + 1 (x) x_k, an algebra morphism."""
-    one = d.zero.one_of(1)
-    return _gen_image(d, mono, lambda k: d.gen(k).tensor(one) + one.tensor(d.gen(k)), 2, False)
+@_extension(1, anti=True, fault_free=True)
+def s0_mono(d: Deformation, k: int) -> TSeries:
+    """S_0 of a monomial, an algebra antimorphism: x_k -> -x_k.  (This body
+    gives the image of one letter.)"""
+    return d.series(1, [-d.gen(k)])
 
 
-@_fault_free
-def s0_mono(d: Deformation, mono) -> TSeries:
-    """S_0 of a monomial: x_k -> -x_k, an algebra antimorphism."""
-    return _gen_image(d, mono, lambda k: -d.gen(k), 1, True)
-
-
-@_fault_free
-def sigma_mono(d: Deformation, mono) -> TSeries:
-    """sigma of a monomial: x_k -> -x_{-k}, an algebra morphism."""
-    return _gen_image(d, mono, lambda k: -d.gen(-k), 1, False)
+@_extension(1, anti=False, fault_free=True)
+def sigma_mono(d: Deformation, k: int) -> TSeries:
+    """sigma of a monomial, an algebra morphism: x_k -> -x_{-k}.  (This body
+    gives the image of one letter.)"""
+    return d.series(1, [-d.gen(-k)])
 
 
 def undeformed_coproduct(d: Deformation, x) -> TSeries:
-    return _element_image(x, partial(delta0_mono, d), d.series(2))
+    return _element_image(d, x, delta0_mono)
 
 
 def undeformed_antipode(d: Deformation, x) -> TSeries:
-    return _element_image(x, partial(s0_mono, d), d.series(1))
+    return _element_image(d, x, s0_mono)
 
 
 def sigma(d: Deformation, s: TSeries) -> TSeries:

@@ -15,8 +15,7 @@ A subclass supplies its ring and its monomial rule:
 - ``from_sums(rank, sums)``: a same-ring element from raw coefficient sums;
 - ``_scalar(x)``: x as a coefficient, or NotImplemented if x is no scalar of
   the ring;
-- ``unit_mono()``, ``runs(mono)``, ``split_letter(mono, first)`` and
-  ``mono_str(mono)``;
+- ``unit_mono()``, ``split_letter(mono, first)`` and ``mono_str(mono)``;
 - ``series_mul(a_coeffs, b_coeffs, n)``, the one multiply kernel: the
   coefficients of t^0 .. t^(n-1) in the product of two t-series of its ring
   and rank.

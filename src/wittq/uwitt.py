@@ -28,6 +28,7 @@ products, never the order of ids, so no output depends on them.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, lcm
@@ -64,19 +65,47 @@ def mono_degree(mono: Mono) -> int:
     return sum(k * m for k, m in mono)
 
 
-@lru_cache(maxsize=None)
+CacheInfo = namedtuple("CacheInfo", "hits misses maxsize currsize")
+
+_TIMES: dict[tuple[Word, int], tuple[tuple[Word, int], ...]] = {}
+_TIMES_HITS = [0]
+
+
 def _times_gen(word: Word, g: int) -> tuple[tuple[Word, int], ...]:
-    # word is ascending; result is the normal form of word * L_g.
-    if not word or word[-1] <= g:
-        return ((word + (g,), 1),)
-    head, a = word[:-1], word[-1]
-    acc: dict[Word, int] = {}
-    for w1, c1 in _times_gen(head, g):
-        for w2, c2 in _times_gen(w1, a):
-            acc[w2] = acc.get(w2, 0) + c1 * c2
-    for w1, c1 in _times_gen(head, g + a):
-        acc[w1] = acc.get(w1, 0) + (g - a) * c1
-    return tuple(sorted((w, c) for w, c in acc.items() if c))
+    """The normal form of word * L_g for an ascending word, memoized on
+    (word, g): with word = head + (a,) and a > g, it is (head * L_g) * L_a +
+    (g - a) head * L_{g+a}.  A missing product is built from an explicit stack
+    of the products it needs, so the call stack does not grow with the word."""
+    out = _TIMES.get((word, g))
+    if out is not None:
+        _TIMES_HITS[0] += 1
+        return out
+    stack = [(word, g)]
+    while stack:
+        w, h = key = stack.pop()
+        if key in _TIMES:
+            continue
+        if not w or w[-1] <= h:
+            _TIMES[key] = ((w + (h,), 1),)
+            continue
+        head, a = w[:-1], w[-1]
+        parts = [(head, h), (head, h + a), *((w1, a) for w1, _ in _TIMES.get((head, h), ()))]
+        need = [part for part in parts if part not in _TIMES]
+        if need:
+            stack += [key, *need]
+            continue
+        acc: dict[Word, int] = {}
+        for w1, c1 in _TIMES[head, h]:
+            for w2, c2 in _TIMES[w1, a]:
+                acc[w2] = acc.get(w2, 0) + c1 * c2
+        for w1, c1 in _TIMES[head, h + a]:
+            acc[w1] = acc.get(w1, 0) + (h - a) * c1
+        _TIMES[key] = tuple(sorted((w, c) for w, c in acc.items() if c))
+    return _TIMES[word, g]
+
+
+# each entry is computed once, on a miss, and kept
+_times_gen.cache_info = lambda: CacheInfo(_TIMES_HITS[0], len(_TIMES), None, len(_TIMES))
 
 
 def _fold(acc: dict[Word, int], gens) -> tuple[tuple[Mono, int], ...]:
@@ -226,9 +255,6 @@ class Element(TensorElement):
 
     def unit_mono(self) -> Mono:
         return ONE_MONO
-
-    def runs(self, mono: Mono) -> Mono:
-        return mono
 
     def split_letter(self, mono: Mono, first: bool) -> tuple[int, Mono]:
         """(k, rest): the first (or last) letter L_k of mono, which is not the

@@ -4,6 +4,8 @@ per criterion."""
 
 import random
 import time
+from dataclasses import replace
+
 from wittq import cli, hopfp
 from wittq.hopf0 import (
     HopfParams,
@@ -177,7 +179,7 @@ def test_criterion_12_char0_charp_bridge():
 def test_criterion_13_mutation_sensitivity():
     t0 = time.perf_counter()
     clean0 = verify_hopf0(HopfParams(1, 3), range(-2, 3)).ok
-    mutated0 = verify_hopf0(HopfParams(1, 3), range(-2, 3), corrupt_term=1).ok
+    mutated0 = verify_hopf0(replace(HopfParams(1, 3), fault=1), range(-2, 3)).ok
     cleanp = verify_relations_preserved(HopfParamsP(3, 1)).ok
     mutatedp = verify_relations_preserved(HopfParamsP(3, 1), corrupt_term=1).ok
     mutatedp2 = verify_relations_preserved(HopfParamsP(5, 2), corrupt_term=2).ok

@@ -12,6 +12,7 @@ stdout.
 import contextlib
 import hashlib
 import io
+from dataclasses import replace
 
 import pytest
 
@@ -51,7 +52,7 @@ def _witness_p() -> str:
 
 
 def _witness_0() -> str:
-    rep = hopf0.verify_hopf0(hopf0.HopfParams(1, 2), range(-1, 2), corrupt_term=1)
+    rep = hopf0.verify_hopf0(replace(hopf0.HopfParams(1, 2), fault=1), range(-1, 2))
     return next(f"{e.identity}: {e.witness}" for e in rep.entries if not e.passed) + "\n"
 
 

@@ -262,9 +262,19 @@ def test_hopf_axioms_at_order_zero():
 
 
 def test_mutation_detected():
-    rep = verify_hopf0(HopfParams(1, 3), range(-2, 3), corrupt_term=1)
+    rep = verify_hopf0(replace(HopfParams(1, 3), fault=1), range(-2, 3))
     assert not rep.ok
     assert len(rep.failures()) > 0
+
+
+def test_a_faulty_deformation_fails_the_hopf_suite_of_verify_all0():
+    # the fault of the params is the one checked: verify_hopf0 gives the
+    # entries that a fault keyword set on clean params gave (42 of its 75
+    # entries fail), and verify_all0 ends in exactly those entries
+    faulty = replace(HopfParams(1, 3), fault=1)
+    rep = verify_hopf0(faulty, range(-2, 3))
+    assert (len(rep.entries), len(rep.failures())) == (75, 42)
+    assert verify_all0(faulty, range(-2, 3)).entries[-75:] == rep.entries
 
 
 def test_cobracket_route_mismatch_is_a_failing_entry(monkeypatch):

@@ -209,6 +209,17 @@ def test_relations_mutation_detected():
     assert not rep5.ok
 
 
+def test_relations_check_the_fault_of_a_faulty_deformation():
+    # without the keyword the params' own fault is checked, with the entries
+    # of the keyword call; the keyword still overrides it
+    for p, i, fault in ((3, 1, 1), (5, 2, 2)):
+        clean = HopfParamsP(p, i)
+        keyword = verify_relations_preserved(clean, corrupt_term=fault)
+        assert not keyword.ok
+        assert verify_relations_preserved(replace(clean, fault=fault)).entries == keyword.entries
+        assert verify_relations_preserved(replace(clean, fault=0), corrupt_term=fault).entries == keyword.entries
+
+
 def test_hopf_axioms_p3_all_modes():
     for i in (1, 2):
         rep = verify_hopf_p(HopfParamsP(3, i), (None, 0, 1, 2))

@@ -15,13 +15,16 @@ from wittq.series import (
     PolyP,
     Series,
     _meet,
+    delta0_mono,
     first_mismatch,
     gen_antipode,
     gen_coproduct,
     mono_antipode,
     mono_coproduct,
     run_checks,
+    s0_mono,
     sigma,
+    sigma_mono,
 )
 from wittq.tensor import commutator
 from wittq.uwitt import Element, mono_of
@@ -483,16 +486,33 @@ def test_run_checks_enters_each_verdict_once_per_mode():
 # -- the multiplicative extension to monomials ----------------------------------
 
 
-def _image_by_generators(d, word, anti):
-    """The image of the monomial with ascending word under the coproduct, or
-    under the antipode when anti is set, multiplied generator by generator:
-    the reference the prefix-built extension is checked against."""
-    gen = gen_antipode if anti else gen_coproduct
+def _image_by_generators(d, word, gen, anti):
+    """The image of the monomial with ascending word under the algebra
+    morphism (antimorphism, when anti is set) that sends x_k to the series
+    gen(d, k), multiplied generator by generator: the reference the
+    prefix-built extension is checked against."""
     out = None
     for k in reversed(word) if anti else word:
         g = gen(d, k)
         out = g if out is None else out * g
     return out
+
+
+def _delta0_gen(d, k):
+    one = d.zero.one_of(1)
+    return d.series(2, [d.gen(k).tensor(one) + one.tensor(d.gen(k))])
+
+
+# each monomial map with the generator map it extends and whether it is an
+# antimorphism: Delta, S, Delta_0: x_k -> x_k (x) 1 + 1 (x) x_k, S_0: x_k ->
+# -x_k and sigma: x_k -> -x_{-k}
+EXTENSIONS = [
+    (mono_coproduct, gen_coproduct, False),
+    (mono_antipode, gen_antipode, True),
+    (delta0_mono, _delta0_gen, False),
+    (s0_mono, lambda d, k: d.series(1, [-d.gen(k)]), True),
+    (sigma_mono, lambda d, k: d.series(1, [-d.gen(-k)]), False),
+]
 
 
 def _mono_of_word(d, word):
@@ -515,19 +535,19 @@ def _mono_of_word(d, word):
 )
 def test_prefix_extension_matches_generator_products(d, gens, longest):
     # every monomial up to the given length, longest first so that images are
-    # built through several unmemoized parts, clean and with one fault
+    # built through several unmemoized parts, clean and with one fault, under
+    # each of the five monomial maps
     words = [w for n in range(longest, 0, -1) for w in combinations_with_replacement(gens, n)]
     for dd in (d, replace(d, fault=1)):
         for word in words:
             mono = _mono_of_word(dd, word)
-            assert mono_coproduct(dd, mono) == _image_by_generators(dd, word, False), word
-            assert mono_antipode(dd, mono) == _image_by_generators(dd, word, True), word
+            for mono_map, gen, anti in EXTENSIONS:
+                assert mono_map(dd, mono) == _image_by_generators(dd, word, gen, anti), (mono_map.__name__, word)
 
 
 def test_extension_of_a_long_monomial_does_not_recurse():
     # L_1^n with n above the recursion limit: its image is built in a loop
-    # over its letters, not one call per letter (L_1^n L_1 needs no
-    # straightening, whose own recursion grows with the word)
+    # over its letters, not one call per letter, under all five monomial maps
     d = Deformation(0, 0, 1)
     depth, frame = 0, sys._getframe()
     while frame is not None:
@@ -536,8 +556,10 @@ def test_extension_of_a_long_monomial_does_not_recurse():
     sys.setrecursionlimit(depth + 100)
     try:
         cp, ap = mono_coproduct(d, ((1, n),)), mono_antipode(d, ((1, n),))
+        d0, s0, sg = delta0_mono(d, ((1, n),)), s0_mono(d, ((1, n),)), sigma_mono(d, ((1, n),))
     finally:
         sys.setrecursionlimit(limit)
     one, x = Element.one(), L(1)
-    assert cp.coeff(0) == (x.tensor(one) + one.tensor(x)) ** n
-    assert ap.coeff(0) == (-x) ** n
+    assert cp.coeff(0) == d0.coeff(0) == (x.tensor(one) + one.tensor(x)) ** n
+    assert ap.coeff(0) == s0.coeff(0) == (-x) ** n
+    assert sg.coeff(0) == (-L(-1)) ** n

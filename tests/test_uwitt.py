@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from itertools import product as iproduct
 from math import gcd
@@ -174,6 +175,34 @@ def test_multiply_examples():
     # [L_1, L_-1] = -2 L_0, so L_1 L_-1 = L_-1 L_1 - 2 L_0
     assert L(1) * L(-1) == Element(1, {(((-1, 1), (1, 1)),): 1, (((0, 1),),): -2})
     assert L(0) * L(0) == Element(1, {(((0, 2),),): 1})
+
+
+def _l1_power_times_lm1(n):
+    """L_1^n L_{-1} = L_{-1} L_1^n - 2n L_0 L_1^(n-1) + n(n-1) L_1^(n-1)."""
+
+    def word(*w):
+        return Element.from_mono(mono_of(w))
+
+    ones = (1,) * (n - 1)
+    return word(-1, 1, *ones) - 2 * n * word(0, *ones) + n * (n - 1) * word(*ones)
+
+
+def test_straightening_a_long_monomial_does_not_recurse():
+    # the closed form agrees with the worklist oracle on short words; with n
+    # above the recursion limit, inserting L_{-1} into L_1^n is straightened
+    # from an explicit work stack, not one call per letter
+    for n in range(1, 8):
+        assert Element.from_mono(((1, n),)) * L(-1) == oracle_normal_order([1] * n + [-1]) == _l1_power_times_lm1(n)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit, n = sys.getrecursionlimit(), depth + 150
+    sys.setrecursionlimit(depth + 100)
+    try:
+        got = Element.from_mono(((1, n),)) * L(-1)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == _l1_power_times_lm1(n)
 
 
 def test_multiply_associative_random():
