@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import itertools
-import os
 import sys
 
 from . import hopf0, hopfp, jsonio, restricted
@@ -200,28 +198,6 @@ def _cmd_tables(parser, args) -> int:
     return 0
 
 
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _map_cells(fn, cells) -> list:
-    """fn(*cell) of each cell, in cell order; fn is a module-level function
-    and the cells share no state.  With two or more cells and CPUs, and fork
-    available, the cells run in a pool of forked processes, which inherit the
-    memos the parent has filled so far; spawn and forkserver would start from
-    cold memos, so there the cells run serially."""
-    n = min(len(cells), _usable_cpus())
-    if n >= 2:
-        import multiprocessing
-
-        if "fork" in multiprocessing.get_all_start_methods():
-            with multiprocessing.get_context("fork").Pool(n) as pool:
-                return pool.starmap(fn, cells, chunksize=1)
-    return list(itertools.starmap(fn, cells))
-
-
 def _cmd_verify(parser, args) -> int:
     if args.char == "0":
         if args.all_i:
@@ -238,14 +214,10 @@ def _cmd_verify(parser, args) -> int:
         if args.i is None and not args.all_i:
             parser.error("characteristic p requires --i or --all-i")
         d = _deformation(parser, args, 1 if args.all_i else None)
-        p, t_values = d.char, tuple(_t_values(parser, args, d.char))
-        rep = restricted.verify_witt_iso(p)
+        t_values = tuple(_t_values(parser, args, d.char))
+        rep = restricted.verify_witt_iso(d.char)
         if args.all_i:
-            # i = 1 .. (p-1)/2, each with its mirror p - i; the mirrors come
-            # in reverse, (p+1)/2 .. p-1
-            cells = [(Deformation(p, None, i), t_values) for i in range(1, (p + 1) // 2)]
-            pairs = _map_cells(hopfp.verify_pair_p, cells)
-            for cell_rep in [first for first, _ in pairs] + [mirror for _, mirror in reversed(pairs)]:
+            for cell_rep in hopfp.verify_all_i(d, t_values):
                 rep.extend(cell_rep)
         else:
             rep.extend(hopfp.verify_all_p(d, t_values))

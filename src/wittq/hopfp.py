@@ -56,40 +56,42 @@ computation gives.  When the check fails (every fault makes it fail), every
 power is raised directly, so each witness is a direct one.  The commutator
 entries are always computed.
 
-The directions i and -i = p - i are checked as a pair (verify_pair_p), the
-second derived from the first through the involution sigma: D_k -> -D_{-k},
-which series.sigma defines once for both characteristics.
-sigma preserves the bracket, [-D_{-k}, -D_{-l}] = (l-k)(-D_{-k-l}), and the
-p-power map, so it is an automorphism of u(W), and it fixes t.  The
-derivation runs only when every entry of direction i passes and sigma is
-equivariant on the generators, checked exactly at symbolic t for every k:
-(sigma (x) sigma) Delta_i(D_k) = -Delta_{-i}(D_{-k}) and
-sigma S_i(D_k) = -S_{-i}(D_{-k}), i.e. Delta_{-i} sigma = (sigma (x) sigma)
-Delta_i and S_{-i} sigma = sigma S_i on generators.  Then every entry of
-direction -i is sigma, on each tensor factor, of an entry of direction i, and
-evaluation at t = c commutes with sigma:
+The p - 1 directions are one family with t rescaled: verify_all_i computes
+direction 1 and derives each direction m = 2 .. p-1 from it through
+phi_m: D_k -> m^-1 D_{mk} (series.phi; sigma: D_k -> -D_{-k} is phi_-1).
 
-- the relation entries of -i at (k, l) are sigma of those of i at (-k, -l)
-  (the p-power ones at -k, since (-x)^p = -x^p for odd p); sigma is
-  bijective, so an identity holds in one direction exactly when it holds in
-  the other;
-- the Hopf and Radford entries use the PBW extensions of Delta and S to
-  monomials.  At each requested t, the passing relation entries of direction
-  i make its extensions an algebra morphism (Delta) and antimorphism (S) of
-  u(W); the mirror's generator maps are sigma-conjugates of i's, so its
-  extensions are the sigma-conjugates of i's extensions, on every monomial;
-- sigma(h_i) = h_{-i} and sigma(e_i) = e_{-i}, so sigma carries the
-  distinguished subalgebra of i, with alpha = (1 - e t)^{-1}, to that of -i.
+- phi_m is a restricted automorphism of the periodic Witt algebra, hence of
+  u(W): [phi_m D_k, phi_m D_l] = m^-1 (l - k) D_{m(k+l)} = phi_m [D_k, D_l];
+  phi_m(D_0) = m^-1 D_0 is toral, since m^p = m; phi_m(D_k)^[p] = 0 for
+  k != 0; and phi_{1/m} inverts it.
+- t -> m^2 t is a ring automorphism of F_p[t] (m^2 is a unit), and
+  evaluating at c after it is evaluating at m^2 c: residue c of direction m
+  is residue m^2 c of direction 1.
+- phi_m(h_1) = m^-1 D_0 = h_m and phi_m(e_1) = m^-1 D_m = m^-2 e_m, so
+  phi_m(alpha_1(m^2 t)) = alpha_m(t); and phi_m maps {0, 1} to {0, m}.
 
-So every entry of direction -i passes.  The entries of a cell come in an
-order, and with parameters, that do not depend on i, and a passing entry has
-no witness, so the report of -i is that of i with the parameter i replaced.
-If either precondition fails, direction -i is checked directly.
+phi_equivariant checks exactly, at symbolic t and for every k, that
+(phi_m (x) phi_m) Delta_1(D_k)(m^2 t) = m^-1 Delta_m(D_{mk})(t) and
+phi_m S_1(D_k)(m^2 t) = m^-1 S_m(D_{mk})(t).  Then each entry of direction m
+at t = c is phi_m, on every tensor factor, of that of direction 1 at
+t = m^2 c: the relation entries at (k, l) are those of 1 at (k/m, l/m), both
+sides scaled alike (by m^2 for the commutators, as l - k = m (l/m - k/m),
+and by m^p = m for the p-powers); the Hopf entries use the PBW extensions,
+which the passing relation entries make a morphism (Delta) and an
+antimorphism (S), so those of m are phi_m-conjugates of those of 1, and
+phi_m commutes with the counit and the product; the Radford entries, at
+symbolic t, follow from the third fact.  phi_m is bijective, so when
+direction 1 passes every entry (for a request without symbolic t, also at
+each residue m^2 c that it lacks), so does direction m.  The entries of a
+cell come in an order, and with parameters, that do not depend on i, and a
+passing entry has no witness, so the report of m is that of 1 with the
+parameter i replaced.  Otherwise direction m is checked directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import replace
+from fractions import Fraction
 from functools import partial
 
 from .report import VerificationReport
@@ -111,8 +113,8 @@ from .series import (
     h_rising,
     mono_antipode,
     mono_coproduct,
+    phi,
     run_checks,
-    sigma,
     slot_apply,
     twist,
     u_series,
@@ -284,20 +286,6 @@ def verify_all_p(params: Deformation, t_values=None) -> VerificationReport:
     return rep
 
 
-def sigma_equivariant(params: Deformation) -> bool:
-    """Whether sigma: D_k -> -D_{-k} carries the generator maps of direction i
-    to those of direction -i, exactly at symbolic t and for every k:
-    (sigma (x) sigma) Delta_i(D_k) = -Delta_{-i}(D_{-k}) and
-    sigma S_i(D_k) = -S_{-i}(D_{-k})."""
-    p = params.char
-    d, mirror = Deformation(p, None, params.i), Deformation(p, None, -params.i)
-    return all(
-        sigma(d, gen_coproduct(d, k)) == -gen_coproduct(mirror, -k % p)
-        and sigma(d, gen_antipode(d, k)) == -gen_antipode(mirror, -k % p)
-        for k in range(p)
-    )
-
-
 def twist_conjugates(params: Deformation, dk: dict, sk: dict) -> bool:
     """Whether the twist F and u = m(S_0 (x) Id)(F), at the params' own t,
     conjugate the undeformed maps to dk and sk (k -> Delta(D_k), S(D_k) of the
@@ -319,17 +307,45 @@ def twist_conjugates(params: Deformation, dk: dict, sk: dict) -> bool:
     )
 
 
-def verify_pair_p(params: Deformation, t_values=None) -> tuple[VerificationReport, VerificationReport]:
-    """verify_all_p of direction i and of direction p - i, the second derived
-    from the first through sigma when every entry of direction i passes and
-    sigma_equivariant holds: then it is the report of direction i with the
-    parameter i set to p - i (see the module docstring for why), and
-    otherwise it is computed directly, on params with i negated and its t and
-    fault kept, so every witness is a direct one."""
-    rep = verify_all_p(params, t_values)
-    mirror = replace(params, i=-params.i)
-    if rep.ok and sigma_equivariant(params):
-        label = str(mirror.i)
-        entries = [replace(e, params=tuple((k, label if k == "i" else v) for k, v in e.params)) for e in rep.entries]
-        return rep, VerificationReport(entries)
-    return rep, verify_all_p(mirror, t_values)
+def _t_rescaled(s: PolyP, m: int) -> PolyP:
+    """s(m^2 t): the coefficient of t^n times m^(2n)."""
+    return s._like(None, s.rank, [c * m ** (2 * n) for n, c in enumerate(s.coeffs)])
+
+
+def phi_equivariant(d: Deformation, m: int) -> bool:
+    """Whether phi_m: D_k -> m^-1 D_{mk} carries the generator maps of d's
+    direction i at m^2 t to those of direction mi at t, fault kept, exactly
+    at symbolic t and for every k: (phi_m (x) phi_m) Delta_i(D_k)(m^2 t) =
+    m^-1 Delta_{mi}(D_{mk})(t) and phi_m S_i(D_k)(m^2 t) = m^-1 S_{mi}(D_{mk})(t)."""
+    p, d = d.char, d.at(None)
+    target, inv = replace(d, i=m * d.i), Fraction(1, m)
+    return all(
+        phi(d, m, _t_rescaled(gen_coproduct(d, k), m)) == gen_coproduct(target, m * k % p) * inv
+        and phi(d, m, _t_rescaled(gen_antipode(d, k), m)) == gen_antipode(target, m * k % p) * inv
+        for k in range(p)
+    )
+
+
+def _relabelled(rep: VerificationReport, i: int) -> VerificationReport:
+    """rep with the parameter i of every entry set to i."""
+    label = str(i)
+    return VerificationReport(
+        [replace(e, params=tuple((k, label if k == "i" else v) for k, v in e.params)) for e in rep.entries]
+    )
+
+
+def verify_all_i(d: Deformation, t_values) -> list[VerificationReport]:
+    """verify_all_p of d in every direction i = 1 .. p-1, in i order, over
+    t_values.  Direction 1 is computed, and direction m derived from it
+    when the module docstring's preconditions hold; otherwise direction m is
+    computed directly, with d's fault, so every witness is a direct one."""
+    p, one = d.char, replace(d, i=1)
+    first = verify_all_p(one, t_values)
+    ts = {d.at(t).t for t in t_values}
+    # residue c of direction m is residue m^2 c of direction 1
+    missing = set() if None in ts else {m * m * c % p for m in range(2, p) for c in ts} - ts
+    derive = first.ok and (not missing or verify_all_p(one, sorted(missing)).ok)
+    return [first] + [
+        _relabelled(first, m) if derive and phi_equivariant(one, m) else verify_all_p(replace(d, i=m), t_values)
+        for m in range(2, p)
+    ]

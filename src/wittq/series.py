@@ -31,7 +31,7 @@ and normalized once, with what the characteristics differ in derived from it.
 The characteristic-p maps are the characteristic-0 formulas read mod p, so each
 generator map, its extension to monomials and elements, and the Hopf axiom
 suite is written once and takes the Deformation first; the memoized ones are
-keyed on it.  Every algebra morphism (Delta, Delta_0, sigma) and
+keyed on it.  Every algebra morphism (Delta, Delta_0, phi_m) and
 antimorphism (S, S_0) is fixed by where it sends the generators, and one
 extension (_extension) turns each such generator map into its map on
 monomials, through the monomial's memoized parts: f(m x_k) = f(m) f(x_k)
@@ -44,8 +44,8 @@ then a PBW monomial.
 
 The twist route is written once too, through the same slot maps and the
 same extension: the undeformed coproduct Delta_0 and antipode S_0, the
-counit, the automorphism and involution sigma: x_k -> -x_{-k} (one tensor
-slot at a time), the twisting element
+counit, the morphisms phi_m: x_k -> m^-1 x_{mk} that carry one direction
+to another (one tensor slot at a time), the twisting element
 F = sum_r (1/r!) h^(r) (x) e^r t^r, u = m(S_0 (x) Id)(F) and the check block
 of F's cocycle identity and counit normalization.  They share no formula
 with the closed forms, so conjugation, F Delta(x) = Delta_0(x) F and
@@ -670,7 +670,7 @@ def element_antipode(d: Deformation, x) -> TSeries:
     return _element_image(d, x, mono_antipode)
 
 
-# -- the undeformed Hopf structure, sigma and the twist ------------------------------
+# -- the undeformed Hopf structure, phi_m and the twist ------------------------------
 
 
 def counit(x):
@@ -696,13 +696,6 @@ def s0_mono(d: Deformation, k: int) -> TSeries:
     return d.series(1, [-d.gen(k)])
 
 
-@_extension(1, anti=False, fault_free=True)
-def sigma_mono(d: Deformation, k: int) -> TSeries:
-    """sigma of a monomial, an algebra morphism: x_k -> -x_{-k}.  (This body
-    gives the image of one letter.)"""
-    return d.series(1, [-d.gen(-k)])
-
-
 def undeformed_coproduct(d: Deformation, x) -> TSeries:
     return _element_image(d, x, delta0_mono)
 
@@ -711,10 +704,22 @@ def undeformed_antipode(d: Deformation, x) -> TSeries:
     return _element_image(d, x, s0_mono)
 
 
-def sigma(d: Deformation, s: TSeries) -> TSeries:
-    """sigma on every tensor factor of s."""
+@lru_cache(maxsize=None)
+def phi_mono(m: int):
+    """phi_m of a monomial, for an integer m != 0: the algebra morphism
+    x_k -> m^-1 x_{mk}, one extension per m, made on first use."""
+
+    @_extension(1, anti=False, fault_free=True)
+    def phi_m(d: Deformation, k: int) -> TSeries:
+        return d.series(1, [Fraction(1, m) * d.gen(m * k)])
+
+    return phi_m
+
+
+def phi(d: Deformation, m: int, s: TSeries) -> TSeries:
+    """phi_m on every tensor factor of s; sigma: x_k -> -x_{-k} is phi_-1."""
     for slot in range(s.rank):
-        s = slot_apply(s, slot, partial(sigma_mono, d))
+        s = slot_apply(s, slot, partial(phi_mono(m), d))
     return s
 
 

@@ -6,7 +6,7 @@ import random
 import time
 from dataclasses import replace
 
-from wittq import cli, hopfp
+from wittq import hopfp
 from wittq.hopf0 import (
     HopfParams,
     antipode_closed,
@@ -114,9 +114,9 @@ def test_criterion_07_mod_p_well_definedness():
     report(7, ok, "1000 random lift pairs per p in {3,5,7} share one residue (l < p)", t0)
 
 
-def test_criterion_08_charp_relations_and_axioms():
+def test_criterion_08_charp_relations_and_axioms(map_cells):
     t0 = time.perf_counter()
-    # independent (p, i) cells, the slowest first, on the verify --all-i pool:
+    # independent (p, i) cells, the slowest first, side by side (map_cells):
     # p=7: i in {1,3}, t in {0,1} (each t directly at its residue)
     # p=5: all i, symbolic t
     # p=3: all i, symbolic plus every specialization
@@ -125,7 +125,7 @@ def test_criterion_08_charp_relations_and_axioms():
     cells = [(HopfParamsP(7, i), (0, 1)) for i in (1, 3)]
     cells += [(HopfParamsP(5, i), (None,)) for i in (1, 2, 3, 4)]
     cells += [(HopfParamsP(3, i), (None, 0, 1, 2)) for i in (1, 2)]
-    ok = all(rep.ok for rep in cli._map_cells(hopfp.verify_all_p, cells))
+    ok = all(rep.ok for rep in map_cells(hopfp.verify_all_p, cells))
     elapsed = time.perf_counter() - t0
     report(8, ok and elapsed < 600, "char-p relation preservation and Hopf axioms on the full grid, under 10 minutes", t0)
 

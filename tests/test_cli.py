@@ -460,111 +460,30 @@ def test_tables_document_is_written_in_bounded_chunks(monkeypatch):
 ALL_I_P5 = ["verify", "--char", "p", "--p", "5", "--all-i", "--t", "all"]
 
 
-@pytest.fixture
-def pools(monkeypatch):
-    """Count the fork contexts the CLI asks for (one per process pool)."""
-    import multiprocessing
-
-    made = []
-    get_context = multiprocessing.get_context
-
-    def counted(method=None):
-        made.append(method)
-        return get_context(method)
-
-    monkeypatch.setattr(multiprocessing, "get_context", counted)
-    return made
-
-
-def _no_pool(monkeypatch):
-    import multiprocessing
-
-    def refuse(method=None):
-        raise AssertionError("no process pool expected")
-
-    monkeypatch.setattr(multiprocessing, "get_context", refuse)
-
-
-def _run_with_cpus(monkeypatch, capsys, cpus, argv):
-    import wittq.cli as cli
-
-    monkeypatch.setattr(cli, "_usable_cpus", lambda: cpus)
-    return run_cli(argv, capsys)
-
-
-# p = 5: two pairs {1, 4} and {2, 3}, so two tasks, enough for a pool; at
-# p = 3 the one pair {1, 2} runs serially
-
-
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_all_i_pool_matches_serial(fmt, monkeypatch, capsys, pools):
-    argv = ALL_I_P5 + ["--format", fmt]
-    serial = _run_with_cpus(monkeypatch, capsys, 1, argv)
-    assert pools == []
-    pooled = _run_with_cpus(monkeypatch, capsys, 2, argv)
-    assert pools == ["fork"]
-    assert pooled == serial
-    assert serial[0] == 0
-
-
-def _raised_with_1_and_2_cpus(monkeypatch, capsys, raising, failing=None):
-    """The exception types of a serial and a pooled --p 5 --all-i run in
-    which verify_all_p raises for direction raising and, for direction
-    failing, returns a failing report."""
+@pytest.mark.parametrize("raising", [1, 3], ids=["computed", "direct"])
+def test_all_i_reraises_an_exception_of_a_cell(raising, monkeypatch):
+    # direction 1 raises, or it fails and direction 3, computed directly,
+    # raises: the exception leaves main as it is
     import wittq.cli as cli
     from wittq.report import VerificationReport
 
     verify = cli.hopfp.verify_all_p
 
-    def faulty(params, t_values=(None,)):
+    def faulty(params, t_values=None):
         if params.i == raising:
             raise ArithmeticError(f"cell i={raising}")
-        if params.i == failing:
+        if params.i == 1:
             rep = VerificationReport()
             rep.add("injected", {"p": params.char, "i": params.i}, False, "forced failure")
             return rep
         return verify(params, t_values)
 
     monkeypatch.setattr(cli.hopfp, "verify_all_p", faulty)
-    raised = []
-    for cpus in (1, 2):
-        with pytest.raises(Exception) as exc:
-            _run_with_cpus(monkeypatch, capsys, cpus, ALL_I_P5)
-        raised.append(exc.type)
-    return raised
+    with pytest.raises(ArithmeticError, match=f"cell i={raising}"):
+        main(ALL_I_P5)
 
 
-def test_all_i_pool_reraises_a_failing_cell(monkeypatch, capsys, pools):
-    # cell 2 is computed directly
-    assert _raised_with_1_and_2_cpus(monkeypatch, capsys, 2) == [ArithmeticError, ArithmeticError]
-    assert pools == ["fork"]
-
-
-def test_all_i_pool_reraises_a_failing_mirror_fallback(monkeypatch, capsys, pools):
-    # cell 2 fails, so its mirror, cell 3, is computed directly, and raises
-    assert _raised_with_1_and_2_cpus(monkeypatch, capsys, 3, 2) == [ArithmeticError, ArithmeticError]
-    assert pools == ["fork"]
-
-
-def test_single_i_never_makes_a_pool(monkeypatch, capsys):
-    _no_pool(monkeypatch)
-    code, out = _run_with_cpus(monkeypatch, capsys, 2, ["verify", "--char", "p", "--p", "3", "--i", "2", "--t", "all"])
-    assert code == 0
-    assert out.endswith(" 0 failures\n")
-
-
-@pytest.mark.parametrize("fmt", ["text", "json"])
-def test_all_i_without_fork_runs_serially(fmt, monkeypatch, capsys):
-    import multiprocessing
-
-    argv = ALL_I_P5 + ["--format", fmt]
-    serial = _run_with_cpus(monkeypatch, capsys, 1, argv)
-    _no_pool(monkeypatch)
-    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn", "forkserver"])
-    assert _run_with_cpus(monkeypatch, capsys, 2, argv) == serial
-
-
-# -- --all-i derives cell p - i from cell i: the same bytes as direct cells ------
+# -- --all-i derives every direction from direction 1: the same bytes as direct cells
 
 
 def _direct_all_i(p, t_values, fmt):
@@ -581,7 +500,7 @@ def _direct_all_i(p, t_values, fmt):
 
 def _cells_computed(monkeypatch, capsys, p, t, fmt):
     """Exit code, output and the directions verify_all_p ran for, of one
-    serial --all-i run."""
+    --all-i run."""
     import wittq.cli as cli
 
     verify, ran = cli.hopfp.verify_all_p, []
@@ -592,18 +511,23 @@ def _cells_computed(monkeypatch, capsys, p, t, fmt):
 
     monkeypatch.setattr(cli.hopfp, "verify_all_p", recorded)
     argv = ["verify", "--char", "p", "--p", str(p), "--all-i", "--t", t, "--format", fmt]
-    code, out = _run_with_cpus(monkeypatch, capsys, 1, argv)
+    code, out = run_cli(argv, capsys)
     monkeypatch.setattr(cli.hopfp, "verify_all_p", verify)
     return code, out, ran
 
 
-@pytest.mark.parametrize("fmt", ["text", "json"])
-@pytest.mark.parametrize("t", ["symbolic", "2", "all"])
-@pytest.mark.parametrize("p", (3, 5))
+@pytest.mark.parametrize(
+    "p, t, fmt",
+    [(p, t, fmt) for p in (3, 5) for t in ("symbolic", "2", "all") for fmt in ("text", "json")] + [(7, "3", "json")],
+)
 def test_all_i_derived_cells_match_direct_cells(p, t, fmt, monkeypatch, capsys):
     code, out, ran = _cells_computed(monkeypatch, capsys, p, t, fmt)
-    assert ran == list(range(1, (p + 1) // 2))  # every mirror derived
-    t_values = {"symbolic": (None,), "2": (2,), "all": (None, *range(p))}[t]
+    # every direction derived from direction 1; a request of one residue c
+    # also runs direction 1, once, at the rest of c's square class
+    # ({2, 3} at p = 5, {3, 5, 6} at p = 7)
+    square_class = {m * m * int(t) % p for m in range(1, p)} if t.isdigit() else set()
+    assert ran == ([1, 1] if len(square_class) > 1 else [1])
+    t_values = (int(t),) if t.isdigit() else {"symbolic": (None,), "all": (None, *range(p))}[t]
     ok, want = _direct_all_i(p, t_values, fmt)
     assert (code, out) == (0, want) and ok
 
@@ -621,7 +545,7 @@ def test_all_i_failing_cell_computes_its_mirror_directly(faulty, monkeypatch, ca
 
     monkeypatch.setattr(cli.hopfp, "_check_relations", relations)
     code, out, ran = _cells_computed(monkeypatch, capsys, 5, "all", "json")
-    assert ran == ([1, 4, 2] if faulty == {1} else [1, 4, 2, 3])
+    assert ran == [1, 2, 3, 4]
     ok, want = _direct_all_i(5, (None, *range(5)), "json")
     assert (code, out) == (1, want) and not ok
     failed = {e["params"]["i"] for e in json.loads(out)["entries"] if e["status"] == "fail"}
@@ -630,15 +554,48 @@ def test_all_i_failing_cell_computes_its_mirror_directly(faulty, monkeypatch, ca
 
 def test_all_i_without_equivariance_computes_the_mirror_directly(monkeypatch, capsys):
     # direction 3's antipode doubled, in the relation checks and in the
-    # equivariance check: pair {2, 3} falls back, pair {1, 4} is derived
+    # equivariance check: direction 3 falls back, 2 and 4 are derived
     import wittq.cli as cli
 
     antipode = cli.hopfp.gen_antipode
     monkeypatch.setattr(cli.hopfp, "gen_antipode", lambda d, k: 2 * antipode(d, k) if d.i == 3 else antipode(d, k))
-    assert not cli.hopfp.sigma_equivariant(HopfParamsP(5, 2))
-    assert cli.hopfp.sigma_equivariant(HopfParamsP(5, 1))
+    assert [cli.hopfp.phi_equivariant(HopfParamsP(5, 1), m) for m in (2, 3, 4)] == [True, False, True]
     code, out, ran = _cells_computed(monkeypatch, capsys, 5, "all", "text")
-    assert ran == [1, 2, 3]
+    assert ran == [1, 3]
     ok, want = _direct_all_i(5, (None, *range(5)), "text")
     assert (code, out) == (1, want) and not ok
     assert "[FAIL] antipode-commutator (i=3, " in out
+
+
+def _phi_without_inverse(monkeypatch):
+    # phi_m as D_k -> D_{mk}, without the m^-1
+    from wittq import series
+
+    def phi_mono(m):
+        return series._extension(1, anti=False)(lambda d, k: d.series(1, [d.gen(m * k)]))
+
+    monkeypatch.setattr(series, "phi_mono", phi_mono)
+
+
+def _t_rescaled_by_m(monkeypatch):
+    # the t of direction 1 rescaled by m rather than m^2
+    import wittq.cli as cli
+
+    def t_rescaled(s, m):
+        return s._like(None, s.rank, [c * m**n for n, c in enumerate(s.coeffs)])
+
+    monkeypatch.setattr(cli.hopfp, "_t_rescaled", t_rescaled)
+
+
+@pytest.mark.parametrize("mutant", [_phi_without_inverse, _t_rescaled_by_m], ids=["no-inverse", "t-by-m"])
+def test_all_i_with_a_wrong_phi_computes_every_direction_directly(mutant, monkeypatch, capsys):
+    import wittq.cli as cli
+
+    mutant(monkeypatch)
+    for p in (3, 5, 7):
+        assert not any(cli.hopfp.phi_equivariant(HopfParamsP(p, 1), m) for m in range(2, p)), p
+    for p in (3, 5):
+        code, out, ran = _cells_computed(monkeypatch, capsys, p, "all", "json")
+        assert ran == list(range(1, p))
+        ok, want = _direct_all_i(p, (None, *range(p)), "json")
+        assert (code, out) == (0, want) and ok

@@ -1,9 +1,10 @@
 from dataclasses import replace
+from fractions import Fraction
 from functools import partial
 
 import pytest
 
-from wittq import cli, hopfp, series
+from wittq import hopfp, series
 from wittq.hopfp import (
     HopfParamsP,
     PolyP,
@@ -16,12 +17,12 @@ from wittq.hopfp import (
     coproduct_poly,
     counit_p,
     e_element_p,
+    phi_equivariant,
     radford_check,
-    sigma_equivariant,
     twist_conjugates,
+    verify_all_i,
     verify_all_p,
     verify_hopf_p,
-    verify_pair_p,
     verify_relations_preserved,
 )
 from wittq.report import VerificationReport
@@ -393,9 +394,9 @@ def _derived_and_direct(p, i, block, fault):
 
 
 @pytest.mark.parametrize("p", (3, 5))
-def test_derived_entries_equal_direct(p):
+def test_derived_entries_equal_direct(p, map_cells):
     # every i, every t, clean and with each corrupted coefficient; the cells
-    # are independent, so they share the verify --all-i process pool
+    # are independent, so they run side by side
     cells = [
         (p, i, block, fault)
         for fault in (None, 0, 1, 2)
@@ -403,7 +404,7 @@ def test_derived_entries_equal_direct(p):
         for block in (_check_relations, _check_hopf(p))
     ]
     witnessed = 0
-    for derived, direct in cli._map_cells(_derived_and_direct, cells):
+    for derived, direct in map_cells(_derived_and_direct, cells):
         assert derived == direct
         witnessed += sum(1 for e in direct if not e.passed and e.witness)
     assert witnessed > 0
@@ -454,35 +455,54 @@ def test_numeric_request_never_computes_at_symbolic_t(monkeypatch):
 
 @pytest.mark.parametrize("p", (3, 5, 7))
 def test_sigma_is_equivariant_for_every_direction(p):
-    assert all(sigma_equivariant(HopfParamsP(p, i)) for i in range(1, p))
+    # sigma = phi_-1 carries direction i to direction -i, t unchanged
+    assert all(phi_equivariant(HopfParamsP(p, i), -1) for i in range(1, p))
+
+
+@pytest.mark.parametrize("p", (5, 7))
+def test_phi_is_equivariant_for_every_direction(p):
+    # phi_m carries direction i at m^2 t to direction mi at t, for every i
+    # and every m other than 1 and -1
+    for i in range(1, p):
+        assert all(phi_equivariant(HopfParamsP(p, i), m) for m in range(2, p - 1)), i
 
 
 @pytest.mark.parametrize("p", (3, 5))
 def test_pair_reports_equal_direct_reports(p):
-    # both members of every pair, from either end, at symbolic t and at t = 1
-    for i in range(1, p):
-        for t in (None, 1):
-            first, mirror = verify_pair_p(HopfParamsP(p, i, t))
-            assert first.entries == verify_all_p(HopfParamsP(p, i, t)).entries
-            assert mirror.entries == verify_all_p(HopfParamsP(p, p - i, t)).entries
+    # every direction i and its mirror p - i, from verify_all_i started at
+    # direction 1 or at p - 1: at symbolic t with a residue, at symbolic t
+    # and at a residue alone
+    for t_values in ((None, 1), (None,), (2,)):
+        want = [verify_all_p(HopfParamsP(p, i), t_values).entries for i in range(1, p)]
+        for start in (1, p - 1):
+            got = verify_all_i(HopfParamsP(p, start), t_values)
+            assert [rep.entries for rep in got] == want, (t_values, start)
 
 
 def test_pair_keeps_the_fault_in_the_mirror_direction():
-    # a faulty direction never passes, so the mirror is checked directly,
-    # and with the same fault
-    first, mirror = verify_pair_p(Deformation(5, None, 1, fault=1))
-    assert not first.ok and not mirror.ok
-    assert mirror.entries == verify_all_p(Deformation(5, None, 4, fault=1)).entries
+    # a faulty direction 1 never passes, so its mirror and every other
+    # direction are checked directly, and with the same fault
+    reps = verify_all_i(Deformation(5, None, 1, fault=1), (None,))
+    assert not any(rep.ok for rep in reps)
+    for i, rep in enumerate(reps[1:], 2):
+        assert rep.entries == verify_all_p(Deformation(5, None, i, fault=1)).entries, i
 
 
 def test_faulty_run_shares_the_maps_no_fault_changes():
-    # the fault changes only the coproduct maps: after a clean run, a faulty
-    # run of the same direction finds every other map in the clean entries
-    maps = (h_rising, binomial_series, series.gen_antipode, mono_antipode)
-    assert verify_all_p(HopfParamsP(5, 1)).ok
-    sizes = [f.cache_info().currsize for f in maps]
-    assert not verify_all_p(Deformation(5, None, 1, fault=1)).ok
-    assert [f.cache_info().currsize for f in maps] == sizes
+    # the fault changes only the coproduct maps: a faulty deformation is
+    # handed the clean memo entry of every other map, the same object
+    clean, faulty = HopfParamsP(5, 1), Deformation(5, None, 1, fault=1)
+    samples = [
+        (h_rising, (0, 2)),
+        (h_rising, (1, 3)),
+        (binomial_series, (Fraction(3),)),
+        (binomial_series, (-1,)),
+        (series.gen_antipode, (2,)),
+        (mono_antipode, ((1, 2, 0, 0, 1),)),
+    ]
+    for fn, args in samples:
+        assert fn(faulty, *args) is fn(clean, *args), (fn.__name__, args)
+    assert not verify_all_p(faulty).ok
 
 
 # -- the twist route mod p ------------------------------------------------------
@@ -548,12 +568,12 @@ def _checked_identities(monkeypatch):
 
 
 @pytest.mark.parametrize("p", (3, 5))
-def test_derived_p_powers_equal_direct_p_powers(p, monkeypatch):
+def test_derived_p_powers_equal_direct_p_powers(p, monkeypatch, map_cells):
     # every i, symbolic t with every residue and residues alone; the
     # conjugation holds at each t, so no power is raised on the derived side
     requests = ((None, *range(p)), (1, 3))
     cells = [(Deformation(p, None, i), ts) for i in range(1, p) for ts in requests]
-    for derived, direct in cli._map_cells(_relations_derived_and_direct, cells):
+    for derived, direct in map_cells(_relations_derived_and_direct, cells):
         assert derived == direct
         assert len(derived) == len(direct) > 0 and all(e.passed for e in derived)
     for i in range(1, p):
@@ -566,7 +586,7 @@ def test_derived_p_powers_equal_direct_p_powers(p, monkeypatch):
 
 
 @pytest.mark.parametrize("p", (3, 5))
-def test_every_fault_takes_the_direct_power_path(p):
+def test_every_fault_takes_the_direct_power_path(p, map_cells):
     # the conjugation fails for every fault and direction, at symbolic t and
     # at t = 1 (a fault of degree l falsifies a summand of t^l)
     for i in range(1, p):
@@ -576,7 +596,7 @@ def test_every_fault_takes_the_direct_power_path(p):
                 assert not twist_conjugates(d, *_generator_maps(d)), d
     # so the powers are raised directly, with the witnesses they had before
     cells = [(Deformation(p, None, 1, None, fault), (None, *range(p))) for fault in range(p)]
-    for derived, direct in cli._map_cells(_relations_derived_and_direct, cells):
+    for derived, direct in map_cells(_relations_derived_and_direct, cells):
         assert derived == direct
         assert any(not e.passed and e.witness for e in derived if e.identity.endswith("p-power"))
 

@@ -21,7 +21,7 @@ from wittq.restricted import (
     _unpack,
 )
 from wittq.scalars import FpElem
-from wittq.series import Deformation, PolyP, sigma
+from wittq.series import Deformation, PolyP, phi
 from wittq.tensor import commutator
 
 D = ElementP.gen
@@ -577,13 +577,18 @@ def test_element_p_str():
     assert str(ElementP.zero(5)) == "0"
 
 
-# -- the involution sigma: D_k -> -D_{-k} ----------------------------------------
+# -- phi_m: D_k -> m^-1 D_{mk}, and the involution sigma = phi_-1 ----------------
+
+
+def phi_image(m, x):
+    """series.phi on every tensor factor of the element x."""
+    d = Deformation(x.p, None, 1)
+    return phi(d, m, d.series(x.rank, [x])).coeff(0)
 
 
 def involution(x):
-    """series.sigma on every tensor factor of the element x."""
-    d = Deformation(x.p, None, 1)
-    return sigma(d, d.series(x.rank, [x])).coeff(0)
+    """sigma: D_k -> -D_{-k}, i.e. phi_-1, on every tensor factor of x."""
+    return phi_image(-1, x)
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))
@@ -596,10 +601,19 @@ def test_involution_is_an_automorphism(p):
         assert sigma[k] ** p == involution(p_power_map(k, p))
 
 
-def test_involution_squares_to_the_identity():
-    for mono in itertools.product(range(3), repeat=3):
-        x = ElementP.from_mono(3, mono)
-        assert involution(involution(x)) == x
+@pytest.mark.parametrize("p", (5, 7))
+def test_phi_is_a_restricted_automorphism(p):
+    # every m other than 1 and the involution's -1
+    for m in range(2, p - 1):
+        image = {k: phi_image(m, D(k, p)) for k in range(p)}
+        for k in range(p):
+            assert image[k] == Fraction(1, m) * D(m * k, p)
+            for l in range(p):
+                assert phi_image(m, bracket_p(k, l, p)) == commutator(image[k], image[l]), (m, k, l)
+            assert image[k] ** p == phi_image(m, p_power_map(k, p)), (m, k)
+
+
+def _seeded_p5_elements():
     # p = 5: seeded monomials of degree at most 8 (sigma of a generic one of
     # the 3125 straightens into thousands of terms), alone and in pairs
     rng = random.Random(5)
@@ -612,8 +626,21 @@ def test_involution_squares_to_the_identity():
 
     for rank in (1, 2):
         for _ in range(30):
-            x = ElementP(5, rank, {tuple(mono() for _ in range(rank)): rng.randrange(1, 5)})
-            assert involution(involution(x)) == x
+            yield ElementP(5, rank, {tuple(mono() for _ in range(rank)): rng.randrange(1, 5)})
+
+
+def test_involution_squares_to_the_identity():
+    for mono in itertools.product(range(3), repeat=3):
+        x = ElementP.from_mono(3, mono)
+        assert involution(involution(x)) == x
+    for x in _seeded_p5_elements():
+        assert involution(involution(x)) == x
+
+
+def test_phi_is_inverted_by_phi_of_the_inverse():
+    # phi_2 and phi_3 are inverse to each other mod 5
+    for x in _seeded_p5_elements():
+        assert phi_image(3, phi_image(2, x)) == x
 
 
 def test_involution_maps_h_and_e_of_i_to_those_of_minus_i():
@@ -626,27 +653,35 @@ def test_involution_maps_h_and_e_of_i_to_those_of_minus_i():
             assert involution(e_element_p(p, i)) == e_element_p(p, -i)
 
 
-def _unsigned(d, mono):
-    # D_k -> D_{-k}: not an automorphism, [D_{-k}, D_{-l}] = (k - l) D_{-k-l}
-    out = ElementP.one(d.char)
-    for k, a in enumerate(mono):
-        out = out * D(-k, d.char) ** a
-    return d.series(1, [out])
+def test_phi_maps_h_and_e_of_i_to_those_of_mi():
+    # phi_m(h_i) = h_{mi} and phi_m(e_i) = m^-2 e_{mi}
+    from wittq.series import h_rising
+
+    for p in (5, 7):
+        for i in range(1, p):
+            for m in range(2, p - 1):
+                h = h_rising(Deformation(p, None, i), 0, 1)
+                assert phi_image(m, h) == h_rising(Deformation(p, None, m * i), 0, 1)
+                assert phi_image(m, e_element_p(p, i)) == Fraction(1, m * m) * e_element_p(p, m * i)
 
 
-def _fixed_index(d, mono):
-    # D_k -> -D_k
-    out = ElementP.one(d.char)
-    for k, a in enumerate(mono):
-        out = out * (-D(k, d.char)) ** a
-    return d.series(1, [out])
+def _unsigned(m):
+    # D_k -> D_{mk}, without the m^-1: at m = -1, D_k -> D_{-k}, not an
+    # automorphism, [D_{-k}, D_{-l}] = (k - l) D_{-k-l}
+    return lambda d, k: d.series(1, [d.gen(m * k)])
+
+
+def _fixed_index(m):
+    # D_k -> m^-1 D_k: at m = -1, D_k -> -D_k
+    return lambda d, k: d.series(1, [Fraction(1, m) * d.gen(k)])
 
 
 @pytest.mark.parametrize("mutant", [_unsigned, _fixed_index], ids=["no-sign", "k-to-k"])
 def test_equivariance_check_refuses_a_wrong_involution(mutant, monkeypatch):
     from wittq import series
-    from wittq.hopfp import HopfParamsP, sigma_equivariant
+    from wittq.hopfp import HopfParamsP, phi_equivariant
 
-    assert all(sigma_equivariant(HopfParamsP(p, i)) for p in (3, 5) for i in range(1, p))
-    monkeypatch.setattr(series, "sigma_mono", mutant)
-    assert not any(sigma_equivariant(HopfParamsP(p, i)) for p in (3, 5) for i in range(1, p))
+    cells = [(p, i) for p in (3, 5) for i in range(1, p)]
+    assert all(phi_equivariant(HopfParamsP(p, i), -1) for p, i in cells)
+    monkeypatch.setattr(series, "phi_mono", lambda m: series._extension(1, anti=False)(mutant(m)))
+    assert not any(phi_equivariant(HopfParamsP(p, i), -1) for p, i in cells)

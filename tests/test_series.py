@@ -22,9 +22,9 @@ from wittq.series import (
     mono_antipode,
     mono_coproduct,
     run_checks,
+    phi,
+    phi_mono,
     s0_mono,
-    sigma,
-    sigma_mono,
 )
 from wittq.tensor import commutator
 from wittq.uwitt import Element, mono_of
@@ -431,11 +431,11 @@ def test_faulty_map_stays_out_of_the_clean_memo_entry(char, order):
 
 
 def test_sigma_in_characteristic_0():
-    # sigma: L_k -> -L_{-k} is an automorphism of U(W) and carries direction i to -i
+    # sigma = phi_-1: L_k -> -L_{-k} is an automorphism of U(W) and carries direction i to -i
     d = Deformation(0, 0, 1)
 
     def sig(x):
-        return sigma(d, d.series(x.rank, [x])).coeff(0)
+        return phi(d, -1, d.series(x.rank, [x])).coeff(0)
 
     for a in range(-3, 4):
         assert sig(L(a)) == -L(-a)
@@ -444,8 +444,31 @@ def test_sigma_in_characteristic_0():
     for i in (1, 2, 3):
         d, mirror = Deformation(0, 4, i), Deformation(0, 4, -i)
         for k in range(-3, 4):
-            assert sigma(d, gen_coproduct(d, k)) == -gen_coproduct(mirror, -k), (i, k)
-            assert sigma(d, gen_antipode(d, k)) == -gen_antipode(mirror, -k), (i, k)
+            assert phi(d, -1, gen_coproduct(d, k)) == -gen_coproduct(mirror, -k), (i, k)
+            assert phi(d, -1, gen_antipode(d, k)) == -gen_antipode(mirror, -k), (i, k)
+
+
+@pytest.mark.parametrize("m", (2, -2, 3))
+def test_phi_in_characteristic_0(m):
+    # phi_m: L_k -> m^-1 L_{mk} is an injective Lie map of W, and it carries
+    # direction i at m^2 t to direction mi at t, up to t^order
+    d = Deformation(0, 3, 1)
+
+    def image(x):
+        return phi(d, m, d.series(x.rank, [x])).coeff(0)
+
+    def rescaled(s):
+        return s._like(s.order, s.rank, [c * Fraction(m) ** (2 * n) for n, c in enumerate(s.coeffs)])
+
+    for a in range(-3, 4):
+        assert image(L(a)) == Fraction(1, m) * L(m * a)
+        for b in range(-3, 4):
+            assert image(commutator(L(a), L(b))) == commutator(image(L(a)), image(L(b)))
+    for i in (1, 2, -1):
+        d, target = Deformation(0, 3, i), Deformation(0, 3, m * i)
+        for k in range(-2, 3):
+            assert phi(d, m, rescaled(gen_coproduct(d, k))) == gen_coproduct(target, m * k) * Fraction(1, m), (i, k)
+            assert phi(d, m, rescaled(gen_antipode(d, k))) == gen_antipode(target, m * k) * Fraction(1, m), (i, k)
 
 
 def test_run_checks_enters_each_verdict_once_per_mode():
@@ -505,13 +528,14 @@ def _delta0_gen(d, k):
 
 # each monomial map with the generator map it extends and whether it is an
 # antimorphism: Delta, S, Delta_0: x_k -> x_k (x) 1 + 1 (x) x_k, S_0: x_k ->
-# -x_k and sigma: x_k -> -x_{-k}
+# -x_k, sigma = phi_-1: x_k -> -x_{-k} and phi_2: x_k -> x_{2k} / 2
 EXTENSIONS = [
     (mono_coproduct, gen_coproduct, False),
     (mono_antipode, gen_antipode, True),
     (delta0_mono, _delta0_gen, False),
     (s0_mono, lambda d, k: d.series(1, [-d.gen(k)]), True),
-    (sigma_mono, lambda d, k: d.series(1, [-d.gen(-k)]), False),
+    (phi_mono(-1), lambda d, k: d.series(1, [-d.gen(-k)]), False),
+    (phi_mono(2), lambda d, k: d.series(1, [Fraction(1, 2) * d.gen(2 * k)]), False),
 ]
 
 
@@ -536,7 +560,7 @@ def _mono_of_word(d, word):
 def test_prefix_extension_matches_generator_products(d, gens, longest):
     # every monomial up to the given length, longest first so that images are
     # built through several unmemoized parts, clean and with one fault, under
-    # each of the five monomial maps
+    # each monomial map of EXTENSIONS
     words = [w for n in range(longest, 0, -1) for w in combinations_with_replacement(gens, n)]
     for dd in (d, replace(d, fault=1)):
         for word in words:
@@ -556,7 +580,7 @@ def test_extension_of_a_long_monomial_does_not_recurse():
     sys.setrecursionlimit(depth + 100)
     try:
         cp, ap = mono_coproduct(d, ((1, n),)), mono_antipode(d, ((1, n),))
-        d0, s0, sg = delta0_mono(d, ((1, n),)), s0_mono(d, ((1, n),)), sigma_mono(d, ((1, n),))
+        d0, s0, sg = delta0_mono(d, ((1, n),)), s0_mono(d, ((1, n),)), phi_mono(-1)(d, ((1, n),))
     finally:
         sys.setrecursionlimit(limit)
     one, x = Element.one(), L(1)
