@@ -47,7 +47,7 @@ factor, its products summed into degree da + db; each output degree is
 reduced mod p and unpacked once.  An element product is the degree-0 case.
 Besides the monomial rule and the kernel, only the Witt-algebra presentation
 lives here: every other element operation (tensor.py) and every map on the
-algebra, sigma among them (series.py), is shared with characteristic 0.
+algebra, phi_m among them (series.py), is shared with characteristic 0.
 """
 
 from __future__ import annotations
@@ -306,9 +306,10 @@ class ElementP(TensorElement):
                 len(m) != p or any(not 0 <= e < p for e in m) for m in key
             ):
                 raise ValueError(f"non-canonical monomial key {key!r} for p={p}, rank={rank}")
-            c = int(c) % p
-            if c:
-                clean[key] = c
+            if (s := self._scalar(c)) is NotImplemented:
+                raise TypeError(f"coefficient {c!r} is not a scalar of F_{p}")
+            if s:
+                clean[key] = s
         self.terms = clean
 
     def _like(self, rank: int, terms: dict) -> "ElementP":

@@ -30,8 +30,9 @@ def is_prime(n: int) -> bool:
 
 
 def check_odd_prime(p: int) -> None:
-    """The one rule on a modulus: ValueError unless p is an odd prime."""
-    if not is_prime(p) or p == 2:
+    """The one rule on a modulus: ValueError unless p is an odd prime (an
+    int, not a bool)."""
+    if type(p) is not int or not is_prime(p) or p == 2:
         raise ValueError(f"p must be an odd prime, got {p}")
 
 
@@ -48,6 +49,8 @@ class FpElem:
 
     def __init__(self, value: int, p: int):
         check_odd_prime(p)
+        if type(value) is not int:
+            raise ValueError(f"value must be an int, got {value!r}")
         object.__setattr__(self, "residue", value % p)
         object.__setattr__(self, "p", p)
 
@@ -59,7 +62,7 @@ class FpElem:
             if other.p != self.p:
                 raise ValueError(f"mismatched moduli {self.p} and {other.p}")
             return other
-        if isinstance(other, int):
+        if type(other) is int:
             return FpElem(other, self.p)
         return NotImplemented
 

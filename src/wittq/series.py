@@ -461,7 +461,10 @@ class Deformation:
 
     def __post_init__(self):
         char, order, i, t = self.char, self.order, self.i, self.t
-        if char:
+        for name in ("order", "i", "t", "fault"):
+            if type(value := getattr(self, name)) is not int and (value is not None or name == "i"):
+                raise ValueError(f"{name} must be an int, got {value!r}")
+        if char or type(char) is not int:
             check_odd_prime(char)
             if i % char == 0:
                 raise ValueError("i must be nonzero mod p")

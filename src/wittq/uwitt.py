@@ -215,9 +215,10 @@ class Element(TensorElement):
         for key, c in (terms or {}).items():
             if len(key) != rank or not all(map(is_normal, key)):
                 raise ValueError(f"key {key!r} is not {rank} PBW normal monomials")
-            c = Fraction(c)
-            if c:
-                clean[key] = c
+            if (s := self._scalar(c)) is NotImplemented:
+                raise TypeError(f"coefficient {c!r} is not rational")
+            if s:
+                clean[key] = s
         self.terms = clean
 
     def _like(self, rank: int, terms: dict) -> "Element":
@@ -242,7 +243,7 @@ class Element(TensorElement):
 
     @staticmethod
     def from_mono(mono: Mono, coeff=1) -> "Element":
-        return Element(1, {(mono,): Fraction(coeff)})
+        return Element(1, {(mono,): coeff})
 
     # -- the ring and the monomial rule ------------------------------------------
 

@@ -61,6 +61,21 @@ def test_params_validation():
         HopfParamsP(2, 1)
     with pytest.raises(ValueError):
         Deformation(5, 4, 1)  # characteristic p is never truncated
+    # every field is an int, a bool is not, and the message names the field
+    bad = {
+        "i": [(5, None, 1.5), (5, None, True)],
+        "order": [(0, 2.5, 1)],
+        "t": [(5, None, 1, 2.5)],
+        "fault": [(5, None, 1, None, True), (0, 2, 1, None, 1.0)],
+    }
+    for name, cases in bad.items():
+        for args in cases:
+            with pytest.raises(ValueError, match=f"^{name} must be an int, got "):
+                Deformation(*args)
+    # a characteristic that is not the int 0 is a modulus, under its one rule
+    for char in (5.0, 0.0, False, None):
+        with pytest.raises(ValueError, match=f"^p must be an odd prime, got {char}$"):
+            Deformation(char, None, 1)
     pp = HopfParamsP(5, 7, t_value=-1)
     assert pp.char == 5 and pp.order is None and pp.i == 2 and pp.t == 4
     # every spelling of one deformation is one value and one memo key
@@ -362,7 +377,8 @@ def _check_hopf(p):
 
 def _powers_direct(block):
     """block with twist_conjugates forced false, so that _check_relations
-    raises every p-power directly: the independent oracle of the derivation."""
+    computes every commutator and raises every p-power directly: the
+    independent oracle of the derivation."""
 
     def run(verdicts, d):
         with pytest.MonkeyPatch.context() as mp:
@@ -374,7 +390,7 @@ def _powers_direct(block):
 
 def _direct(block, p, i, t_values, fault=None):
     """A check block's report built one t at a time, each pass computed at its
-    own t, with every p-power raised directly."""
+    own t, with every relation entry computed directly."""
     rep = VerificationReport()
     for tv in t_values:
         verdicts = Verdicts()
@@ -540,49 +556,59 @@ def test_twist_at_a_residue_is_the_symbolic_twist_evaluated():
             assert u_series(d.at(c)) == _at(u_series(d), c), (p, i, c)
 
 
-# -- the p-power entries derived from the twist -----------------------------------
+# -- the relation entries derived from the twist ----------------------------------
 
 
 def _generator_maps(d):
     return {k: coproduct_p(k, d) for k in range(d.char)}, {k: antipode_p(k, d) for k in range(d.char)}
 
 
-def _relations_derived_and_direct(d, t_values):
-    """The relation entries of d over t_values, with the p-powers as
-    _check_relations gives them and with every p-power raised directly."""
-    derived = run_checks(d, t_values, _check_relations).entries
-    return derived, run_checks(d, t_values, _powers_direct(_check_relations)).entries
-
-
 def _checked_identities(monkeypatch):
     """The identities that go through Verdicts.check from now on, i.e. are
-    computed rather than recorded."""
-    seen, check = set(), Verdicts.check
+    computed rather than recorded, in call order."""
+    seen, check = [], Verdicts.check
 
     def spy(self, identity, *args):
-        seen.add(identity)
+        seen.append(identity)
         return check(self, identity, *args)
 
     monkeypatch.setattr(Verdicts, "check", spy)
     return seen
 
 
+def _relations_derived_and_direct(d, t_values):
+    """The relation entries of d over t_values, as _check_relations gives
+    them and with every commutator and p-power computed directly, and the
+    identities the first run sent through Verdicts.check."""
+    with pytest.MonkeyPatch.context() as mp:
+        checked = _checked_identities(mp)
+        derived = run_checks(d, t_values, _check_relations).entries
+    return derived, run_checks(d, t_values, _powers_direct(_check_relations)).entries, checked
+
+
 @pytest.mark.parametrize("p", (3, 5))
-def test_derived_p_powers_equal_direct_p_powers(p, monkeypatch, map_cells):
+def test_derived_p_powers_equal_direct_p_powers(p, map_cells):
     # every i, symbolic t with every residue and residues alone; the
-    # conjugation holds at each t, so no power is raised on the derived side
+    # conjugation holds at each t, so no relation entry is computed on the
+    # derived side
     requests = ((None, *range(p)), (1, 3))
     cells = [(Deformation(p, None, i), ts) for i in range(1, p) for ts in requests]
-    for derived, direct in map_cells(_relations_derived_and_direct, cells):
+    for derived, direct, checked in map_cells(_relations_derived_and_direct, cells):
         assert derived == direct
         assert len(derived) == len(direct) > 0 and all(e.passed for e in derived)
+        assert checked == []
     for i in range(1, p):
         for t in (None, *range(p)):
             d = Deformation(p, None, i, t)
             assert twist_conjugates(d, *_generator_maps(d)), (i, t)
-    checked = _checked_identities(monkeypatch)
-    assert verify_relations_preserved(HopfParamsP(p, 1)).ok
-    assert "coproduct-commutator" in checked and not checked & {"coproduct-p-power", "antipode-p-power"}
+
+
+def test_derived_relations_equal_direct_relations_at_p7():
+    # one p = 7 cell, i = 1 over symbolic t and every residue; the forced
+    # direct side is the slow one
+    derived, direct, checked = _relations_derived_and_direct(Deformation(7, None, 1), (None, *range(7)))
+    assert derived == direct and checked == []
+    assert len(derived) == 8 * (2 * 7 * 7 + 2 * 7) and all(e.passed for e in derived)
 
 
 @pytest.mark.parametrize("p", (3, 5))
@@ -594,11 +620,14 @@ def test_every_fault_takes_the_direct_power_path(p, map_cells):
             for t in (None, 1):
                 d = Deformation(p, None, i, t, fault)
                 assert not twist_conjugates(d, *_generator_maps(d)), d
-    # so the powers are raised directly, with the witnesses they had before
+    # so every relation entry is computed directly, with the witness it had
+    # before
     cells = [(Deformation(p, None, 1, None, fault), (None, *range(p))) for fault in range(p)]
-    for derived, direct in map_cells(_relations_derived_and_direct, cells):
+    for derived, direct, checked in map_cells(_relations_derived_and_direct, cells):
         assert derived == direct
         assert any(not e.passed and e.witness for e in derived if e.identity.endswith("p-power"))
+        # one Verdicts.check per entry at symbolic t, the pass's own t
+        assert checked == [e.identity for e in derived if dict(e.params)["t"] == "symbolic"]
 
 
 @pytest.mark.parametrize("name", ("twist", "u_series"))
@@ -607,13 +636,13 @@ def test_corrupted_twist_takes_the_direct_power_path(name, monkeypatch):
     # more; the corruption reaches the predicate only, not the maps it checks
     real = getattr(hopfp, name)
     monkeypatch.setattr(hopfp, name, lambda d: real(d) * 2 - 1)
-    checked = _checked_identities(monkeypatch)
     for t in (None, 1):
         d = HopfParamsP(3, 1, t)
         assert not twist_conjugates(d, *_generator_maps(d)), t
-        derived, direct = _relations_derived_and_direct(d, (t,))
+        derived, direct, checked = _relations_derived_and_direct(d, (t,))
         assert derived == direct and all(e.passed for e in derived)
-    assert {"coproduct-p-power", "antipode-p-power"} <= checked
+        assert checked == [e.identity for e in derived]
+        assert {"coproduct-commutator", "antipode-commutator", "coproduct-p-power", "antipode-p-power"} <= set(checked)
 
 
 def test_p7_powers_vanish_directly():

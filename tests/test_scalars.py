@@ -139,6 +139,15 @@ def test_fp_elem_rejects_bad_modulus():
             FpElem(1, bad)
 
 
+def test_fp_elem_value_is_an_int():
+    for bad in (2.5, 3.0, True, Fraction(1, 2)):
+        with pytest.raises(ValueError, match="^value must be an int, got "):
+            FpElem(bad, 5)
+    # a bool is no scalar on the right of an operator either
+    with pytest.raises(TypeError):
+        FpElem(1, 5) + True
+
+
 def test_fp_elem_mixed_moduli():
     with pytest.raises(ValueError):
         FpElem(1, 3) + FpElem(1, 5)
@@ -155,7 +164,7 @@ def test_is_prime_small():
         assert is_prime(n) == (n in primes)
 
 
-@pytest.mark.parametrize("p", [-3, 1, 2, 4, 9, 15])
+@pytest.mark.parametrize("p", [-3, 1, 2, 4, 9, 15, 7.0])
 def test_one_odd_prime_rule(p):
     # FpElem, Deformation and the restricted algebra share the rule and its message
     from wittq.restricted import ElementP, basis_size, embed_witt, verify_witt_iso

@@ -75,6 +75,33 @@ def test_operations_across_rings_raise(x, y):
             op()
 
 
+D1_KEY_5 = next(iter(ElementP.gen(1, 5).terms))
+
+
+def test_constructor_reads_a_fraction_as_its_residue():
+    # 1/2 is 3 mod 5 in the constructor as in a scalar product
+    assert ElementP(5, 1, {D1_KEY_5: Fraction(1, 2)}) == Fraction(1, 2) * ElementP.gen(1, 5) == 3 * ElementP.gen(1, 5)
+    assert ElementP(5, 1, {D1_KEY_5: FpElem(2, 5)}) == 2 * ElementP.gen(1, 5)
+    with pytest.raises(ValueError, match="not p-integral"):
+        ElementP(5, 1, {D1_KEY_5: Fraction(1, 5)})
+    with pytest.raises(ValueError, match="mismatched moduli"):
+        ElementP(5, 1, {D1_KEY_5: FpElem(1, 7)})
+
+
+def test_constructor_refuses_a_float_coefficient_mod_p():
+    with pytest.raises(TypeError):
+        ElementP(5, 1, {D1_KEY_5: 2.9})
+
+
+def test_constructor_refuses_a_float_coefficient_in_characteristic_0():
+    key = next(iter(Element.gen(1).terms))
+    with pytest.raises(TypeError):
+        Element(1, {key: 0.1})
+    with pytest.raises(TypeError):
+        Element.from_mono(key[0], 0.1)
+    assert Element(1, {key: Fraction(1, 10)}) == Fraction(1, 10) * Element.gen(1)
+
+
 def test_scalars_of_another_ring_raise():
     with pytest.raises(ValueError):
         FpElem(1, 7) * ElementP.gen(1, 5)
