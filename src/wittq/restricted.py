@@ -358,7 +358,7 @@ class ElementP(TensorElement):
             if x.denominator % self.p == 0:
                 raise ValueError(f"{x} is not p-integral for p={self.p}")
             return x.numerator * pow(x.denominator, -1, self.p) % self.p
-        return x % self.p if isinstance(x, int) else NotImplemented
+        return x % self.p if isinstance(x, int) and not isinstance(x, bool) else NotImplemented
 
     def unit_mono(self) -> MonoP:
         return one_mono(self.p)
@@ -419,19 +419,6 @@ def e_element_p(p: int, i: int, n: int = 1) -> ElementP:
     if n >= p:
         return ElementP.zero(p)
     return ElementP.from_mono(p, tuple(n if j == i % p else 0 for j in range(p)), pow(i, n, p))
-
-
-def bracket_p(k, l, p: int | None = None) -> ElementP:
-    """[D_k, D_l] = (l - k) D_{(k+l) mod p}."""
-    k, p = _residue(k, p)
-    l, p = _residue(l, p)
-    return ElementP(p, 1, {(gen_mono(k + l, p),): (l - k) % p})
-
-
-def basis_size(p: int) -> int:
-    """Dimension of the restricted enveloping algebra: p^p exponent vectors."""
-    check_odd_prime(p)
-    return p**p
 
 
 def embed_witt(k: int, p: int) -> ElementP:
@@ -498,17 +485,3 @@ def verify_witt_iso(p: int) -> VerificationReport:
         rows.append(row)
     rep.add("witt-embedding-independent", {"p": p}, _fp_rank(rows, p) == p)
     return rep
-
-
-def act_derivation(k, m: int, p: int | None = None) -> tuple[FpElem, int]:
-    """D_k . X^m = m X^{(m+k) mod p} in Der(F_p[X]/(X^p - 1))."""
-    k, p = _residue(k, p)
-    return FpElem(m, p), (m + k) % p
-
-
-def p_power_map(k, p: int | None = None) -> ElementP:
-    """The restricted p-power of a generator: D_0 for k = 0, zero otherwise."""
-    k, p = _residue(k, p)
-    if k == 0:
-        return ElementP.gen(0, p)
-    return ElementP.zero(p)

@@ -18,7 +18,7 @@ degree).
 
 Below the classes sit the pieces the Hopf verifiers of both characteristics
 share: the verdicts of a pass of checks (Verdicts) and the one function that
-runs a check block over the requested t modes (run_checks, which can fan one
+runs a check block over the requested t modes (run_checks, which fans one
 symbolic-t computation out to every requested t), applying a map to one
 tensor slot, the counit on one slot, antipode convolution, the per-generator
 axiom block (check_generator) and the whole axiom suite on generators and
@@ -297,9 +297,9 @@ def first_mismatch(a: TSeries, b: TSeries) -> str | None:
 class Verdicts:
     """The reports of one pass of checks, one per requested t mode in `at`.
 
-    Each identity's two sides are computed once, at the pass's own t.  A mode
-    None takes them as they are; a residue c evaluates both at t = c and
-    labels the point t=c (see run_checks for why that is sound)."""
+    Each identity's two sides are computed once, at symbolic t.  A mode None
+    takes them as they are; a residue c evaluates both at t = c and labels
+    the point t=c (see run_checks for why that is sound)."""
 
     __slots__ = ("at", "reports")
 
@@ -329,26 +329,20 @@ class Verdicts:
 
 
 def run_checks(d: Deformation, t_values, block) -> VerificationReport:
-    """Run the check block block(verdicts, d at t) over the requested t
-    values, each normalized by d.at, and return the entries t after t in
-    request order.
+    """Run the check block block(verdicts, d at symbolic t) once over the
+    requested t values, each normalized by d.at, and return the entries t
+    after t in request order.
 
-    When symbolic t is among the requested values, block runs once, at
-    symbolic t, and every residue c takes its pass flag and witness from both
-    sides of each identity evaluated at t = c.  That is sound because
-    evaluation at t = c is a ring homomorphism that commutes with products,
-    slot_apply, counit_slot and convolve, and every numeric-t map is _at of
-    its symbolic one (by definition; F and u, built at the residue, term by
-    term), so the entries equal those of a direct run at t = c.  Otherwise
-    block runs once per t, directly at that t."""
-    ts = [d.at(tv).t for tv in t_values]
-    passes = [(None, ts)] if None in ts else [(tv, (None,)) for tv in ts]
+    Every residue c takes its pass flag and witness from both sides of each
+    identity evaluated at t = c.  That is sound because evaluation at t = c
+    is a ring homomorphism that commutes with products, slot_apply,
+    counit_slot and convolve, and every numeric-t map is _at of its symbolic
+    one, so the entries equal those of a direct run at t = c."""
+    verdicts = Verdicts(d.at(tv).t for tv in t_values)
+    block(verdicts, d.at(None))
     rep = VerificationReport()
-    for t, at in passes:
-        verdicts = Verdicts(at)
-        block(verdicts, d.at(t))
-        for mode in verdicts.reports:
-            rep.extend(mode)
+    for mode in verdicts.reports:
+        rep.extend(mode)
     return rep
 
 
@@ -729,11 +723,10 @@ def phi(d: Deformation, m: int, s: TSeries) -> TSeries:
 @_fault_free
 def twist(d: Deformation) -> TSeries:
     """F = sum_r (1/r!) h^(r) (x) e^r t^r, r over the degrees of d: in
-    characteristic p below p, where e^p = 0 and 1/r! is p-integral.  At a
-    residue t = c it is built there, as the constant sum_r (c^r/r!) h^(r) (x) e^r."""
-    scale = [Fraction(1 if d.t is None else d.t**r, factorial(r)) for r in range(d.degrees)]
-    terms = [s * h_rising(d, 0, r).tensor(d.e_power(r)) for r, s in enumerate(scale)]
-    return d.series(2, terms if d.t is None else [sum(terms, d.zero.zero_of(2))])
+    characteristic p below p, where e^p = 0 and 1/r! is p-integral."""
+    if d.t is not None:
+        return _at(twist(d.at(None)), d.t)
+    return d.series(2, [Fraction(1, factorial(r)) * h_rising(d, 0, r).tensor(d.e_power(r)) for r in range(d.degrees)])
 
 
 @_fault_free

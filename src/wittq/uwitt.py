@@ -119,12 +119,6 @@ def _fold(acc: dict[Word, int], gens) -> tuple[tuple[Mono, int], ...]:
     return tuple(sorted((mono_of(w), c) for w, c in acc.items()))
 
 
-@lru_cache(maxsize=None)
-def straighten(word: Word) -> tuple[tuple[Mono, int], ...]:
-    """Normal form of the product L_{word[0]} ... L_{word[-1]}."""
-    return _fold({(): 1}, word)
-
-
 def mono_mul(a: Mono, b: Mono) -> tuple[tuple[Mono, int], ...]:
     """Normal form of the product of two monomials, unmemoized: the kernel
     memoizes it once, on interned ids (_id_mul)."""
@@ -252,7 +246,7 @@ class Element(TensorElement):
         return self._like(rank, {key: c for key, c in sums.items() if c})
 
     def _scalar(self, x):
-        return Fraction(x) if isinstance(x, (int, Fraction)) else NotImplemented
+        return Fraction(x) if isinstance(x, (int, Fraction)) and not isinstance(x, bool) else NotImplemented
 
     def unit_mono(self) -> Mono:
         return ONE_MONO
@@ -317,11 +311,6 @@ def bracket(r: int, s: int) -> Element:
     return Element(1, {(((r + s, 1),),): Fraction(s - r)})
 
 
-def normal_order(word) -> Element:
-    """Canonical form of the product of generators listed by index."""
-    return Element(1, {(m,): Fraction(c) for m, c in straighten(tuple(word))})
-
-
 def e_element(i: int, n: int = 1) -> Element:
     """The n-th power of e = i*L_i (a single monomial, i^n * L_i^n)."""
     if i == 0:
@@ -359,8 +348,3 @@ def ad_power_closed(k: int, l: int, i: int) -> Element:
     for j in range(-1, l - 1):
         num *= k + j * i
     return Element.from_mono(((k + l * i, 1),), num / factorial(l))
-
-
-def act_on_laurent(k: int, m: int) -> tuple[int, int]:
-    """Action of L_k = x^{k+1} d/dx on the Laurent monomial x^m."""
-    return (m, m + k)

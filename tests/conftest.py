@@ -24,6 +24,18 @@ def _map_cells(fn, cells) -> list:
 
 
 @pytest.fixture
+def fresh_certificate():
+    """For a test that changes what the twist certificate reads: its memo is
+    cleared before the test and after it, so that no verdict crosses the
+    change in either direction."""
+    from wittq.hopfp import twist_certificate
+
+    twist_certificate.cache_clear()
+    yield
+    twist_certificate.cache_clear()
+
+
+@pytest.fixture
 def map_cells():
     """Run independent slow cells of a test side by side: see _map_cells."""
     return _map_cells

@@ -23,7 +23,8 @@ from wittq.hopfp import (
     radford_check,
     verify_relations_preserved,
 )
-from wittq.restricted import basis_size, verify_witt_iso, act_derivation
+from oracles import act_derivation, basis_size
+from wittq.restricted import verify_witt_iso
 from wittq.scalars import FpElem, int_coeff, n_coeff
 from wittq.uwitt import Element
 

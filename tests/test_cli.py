@@ -522,11 +522,9 @@ def _cells_computed(monkeypatch, capsys, p, t, fmt):
 )
 def test_all_i_derived_cells_match_direct_cells(p, t, fmt, monkeypatch, capsys):
     code, out, ran = _cells_computed(monkeypatch, capsys, p, t, fmt)
-    # every direction derived from direction 1; a request of one residue c
-    # also runs direction 1, once, at the rest of c's square class
-    # ({2, 3} at p = 5, {3, 5, 6} at p = 7)
-    square_class = {m * m * int(t) % p for m in range(1, p)} if t.isdigit() else set()
-    assert ran == ([1, 1] if len(square_class) > 1 else [1])
+    # every direction derived from direction 1, run once, whatever t is
+    # requested: its twist certificate covers every residue
+    assert ran == [1]
     t_values = (int(t),) if t.isdigit() else {"symbolic": (None,), "all": (None, *range(p))}[t]
     ok, want = _direct_all_i(p, t_values, fmt)
     assert (code, out) == (0, want) and ok
@@ -552,9 +550,10 @@ def test_all_i_failing_cell_computes_its_mirror_directly(faulty, monkeypatch, ca
     assert failed == {str(i) for i in faulty}
 
 
-def test_all_i_without_equivariance_computes_the_mirror_directly(monkeypatch, capsys):
-    # direction 3's antipode doubled, in the relation checks and in the
-    # equivariance check: direction 3 falls back, 2 and 4 are derived
+def test_all_i_without_equivariance_computes_the_mirror_directly(monkeypatch, capsys, fresh_certificate):
+    # direction 3's antipode doubled, in the relation checks (through the
+    # twist certificate) and in the equivariance check: direction 3 falls
+    # back, 2 and 4 are derived
     import wittq.cli as cli
 
     antipode = cli.hopfp.gen_antipode

@@ -3,8 +3,10 @@
 Each case runs in-process and its full output is hashed with SHA-256.  The
 digests were recorded from the implementation before the t-series layer was
 shared between the characteristics, that of the p = 7 grid (verify-p7-text)
-before its p-powers were derived from the twist, and that of the p = 7
-residue-only grid (verify-p7-residue-json) before its commutators were; any
+before its p-powers were derived from the twist, that of the p = 7
+residue-only grid (verify-p7-residue-json) before its commutators were, and
+that of a faulty residue-only pass (witness-p-residues) while each residue
+was still a direct pass of its own, before every pass ran at symbolic t; any
 change to the bytes of a structure map, a table, a report or a mismatch
 witness fails here.  Every JSON case also writes the same bytes through --out as to
 stdout.
@@ -58,7 +60,12 @@ def _witness_0() -> str:
     return next(f"{e.identity}: {e.witness}" for e in rep.entries if not e.passed) + "\n"
 
 
-WITNESS_CASES = {"witness-p": _witness_p, "witness-0": _witness_0}
+def _witness_p_residues() -> str:
+    # every entry of a faulty pass at residues alone, 101 of 228 failing
+    return hopfp.verify_all_p(replace(hopfp.HopfParamsP(5, 2), fault=1), (1, 3)).summary()
+
+
+WITNESS_CASES = {"witness-p": _witness_p, "witness-0": _witness_0, "witness-p-residues": _witness_p_residues}
 
 DIGESTS = {
     "antipode-0-json": "cf5c7812ae1a2528c6c8031b0e2add7e274c54c06cd6a9d5a7111c4085f8e2b5",
@@ -87,6 +94,7 @@ DIGESTS = {
     "verify-p7-residue-json": "afcdf7870a3e40e9dcbf4cfc9932905625467040bc431bf08a5870e2f815155e",
     "witness-0": "c5b50e50f0e4087e4559a61c4d7b1ba5eeb604c68e175de6a7802d5402c84d35",
     "witness-p": "5c50006872a5310b0b2e5a54d17fa29c33b628219dd88c2ed8a91c02003026c4",
+    "witness-p-residues": "7181d48b52b0a522f40a96e6a0ee16a86a88f5eaf2dd3f1b275fa1f32952e514",
 }
 
 

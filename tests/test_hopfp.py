@@ -1,13 +1,14 @@
 from dataclasses import replace
 from fractions import Fraction
-from functools import partial
 
 import pytest
 
+from oracles import counit_p
 from wittq import hopfp, series
 from wittq.hopfp import (
     HopfParamsP,
     PolyP,
+    _check_hopf,
     _check_relations,
     antipode_element_p,
     antipode_p,
@@ -15,11 +16,10 @@ from wittq.hopfp import (
     coproduct_element_p,
     coproduct_p,
     coproduct_poly,
-    counit_p,
     e_element_p,
     phi_equivariant,
     radford_check,
-    twist_conjugates,
+    twist_certificate,
     verify_all_i,
     verify_all_p,
     verify_hopf_p,
@@ -32,7 +32,6 @@ from wittq.series import (
     Verdicts,
     _at,
     binomial_series,
-    check_hopf,
     check_twist,
     convolve,
     gen_antipode,
@@ -370,19 +369,15 @@ def test_coproduct_accepts_fp_elem_index():
         coproduct_p(FpElem(1, 3), pp)
 
 
-def _check_hopf(p):
-    """The Hopf-axiom block of verify_hopf_p at the prime p."""
-    return partial(check_hopf, ks=range(p), bracket=False)
-
-
-def _powers_direct(block):
-    """block with twist_conjugates forced false, so that _check_relations
-    computes every commutator and raises every p-power directly: the
-    independent oracle of the derivation."""
+def _forced_direct(block):
+    """block with the twist certificate forced false, so that
+    _check_relations computes every commutator and raises every p-power
+    directly, and _check_hopf computes every Hopf entry: the independent
+    oracle of the derivation."""
 
     def run(verdicts, d):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(hopfp, "twist_conjugates", lambda *args: False)
+            mp.setattr(hopfp, "twist_certificate", lambda d: False)
             block(verdicts, d)
 
     return run
@@ -390,23 +385,20 @@ def _powers_direct(block):
 
 def _direct(block, p, i, t_values, fault=None):
     """A check block's report built one t at a time, each pass computed at its
-    own t, with every relation entry computed directly."""
+    own t, with every entry computed directly."""
     rep = VerificationReport()
     for tv in t_values:
         verdicts = Verdicts()
-        _powers_direct(block)(verdicts, Deformation(p, None, i, tv, fault))
+        _forced_direct(block)(verdicts, Deformation(p, None, i, tv, fault))
         rep.extend(verdicts.reports[0])
     return rep
 
 
 def _derived_and_direct(p, i, block, fault):
-    """The residue entries of one check block: from one pass at symbolic t
-    over (None, 0, ..., p-1), and from a direct pass per residue."""
-    residues = range(p)
-    derived = run_checks(Deformation(p, None, i, None, fault), (None, *residues), block).entries
-    direct = _direct(block, p, i, residues, fault).entries
-    assert len(derived) == len(direct) // p * (p + 1)  # the symbolic entries come first
-    return derived[-len(direct) :], direct
+    """The entries of one check block over symbolic t and every residue: from
+    the one pass at symbolic t, and from a direct pass per t."""
+    ts = (None, *range(p))
+    return run_checks(Deformation(p, None, i, None, fault), ts, block).entries, _direct(block, p, i, ts, fault).entries
 
 
 @pytest.mark.parametrize("p", (3, 5))
@@ -417,7 +409,7 @@ def test_derived_entries_equal_direct(p, map_cells):
         (p, i, block, fault)
         for fault in (None, 0, 1, 2)
         for i in range(1, p)
-        for block in (_check_relations, _check_hopf(p))
+        for block in (_check_relations, _check_hopf)
     ]
     witnessed = 0
     for derived, direct in map_cells(_derived_and_direct, cells):
@@ -430,17 +422,18 @@ def test_verify_all_p_t_values_unnormalized_and_repeated():
     p, i, ts = 5, 2, (None, 6, 1, -4)
     rep = verify_all_p(HopfParamsP(p, i), ts)
     want = _direct(_check_relations, p, i, ts)
-    want.extend(_direct(_check_hopf(p), p, i, ts))
+    want.extend(_direct(_check_hopf, p, i, ts))
     want.extend(radford_check(HopfParamsP(p, i)))
     assert rep.entries == want.entries
     labels = [dict(e.params)["t"] for e in rep.entries if e.identity == "coassociativity" and dict(e.params)["k"] == "0"]
     assert labels == ["symbolic", "1", "1", "1"]
 
 
-def test_numeric_request_never_computes_at_symbolic_t(monkeypatch):
-    # outside the numeric generator maps, which evaluate their symbolic
-    # definition, a request without symbolic t asks no structure map for
-    # symbolic t and evaluates nothing; with symbolic t it does both
+def test_every_request_computes_at_symbolic_t_only(monkeypatch):
+    # with or without symbolic t, a request asks the structure maps for
+    # symbolic t only, and a residue's entries evaluate the symbolic sides; a
+    # fault has every entry computed, so both show, and a clean request
+    # computes nothing but the twist certificate
     seen, depth = set(), [0]
 
     def recorder(name, fn):
@@ -462,11 +455,13 @@ def test_numeric_request_never_computes_at_symbolic_t(monkeypatch):
                 monkeypatch.setattr(mod, name, rec)
     monkeypatch.setattr(hopfp, "radford_check", lambda params: VerificationReport())
 
-    assert verify_all_p(HopfParamsP(5, 2), (1, 3)).ok
-    assert seen == {1, 3}
-    seen.clear()
-    assert verify_all_p(HopfParamsP(5, 2), (None, 1)).ok
-    assert seen == {None, "evaluated"}
+    for t_values in ((1, 3), (None, 1)):
+        seen.clear()
+        assert not verify_all_p(Deformation(5, None, 2, fault=1), t_values).ok
+        assert seen == {None, "evaluated"}, t_values
+        seen.clear()
+        assert verify_all_p(HopfParamsP(5, 2), t_values).ok
+        assert seen <= {None}, t_values
 
 
 @pytest.mark.parametrize("p", (3, 5, 7))
@@ -559,90 +554,125 @@ def test_twist_at_a_residue_is_the_symbolic_twist_evaluated():
 # -- the relation entries derived from the twist ----------------------------------
 
 
-def _generator_maps(d):
-    return {k: coproduct_p(k, d) for k in range(d.char)}, {k: antipode_p(k, d) for k in range(d.char)}
+_TWIST_IDENTITIES = {"twist-cocycle", "twist-counit-left", "twist-counit-right"}
 
 
 def _checked_identities(monkeypatch):
-    """The identities that go through Verdicts.check from now on, i.e. are
-    computed rather than recorded, in call order."""
-    seen, check = [], Verdicts.check
+    """The relation and Hopf identities that go through Verdicts.judge (which
+    Verdicts.check calls) from now on, i.e. are computed rather than
+    recorded, in call order; the twist certificate's own check_twist block
+    is left out."""
+    seen, judge = [], Verdicts.judge
 
     def spy(self, identity, *args):
-        seen.append(identity)
-        return check(self, identity, *args)
+        if identity not in _TWIST_IDENTITIES:
+            seen.append(identity)
+        return judge(self, identity, *args)
 
-    monkeypatch.setattr(Verdicts, "check", spy)
+    monkeypatch.setattr(Verdicts, "judge", spy)
     return seen
 
 
-def _relations_derived_and_direct(d, t_values):
-    """The relation entries of d over t_values, as _check_relations gives
-    them and with every commutator and p-power computed directly, and the
-    identities the first run sent through Verdicts.check."""
+def _blocks_derived_and_direct(d, t_values, blocks=(_check_relations, _check_hopf)):
+    """The entries of each block of d over t_values (by default the relation
+    entries, then the Hopf entries), as the blocks give them and with every
+    entry computed directly, and the identities the first run computed."""
     with pytest.MonkeyPatch.context() as mp:
         checked = _checked_identities(mp)
-        derived = run_checks(d, t_values, _check_relations).entries
-    return derived, run_checks(d, t_values, _powers_direct(_check_relations)).entries, checked
+        derived = [e for block in blocks for e in run_checks(d, t_values, block).entries]
+    direct = [e for block in blocks for e in run_checks(d, t_values, _forced_direct(block)).entries]
+    return derived, direct, checked
+
+
+_RELATION_IDENTITIES = {"coproduct-commutator", "antipode-commutator", "coproduct-p-power", "antipode-p-power"}
+_HOPF_IDENTITIES = {"coassociativity", "counit-left", "counit-right", "antipode-left", "antipode-right", "coproduct-multiplicative"}
 
 
 @pytest.mark.parametrize("p", (3, 5))
 def test_derived_p_powers_equal_direct_p_powers(p, map_cells):
     # every i, symbolic t with every residue and residues alone; the
-    # conjugation holds at each t, so no relation entry is computed on the
+    # certificate holds, so no relation or Hopf entry is computed on the
     # derived side
     requests = ((None, *range(p)), (1, 3))
     cells = [(Deformation(p, None, i), ts) for i in range(1, p) for ts in requests]
-    for derived, direct, checked in map_cells(_relations_derived_and_direct, cells):
+    for derived, direct, checked in map_cells(_blocks_derived_and_direct, cells):
         assert derived == direct
         assert len(derived) == len(direct) > 0 and all(e.passed for e in derived)
+        assert {e.identity for e in derived} == _RELATION_IDENTITIES | _HOPF_IDENTITIES
         assert checked == []
     for i in range(1, p):
         for t in (None, *range(p)):
-            d = Deformation(p, None, i, t)
-            assert twist_conjugates(d, *_generator_maps(d)), (i, t)
+            assert twist_certificate(Deformation(p, None, i, t)), (i, t)
 
 
-def test_derived_relations_equal_direct_relations_at_p7():
-    # one p = 7 cell, i = 1 over symbolic t and every residue; the forced
-    # direct side is the slow one
-    derived, direct, checked = _relations_derived_and_direct(Deformation(7, None, 1), (None, *range(7)))
-    assert derived == direct and checked == []
-    assert len(derived) == 8 * (2 * 7 * 7 + 2 * 7) and all(e.passed for e in derived)
+def test_derived_relations_equal_direct_relations_at_p7(map_cells):
+    # p = 7 over symbolic t and every residue: both blocks at i = 1 and the
+    # Hopf block at every other i.  The forced direct relations (6-14 s a
+    # direction) are the slow side; the verify-p7-* goldens, recorded from
+    # direct passes, pin both blocks at every i
+    ts = (None, *range(7))
+    cells = [(Deformation(7, None, 1), ts)] + [(Deformation(7, None, i), ts, (_check_hopf,)) for i in range(2, 7)]
+    sizes = []
+    for derived, direct, checked in map_cells(_blocks_derived_and_direct, cells):
+        assert derived == direct and checked == [] and all(e.passed for e in derived)
+        sizes.append(len(derived))
+    assert sizes == [8 * (2 * 7 * 7 + 2 * 7 + 5 * 7 + 7 * 7)] + [8 * (5 * 7 + 7 * 7)] * 5
 
 
 @pytest.mark.parametrize("p", (3, 5))
 def test_every_fault_takes_the_direct_power_path(p, map_cells):
-    # the conjugation fails for every fault and direction, at symbolic t and
-    # at t = 1 (a fault of degree l falsifies a summand of t^l)
+    # the certificate fails for every fault and direction, whatever the t of
+    # the deformation it is asked about (a fault of degree l falsifies a
+    # summand of t^l)
     for i in range(1, p):
         for fault in range(p):
             for t in (None, 1):
-                d = Deformation(p, None, i, t, fault)
-                assert not twist_conjugates(d, *_generator_maps(d)), d
-    # so every relation entry is computed directly, with the witness it had
-    # before
+                assert not twist_certificate(Deformation(p, None, i, t, fault)), (i, fault, t)
+    # so every relation and Hopf entry is computed directly, with the witness
+    # it had before
     cells = [(Deformation(p, None, 1, None, fault), (None, *range(p))) for fault in range(p)]
-    for derived, direct, checked in map_cells(_relations_derived_and_direct, cells):
+    for derived, direct, checked in map_cells(_blocks_derived_and_direct, cells):
         assert derived == direct
         assert any(not e.passed and e.witness for e in derived if e.identity.endswith("p-power"))
         # one Verdicts.check per entry at symbolic t, the pass's own t
         assert checked == [e.identity for e in derived if dict(e.params)["t"] == "symbolic"]
 
 
+def _assert_direct_in_both_blocks(d):
+    """Every relation and Hopf entry of d is computed, once, at symbolic t and
+    at t = 1, and equals the forced-direct entry; return the entries."""
+    derived, direct, checked = _blocks_derived_and_direct(d, (None, 1))
+    assert derived == direct
+    assert checked == [e.identity for e in derived if dict(e.params)["t"] == "symbolic"]
+    assert set(checked) == _RELATION_IDENTITIES | _HOPF_IDENTITIES
+    return derived
+
+
 @pytest.mark.parametrize("name", ("twist", "u_series"))
-def test_corrupted_twist_takes_the_direct_power_path(name, monkeypatch):
+def test_corrupted_twist_takes_the_direct_power_path(name, monkeypatch, fresh_certificate):
     # 2F - 1 (or 2u - 1) is still 1 at t^0 and unipotent, but conjugates no
-    # more; the corruption reaches the predicate only, not the maps it checks
+    # more; the corruption reaches the certificate only, not the maps it
+    # checks, so every entry still passes, computed
     real = getattr(hopfp, name)
     monkeypatch.setattr(hopfp, name, lambda d: real(d) * 2 - 1)
     for t in (None, 1):
-        d = HopfParamsP(3, 1, t)
-        assert not twist_conjugates(d, *_generator_maps(d)), t
-        derived, direct, checked = _relations_derived_and_direct(d, (t,))
-        assert derived == direct and all(e.passed for e in derived)
-        assert checked == [e.identity for e in derived]
-        assert {"coproduct-commutator", "antipode-commutator", "coproduct-p-power", "antipode-p-power"} <= set(checked)
+        assert not twist_certificate(HopfParamsP(3, 1, t)), t
+    assert all(e.passed for e in _assert_direct_in_both_blocks(HopfParamsP(3, 1)))
+
+
+def test_failing_cocycle_takes_the_direct_path(monkeypatch, fresh_certificate):
+    # the conjugation holds, but a check_twist block forced to fail breaks the
+    # certificate: both blocks compute every entry
+    d = HopfParamsP(3, 2)
+    assert twist_certificate(d)
+    twist_certificate.cache_clear()
+
+    def failing(verdicts, d):
+        verdicts.record("twist-cocycle", d.point, False, "forced")
+
+    monkeypatch.setattr(hopfp, "check_twist", failing)
+    assert not twist_certificate(d)
+    assert all(e.passed for e in _assert_direct_in_both_blocks(d))
 
 
 def test_p7_powers_vanish_directly():

@@ -5,17 +5,14 @@ from functools import lru_cache
 
 import pytest
 
+from oracles import act_derivation, basis_size, bracket_p, p_power_map
 from wittq.restricted import (
     ElementP,
-    act_derivation,
-    basis_size,
-    bracket_p,
     embed_witt,
     e_element_p,
     gen_mono,
     mono_times_gen_p,
     one_mono,
-    p_power_map,
     verify_witt_iso,
     _pack,
     _unpack,

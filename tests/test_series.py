@@ -472,9 +472,9 @@ def test_phi_in_characteristic_0(m):
 
 
 def test_run_checks_enters_each_verdict_once_per_mode():
-    # with symbolic t requested, one pass serves every mode, symbolic first: a
-    # recorded verdict is entered as it is, a checked identity is judged at
-    # each mode's t; a residue-only request runs the block once per residue
+    # one pass at symbolic t serves every mode, in request order: a recorded
+    # verdict is entered as it is, a checked identity is judged at each
+    # mode's t; a residue-only request runs the block once too, at symbolic t
     p, one = 5, ElementP.one(5)
     passes = []
 
@@ -497,12 +497,12 @@ def test_run_checks_enters_each_verdict_once_per_mode():
 
     passes.clear()
     rep = run_checks(Deformation(p, None, 2), (1, 7), block)
-    assert passes == [1, 2]
-    assert [(e.identity, dict(e.params)["t"]) for e in rep.entries] == [
-        ("recorded", "1"),
-        ("t-is-one", "1"),
-        ("recorded", "2"),
-        ("t-is-one", "2"),
+    assert passes == [None]
+    assert [(e.identity, dict(e.params)["t"], e.passed) for e in rep.entries] == [
+        ("recorded", "1", False),
+        ("t-is-one", "1", True),
+        ("recorded", "2", False),
+        ("t-is-one", "2", False),
     ]
 
 

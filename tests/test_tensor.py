@@ -102,6 +102,25 @@ def test_constructor_refuses_a_float_coefficient_in_characteristic_0():
     assert Element(1, {key: Fraction(1, 10)}) == Fraction(1, 10) * Element.gen(1)
 
 
+def test_a_bool_is_no_scalar_mod_p():
+    # as FpElem and Deformation refuse one: in the constructor, in a scalar
+    # product and in a sum with the unit
+    with pytest.raises(TypeError):
+        ElementP(5, 1, {D1_KEY_5: True})
+    for op in (lambda x: True * x, lambda x: x * False, lambda x: x + True, lambda x: x - True):
+        with pytest.raises(TypeError):
+            op(ElementP.gen(1, 5))
+
+
+def test_a_bool_is_no_scalar_in_characteristic_0():
+    key = next(iter(Element.gen(1).terms))
+    with pytest.raises(TypeError):
+        Element(1, {key: True})
+    for op in (lambda x: True * x, lambda x: x * False, lambda x: x + True, lambda x: x - True):
+        with pytest.raises(TypeError):
+            op(Element.gen(1))
+
+
 def test_scalars_of_another_ring_raise():
     with pytest.raises(ValueError):
         FpElem(1, 7) * ElementP.gen(1, 5)

@@ -6,10 +6,10 @@ from math import gcd
 
 import pytest
 
+from oracles import act_on_laurent, normal_order
 from wittq import uwitt
 from wittq.uwitt import (
     Element,
-    act_on_laurent,
     ad_power,
     ad_power_closed,
     bracket,
@@ -17,7 +17,6 @@ from wittq.uwitt import (
     is_normal,
     mono_mul,
     mono_of,
-    normal_order,
 )
 from wittq.scalars import rising
 from wittq.series import Deformation, Series, h_rising
