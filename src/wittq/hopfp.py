@@ -23,13 +23,12 @@ the entries of every requested residue are both sides of each identity
 evaluated there, and run_checks states why that is sound.
 
 One certificate decides both entry blocks of a pass, the relation entries
-(commutators and p-powers) and the Hopf entries.  F = sum_r (1/r!) h^(r) (x)
-e^r t^r and u = m(S_0 (x) Id)(F) (series.twist, series.u_series) are built at
-symbolic t, and twist_certificate checks exactly, on the generator maps of
-the pass (its fault included), that the check_twist block passes (F is a
-cocycle and counit-normalized on either side), that F and u are 1 at t^0,
-that (F - 1)^p = (u - 1)^p = 0, and that F Delta(D_k) = Delta_0(D_k) F and
-u S(D_k) = S_0(D_k) u for every k.  Then every relation entry passes:
+(commutators and p-powers) and the Hopf entries:
+series.twist_certificate(d, range(p)), checked exactly at symbolic t on the
+generator maps of the pass (its fault included).  The series docstring
+states what it checks, and why every Hopf entry of series.check_hopf then
+passes; in characteristic p its letters are every D_k.  Every relation
+entry passes too:
 
 - F and u are invertible: N = F - 1 has N^p = 0, so F^{-1} = sum_{n<p} (-N)^n
   is a polynomial in t, and likewise for u.
@@ -51,24 +50,6 @@ u S(D_k) = S_0(D_k) u for every k.  Then every relation entry passes:
   = (l - k) Delta(D_{k+l}).  S_0 is an antimorphism with S_0(D) = -D, so
   [S(D_l), S(D_k)] = u^{-1} [D_l, D_k] u = (l - k) S(D_{k+l}).  These are
   the two commutator entries.
-
-The PBW extensions multiply the images of the letters, so they equal the
-morphism phi and the antimorphism psi on every monomial, and every Hopf entry
-passes too, by the Drinfeld twist theorem (Drinfeld 1989, Quasi-Hopf
-algebras; Majid 1995, Foundations of Quantum Group Theory, Thm 2.3.4):
-
-- coproduct-multiplicative: the extension of Delta is the morphism phi, so
-  it sends D_k D_l to phi(D_k) phi(D_l) = Delta(D_k) Delta(D_l).
-- coassociativity: from the cocycle.  In the orientation check_twist checks,
-  (Delta_0 (x) Id)(F) (F (x) 1) = (Id (x) Delta_0)(F) (1 (x) F), it makes
-  (phi (x) Id) phi = (Id (x) phi) phi, as Delta_0 is coassociative.
-- counit-left/-right: from the normalization, (eps (x) Id)(F) = 1 =
-  (Id (x) eps)(F).  eps is an algebra map, so eps on one slot of phi(x)
-  cancels F and leaves that of Delta_0(x), which is x.
-- antipode-left/-right: from Majid's theorem, with chi = F^{-1} (so that
-  phi = chi Delta_0(.) chi^{-1}), whose antipode is U S_0(.) U^{-1} with
-  U = m(Id (x) S_0)(chi) and U^{-1} = m(S_0 (x) Id)(chi^{-1}) =
-  m(S_0 (x) Id)(F) = u.  That antipode is psi, which is S.
 
 Evaluation at t = c is a ring homomorphism, so what the symbolic pass
 concludes holds at every residue it fans out to.  A passing entry has no
@@ -112,7 +93,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import partial
 
 from .report import VerificationReport
 from .restricted import ElementP, _residue, e_element_p
@@ -123,7 +104,6 @@ from .series import (
     _at,
     binomial_series,
     check_hopf,
-    check_twist,
     counit,
     element_antipode,
     element_coproduct,
@@ -136,10 +116,7 @@ from .series import (
     phi,
     run_checks,
     slot_apply,
-    twist,
-    u_series,
-    undeformed_antipode,
-    undeformed_coproduct,
+    twist_certificate,
 )
 from .tensor import commutator
 
@@ -198,29 +175,6 @@ def antipode_poly(x: PolyP, params: Deformation) -> PolyP:
 # -- verifiers -----------------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def twist_certificate(d: Deformation) -> bool:
-    """Whether the twist decides every relation and Hopf entry of d (see the
-    module docstring), checked exactly at symbolic t on d's generator maps,
-    fault included: F and u = m(S_0 (x) Id)(F) are 1 at t^0,
-    (F - 1)^p = (u - 1)^p = 0, F Delta(D_k) = Delta_0(D_k) F and
-    u S(D_k) = S_0(D_k) u for every k, and the check_twist block passes."""
-    p, d = d.char, d.at(None)
-    F, u = twist(d), u_series(d)
-    return (
-        F.coeff(0) == ElementP.one(p, 2)
-        and u.coeff(0) == ElementP.one(p)
-        and ((F - 1) ** p).is_zero()
-        and ((u - 1) ** p).is_zero()
-        and all(
-            F * coproduct_p(k, d) == undeformed_coproduct(d, d.gen(k)) * F
-            and u * antipode_p(k, d) == undeformed_antipode(d, d.gen(k)) * u
-            for k in range(p)
-        )
-        and run_checks(d, (None,), check_twist).ok
-    )
-
-
 def _check_relations(verdicts: Verdicts, params: Deformation) -> None:
     p, base = params.char, params.point
     dk = {k: coproduct_p(k, params) for k in range(p)}
@@ -228,7 +182,7 @@ def _check_relations(verdicts: Verdicts, params: Deformation) -> None:
 
     # every entry follows from the twist certificate when it holds (see the
     # module docstring); otherwise each is computed directly, for its witness
-    derived = twist_certificate(params)
+    derived = twist_certificate(params, range(p))
     for k in range(p):
         for l in range(p):
             pt = dict(base, k=k, l=l)
@@ -257,27 +211,12 @@ def verify_relations_preserved(params: Deformation, corrupt_term: int | None = N
     return run_checks(d, (d.t,), _check_relations)
 
 
-def _check_hopf(verdicts: Verdicts, d: Deformation) -> None:
-    """The entries of series.check_hopf on every generator, without the
-    bracket: recorded as passing when the twist certificate holds (see the
-    module docstring), in its order and at its points; otherwise computed."""
-    ks = range(d.char)
-    if not twist_certificate(d):
-        check_hopf(verdicts, d, ks, bracket=False)
-        return
-    for k in ks:
-        for identity in ("coassociativity", "counit-left", "counit-right", "antipode-left", "antipode-right"):
-            verdicts.record(identity, dict(d.point, k=k), True)
-    for k in ks:
-        for l in ks:
-            verdicts.record("coproduct-multiplicative", dict(d.point, k=k, l=l), True)
-
-
 def verify_hopf_p(params: Deformation, t_values=None) -> VerificationReport:
     """Full Hopf axiom suite on generators, over the requested t modes
     (None = symbolic, ints = specializations; by default the params' own),
     through series.run_checks."""
-    return run_checks(params, (params.t,) if t_values is None else t_values, _check_hopf)
+    block = partial(check_hopf, ks=range(params.char), bracket=False)
+    return run_checks(params, (params.t,) if t_values is None else t_values, block)
 
 
 def _check_radford(verdicts: Verdicts, pp: Deformation) -> None:
@@ -366,7 +305,7 @@ def verify_all_i(d: Deformation, t_values) -> list[VerificationReport]:
     computed directly, with d's fault, so every witness is a direct one."""
     p, one = d.char, replace(d, i=1)
     first = verify_all_p(one, t_values)
-    derive = first.ok and twist_certificate(one)
+    derive = first.ok and twist_certificate(one, range(p))
     return [first] + [
         _relabelled(first, m) if derive and phi_equivariant(one, m) else verify_all_p(replace(d, i=m), t_values)
         for m in range(2, p)

@@ -392,14 +392,6 @@ class ElementP(TensorElement):
                     _merge(out, a + d, sums, rank)
         return [self._like(rank, _terms(out[d], rank, p) if d in out else {}) for d in range(n)]
 
-    def supported_indices(self) -> set[int]:
-        """Generator indices appearing anywhere in the support."""
-        out: set[int] = set()
-        for key in self.terms:
-            for mono in key:
-                out.update(k for k, m in enumerate(mono) if m)
-        return out
-
 
 # -- public operation surface ------------------------------------------------
 

@@ -20,12 +20,11 @@ Below the classes sit the pieces the Hopf verifiers of both characteristics
 share: the verdicts of a pass of checks (Verdicts) and the one function that
 runs a check block over the requested t modes (run_checks, which fans one
 symbolic-t computation out to every requested t), applying a map to one
-tensor slot, the counit on one slot, antipode convolution, the per-generator
-axiom block (check_generator) and the whole axiom suite on generators and
-generator pairs (check_hopf).  Every verifier of both characteristics is a
-check block, (verdicts, deformation) -> None, and one run_checks call.
+tensor slot, the counit on one slot and antipode convolution.  Every
+verifier of both characteristics is a check block,
+(verdicts, deformation) -> None, and one run_checks call.
 
-Last come the deformation and its maps.  One Deformation value names the
+Then come the deformation and its maps.  One Deformation value names the
 construction in either characteristic: (char, order, i, t, fault), validated
 and normalized once, with what the characteristics differ in derived from it.
 The characteristic-p maps are the characteristic-0 formulas read mod p, so each
@@ -38,9 +37,7 @@ monomials, through the monomial's memoized parts: f(m x_k) = f(m) f(x_k)
 drops the last letter of a morphism's argument and f(x_k m) = f(m) f(x_k)
 the first of an antimorphism's, so a monomial's image is one series product
 on the image of a prefix (suffix) that other monomials share, and the image
-built so far is always the left factor.  check_hopf takes
-Delta(x_k) Delta(x_l) for k <= l from the coproduct's memo, since x_k x_l is
-then a PBW monomial.
+built so far is always the left factor.
 
 The twist route is written once too, through the same slot maps and the
 same extension: the undeformed coproduct Delta_0 and antipode S_0, the
@@ -50,6 +47,55 @@ F = sum_r (1/r!) h^(r) (x) e^r t^r, u = m(S_0 (x) Id)(F) and the check block
 of F's cocycle identity and counit normalization.  They share no formula
 with the closed forms, so conjugation, F Delta(x) = Delta_0(x) F and
 u S(x) = S_0(x) u, is an independent route to the deformed maps.
+
+Last comes the one Hopf block of both characteristics, check_hopf, and the
+twist certificate that decides it.  twist_certificate(d, ks) checks exactly,
+on d's generator maps (its fault included), that F and u are 1 at t^0, that
+(F - 1)^n = (u - 1)^n = 0 for n = d.degrees, that F Delta(x_j) =
+Delta_0(x_j) F and u S(x_j) = S_0(x_j) u for every letter x_j the block on
+ks reaches, and that the check_twist block passes.  The argument runs over
+the ring R of coefficients in t: the polynomials in characteristic p, and
+Q[t]/(t^{order+1}) in characteristic 0.  Truncation is a ring homomorphism,
+so a product of truncated series is the product in R, and the twist theorem
+holds over any commutative ring.
+
+- F and u are invertible in R: N = F - 1 has N^n = 0, so F^{-1} =
+  sum_{m<n} (-N)^m, and likewise for u.  In characteristic 0, n = order + 1
+  and truncation makes N^n vanish.
+- Delta_0 is an algebra morphism and S_0 an antimorphism (in characteristic
+  p of u(W), whose p-th power relations they respect; see hopfp), so
+  phi: x -> F^{-1} Delta_0(x) F is an algebra morphism and
+  psi: x -> u^{-1} S_0(x) u an antimorphism over R.
+- The conjugation says Delta(x_j) = phi(x_j) and S(x_j) = psi(x_j) for every
+  certified letter.  The PBW extensions multiply the images of the letters,
+  so they equal phi and psi on every monomial whose letters are certified.
+- The letters are ks; every k + l, which straightening x_k x_l (k > l) and
+  the bracket [x_k, x_l] reach; and every letter of a slot monomial of
+  Delta(x_k), to which coassociativity applies Delta and the antipode
+  entries S.  In characteristic p they are every D_j.
+
+Then every entry of check_hopf passes, by the Drinfeld twist theorem
+(Drinfeld 1989, Quasi-Hopf algebras; Majid 1995, Foundations of Quantum
+Group Theory, Thm 2.3.4):
+
+- coproduct-multiplicative and coproduct-bracket: the extension of Delta is
+  the morphism phi on x_k x_l, x_l x_k and their straightened forms, so it
+  sends x_k x_l to Delta(x_k) Delta(x_l) and [x_k, x_l] to their commutator.
+- coassociativity: from the cocycle.  In the orientation check_twist checks,
+  (Delta_0 (x) Id)(F) (F (x) 1) = (Id (x) Delta_0)(F) (1 (x) F), it makes
+  (phi (x) Id) phi = (Id (x) phi) phi, as Delta_0 is coassociative.
+- counit-left/-right: from the normalization, (eps (x) Id)(F) = 1 =
+  (Id (x) eps)(F).  eps is an algebra map, so eps on one slot of phi(x)
+  cancels F and leaves that of Delta_0(x), which is x.
+- antipode-left/-right: from Majid's theorem, with chi = F^{-1} (so that
+  phi = chi Delta_0(.) chi^{-1}), whose antipode is U S_0(.) U^{-1} with
+  U = m(Id (x) S_0)(chi) and U^{-1} = m(S_0 (x) Id)(chi^{-1}) =
+  m(S_0 (x) Id)(F) = u.  That antipode is psi, which is S.
+
+A passing entry has no witness, so the recorded entries are those a direct
+computation gives.  When the certificate fails (every fault that changes a
+reached letter makes it fail), every entry is computed, and each witness is
+a direct one.
 """
 
 from __future__ import annotations
@@ -307,25 +353,17 @@ class Verdicts:
         self.at = tuple(at)
         self.reports = [VerificationReport() for _ in self.at]
 
-    def judge(self, identity: str, pt: dict, lhs: TSeries, rhs: TSeries) -> list:
-        """The entries of lhs == rhs, one per mode, to be added later."""
-        out = []
-        for c in self.at:
-            a, b, point = (lhs, rhs, pt) if c is None else (_at(lhs, c), _at(rhs, c), dict(pt, t=c))
-            out.append((identity, point, a == b, first_mismatch(a, b)))
-        return out
-
-    def add(self, judged: list) -> None:
-        for rep, args in zip(self.reports, judged):
-            rep.add(*args)
-
     def check(self, identity: str, pt: dict, lhs: TSeries, rhs: TSeries) -> None:
-        self.add(self.judge(identity, pt, lhs, rhs))
+        """Enter lhs == rhs once per mode, with its first mismatch as witness."""
+        for rep, c in zip(self.reports, self.at):
+            a, b, point = (lhs, rhs, pt) if c is None else (_at(lhs, c), _at(rhs, c), dict(pt, t=c))
+            rep.add(identity, point, a == b, first_mismatch(a, b))
 
     def record(self, identity: str, pt: dict, passed: bool, witness: str | None = None) -> None:
         """Enter a verdict that does not depend on t once per mode, each
-        labelled as judge labels it."""
-        self.add([(identity, pt if c is None else dict(pt, t=c), passed, witness) for c in self.at])
+        labelled as check labels it."""
+        for rep, c in zip(self.reports, self.at):
+            rep.add(identity, pt if c is None else dict(pt, t=c), passed, witness)
 
 
 def run_checks(d: Deformation, t_values, block) -> VerificationReport:
@@ -400,24 +438,6 @@ def convolve(s: TSeries, apode, side: str) -> TSeries:
                 for key, sc in part.terms.items():
                     tgt[key] = get(key, 0) + c * sc
     return s._like(s.order, 1, [zero.from_sums(1, sums) for sums in acc])
-
-
-# -- the per-generator Hopf axioms ------------------------------------------------
-
-
-def check_generator(verdicts: Verdicts, pt: dict, dk: TSeries, x, coproduct_mono, antipode_mono) -> None:
-    """Check coassociativity, counit-left/right and antipode-left/right of the
-    coproduct dk of the generator x, in that order; coproduct_mono and
-    antipode_mono map a monomial to its image series."""
-    verdicts.check("coassociativity", pt, slot_apply(dk, 0, coproduct_mono), slot_apply(dk, 1, coproduct_mono))
-
-    want = dk._const(x)
-    for side, slot in (("left", 0), ("right", 1)):
-        verdicts.check(f"counit-{side}", pt, counit_slot(dk, slot), want)
-
-    zero = dk._like(dk.order, 1, ())
-    for side in ("left", "right"):
-        verdicts.check(f"antipode-{side}", pt, convolve(dk, antipode_mono, side), zero)
 
 
 # -- the deformation -----------------------------------------------------------
@@ -752,66 +772,95 @@ def check_twist(verdicts: Verdicts, d: Deformation) -> None:
         verdicts.check(f"twist-counit-{side}", pt, counit_slot(F, slot), d.series(1, [one]))
 
 
-# -- the Hopf axioms on generators and generator pairs ----------------------------
+# -- the twist certificate and the Hopf axioms on generators and pairs -------------
+
+
+def _letters(d: Deformation, ks) -> list[int]:
+    """The letters x_j that the Hopf block on ks reaches, sorted: each k in
+    ks; each k + l, which straightening x_k x_l (k > l) and the bracket
+    reach; and each letter of a slot monomial of Delta(x_k), to which
+    coassociativity applies Delta and the antipode entries S.  d.gen reduces
+    an index mod p in characteristic p."""
+    out: set[int] = set()
+    for k in ks:
+        for x in (d.gen(k), *(d.gen(k + l) for l in ks), *gen_coproduct(d, k).coeffs):
+            out |= x.supported_indices()
+    return sorted(out)
+
+
+@lru_cache(maxsize=None)
+def _certificate(d: Deformation, ks: tuple) -> bool:
+    F, u = twist(d), u_series(d)
+    return (
+        F.coeff(0) == d.zero.one_of(2)
+        and u.coeff(0) == d.zero.one_of(1)
+        and ((F - 1) ** d.degrees).is_zero()
+        and ((u - 1) ** d.degrees).is_zero()
+        and all(
+            F * gen_coproduct(d, j) == undeformed_coproduct(d, d.gen(j)) * F
+            and u * gen_antipode(d, j) == undeformed_antipode(d, d.gen(j)) * u
+            for j in _letters(d, ks)
+        )
+        and run_checks(d, (None,), check_twist).ok
+    )
+
+
+def twist_certificate(d: Deformation, ks) -> bool:
+    """Whether the twist decides every entry of the Hopf block of d on ks
+    (see the module docstring), checked exactly at symbolic t on d's
+    generator maps, fault included: F and u = m(S_0 (x) Id)(F) are 1 at t^0,
+    (F - 1)^n = (u - 1)^n = 0 for n = d.degrees, F Delta(x_j) = Delta_0(x_j) F
+    and u S(x_j) = S_0(x_j) u for every letter j the block reaches
+    (_letters), and the check_twist block passes.  Memoized on d at symbolic
+    t and the tuple of ks."""
+    return _certificate(d.at(None), tuple(ks))
+
+
+twist_certificate.cache_info = _certificate.cache_info
+twist_certificate.cache_clear = _certificate.cache_clear
+
+_GENERATOR_IDENTITIES = ("coassociativity", "counit-left", "counit-right", "antipode-left", "antipode-right")
 
 
 def check_hopf(verdicts: Verdicts, d: Deformation, ks, bracket: bool) -> None:
     """Check the Hopf axioms of the deformation d on the generators x_k, k in
-    ks: the check_generator block of each x_k, then for each ordered pair
-    (k, l) that the coproduct is multiplicative on x_k x_l and, if bracket is
-    set, that it maps [x_k, x_l] to [Delta(x_k), Delta(x_l)].  Each point is
-    d.point with k (and l) added.
+    ks: per x_k coassociativity, counit-left/-right and antipode-left/-right;
+    then for each ordered pair (k, l) that the coproduct is multiplicative
+    on x_k x_l and, if bracket is set, that it maps [x_k, x_l] to
+    [Delta(x_k), Delta(x_l)].  Each point is d.point with k (and l) added.
 
-    Where x_k x_l is itself one PBW monomial (k <= l, as PBW order goes), the
-    product Delta(x_k) Delta(x_l) is that monomial's mono_coproduct memo
-    entry, which the PBW extension builds as exactly that product; the other
-    order is multiplied directly.  Taking it from the memo changes neither
-    the entries nor what they can catch: only the coproduct-multiplicative
-    entries with k > l carry content.  For k <= l the left side, the
-    coproduct of the monomial x_k x_l, is the same product by construction,
-    so those entries check only the PBW order of the extension and no fault
-    in the generator maps can make them fail."""
-    base = d.point
-    gen = partial(gen_coproduct, d)
-    coproduct = partial(element_coproduct, d)
-    cp_mono = partial(mono_coproduct, d)
-    ap_mono = partial(mono_antipode, d)
-    ks = list(ks)
+    When twist_certificate(d, ks) holds, every entry passes (see the module
+    docstring) and is recorded so, in that order and at those points;
+    otherwise each is computed.  Only the coproduct-multiplicative entries
+    with k > l carry content: for k <= l the left side, the PBW extension's
+    image of the monomial x_k x_l, is the product Delta(x_k) Delta(x_l) by
+    construction, so those entries check only the PBW order of the
+    extension, and no fault in the generator maps can make them fail."""
+    base, ks = d.point, list(ks)
+    if twist_certificate(d, ks):
+        for k in ks:
+            for identity in _GENERATOR_IDENTITIES:
+                verdicts.record(identity, dict(base, k=k), True)
+        for k in ks:
+            for l in ks:
+                pt = dict(base, k=k, l=l)
+                verdicts.record("coproduct-multiplicative", pt, True)
+                if bracket:
+                    verdicts.record("coproduct-bracket", pt, True)
+        return
 
+    gen, cp_mono, ap_mono = partial(gen_coproduct, d), partial(mono_coproduct, d), partial(mono_antipode, d)
     for k in ks:
-        check_generator(verdicts, dict(base, k=k), gen(k), d.gen(k), cp_mono, ap_mono)
-
-    def product(k, l):
-        """x_k x_l and Delta(x_k) Delta(x_l)."""
-        xy = d.gen(k) * d.gen(l)
-        if len(xy.terms) == 1:
-            ((key, c),) = xy.terms.items()
-            if c == 1:
-                return xy, cp_mono(key[0])
-        return xy, gen(k) * gen(l)
-
-    # each ordered product is made once: (k, l) and (l, k) together, their
-    # entries kept and added in (k, l) order afterwards
-    def pair_checks(k, l, xy, yx, kl, lk):
-        pt = dict(base, k=k, l=l)
-        out = [verdicts.judge("coproduct-multiplicative", pt, coproduct(xy), kl)]
-        if bracket:
-            out.append(verdicts.judge("coproduct-bracket", pt, coproduct(xy - yx), kl - lk))
-        return out
-
-    checks = {}
+        pt, dk = dict(base, k=k), gen(k)
+        verdicts.check("coassociativity", pt, slot_apply(dk, 0, cp_mono), slot_apply(dk, 1, cp_mono))
+        for side, slot in (("left", 0), ("right", 1)):
+            verdicts.check(f"counit-{side}", pt, counit_slot(dk, slot), dk._const(d.gen(k)))
+        for side in ("left", "right"):
+            verdicts.check(f"antipode-{side}", pt, convolve(dk, ap_mono, side), d.series(1))
     for k in ks:
         for l in ks:
-            if (k, l) in checks:
-                continue
-            xy, kl = product(k, l)
-            if k == l:
-                checks[k, k] = pair_checks(k, k, xy, xy, kl, kl)
-            else:
-                yx, lk = product(l, k)
-                checks[k, l] = pair_checks(k, l, xy, yx, kl, lk)
-                checks[l, k] = pair_checks(l, k, yx, xy, lk, kl)
-    for k in ks:
-        for l in ks:
-            for judged in checks[k, l]:
-                verdicts.add(judged)
+            pt, xy, kl = dict(base, k=k, l=l), d.gen(k) * d.gen(l), gen(k) * gen(l)
+            verdicts.check("coproduct-multiplicative", pt, element_coproduct(d, xy), kl)
+            if bracket:
+                yx, lk = d.gen(l) * d.gen(k), gen(l) * gen(k)
+                verdicts.check("coproduct-bracket", pt, element_coproduct(d, xy - yx), kl - lk)

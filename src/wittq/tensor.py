@@ -130,6 +130,17 @@ class TensorElement:
         """Coefficient at a key (a tuple of rank many monomials)."""
         return self.terms.get(key, self._scalar(0))
 
+    def supported_indices(self) -> set[int]:
+        """Generator indices appearing anywhere in the support."""
+        out: set[int] = set()
+        unit = self.unit_mono()
+        for key in self.terms:
+            for mono in key:
+                while mono != unit:
+                    k, mono = self.split_letter(mono, True)
+                    out.add(k)
+        return out
+
     def __eq__(self, other):
         if not isinstance(other, TensorElement):
             return NotImplemented

@@ -28,7 +28,7 @@ def fresh_certificate():
     """For a test that changes what the twist certificate reads: its memo is
     cleared before the test and after it, so that no verdict crosses the
     change in either direction."""
-    from wittq.hopfp import twist_certificate
+    from wittq.series import twist_certificate
 
     twist_certificate.cache_clear()
     yield

@@ -551,13 +551,21 @@ def test_all_i_failing_cell_computes_its_mirror_directly(faulty, monkeypatch, ca
 
 
 def test_all_i_without_equivariance_computes_the_mirror_directly(monkeypatch, capsys, fresh_certificate):
-    # direction 3's antipode doubled, in the relation checks (through the
-    # twist certificate) and in the equivariance check: direction 3 falls
-    # back, 2 and 4 are derived
+    # direction 3's antipode doubled, in the relation checks, the twist
+    # certificate, the Hopf block (through a fresh monomial memo, so that no
+    # doubled image outlives the test) and the equivariance check: direction
+    # 3 falls back, 2 and 4 are derived
     import wittq.cli as cli
+    from wittq import series
 
-    antipode = cli.hopfp.gen_antipode
-    monkeypatch.setattr(cli.hopfp, "gen_antipode", lambda d, k: 2 * antipode(d, k) if d.i == 3 else antipode(d, k))
+    antipode = series.gen_antipode
+
+    def doubled(d, k):
+        return 2 * antipode(d, k) if d.i == 3 else antipode(d, k)
+
+    for mod in (cli.hopfp, series):
+        monkeypatch.setattr(mod, "gen_antipode", doubled)
+    monkeypatch.setattr(series, "mono_antipode", series._extension(1, anti=True)(doubled))
     assert [cli.hopfp.phi_equivariant(HopfParamsP(5, 1), m) for m in (2, 3, 4)] == [True, False, True]
     code, out, ran = _cells_computed(monkeypatch, capsys, 5, "all", "text")
     assert ran == [1, 3]

@@ -1,9 +1,11 @@
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
-from wittq import hopf0
+from wittq import hopf0, series
 from wittq.hopf0 import (
     HopfParams,
     antipode_closed,
@@ -25,10 +27,13 @@ from wittq.series import (
     TSeries,
     Verdicts,
     binomial_series,
+    check_hopf,
     counit,
     element_antipode,
     element_coproduct,
-    mono_coproduct,
+    gen_coproduct,
+    run_checks,
+    twist_certificate,
     u_series,
     undeformed_antipode,
     undeformed_coproduct,
@@ -302,33 +307,124 @@ def test_coproduct_element_linear():
     assert lhs == rhs
 
 
-def test_pair_loop_makes_each_product_once(monkeypatch):
-    # warm the structure-map memos, then count the series products of one run
+def test_a_certified_block_multiplies_no_generator_pair(monkeypatch):
+    # warm the certificate and the structure-map memos, then watch one run:
+    # the certificate holds, so every Hopf entry is recorded as passing, no
+    # identity is sent through Verdicts.check and no series product is made
     params, ks = HopfParams(1, 2), range(-1, 2)
     want = verify_hopf0(params, ks).entries
-    calls, rhs = [], {}
-    mul, judge = TSeries.__mul__, Verdicts.judge
+    assert twist_certificate(params, ks) and all(e.passed for e in want)
+    calls, checked = [], []
+    mul, check = TSeries.__mul__, Verdicts.check
 
     def counted(self, other):
         calls.append(other)
         return mul(self, other)
 
-    def judged(self, identity, pt, lhs, right):
-        if identity == "coproduct-multiplicative":
-            rhs[pt["k"], pt["l"]] = right
-        return judge(self, identity, pt, lhs, right)
+    def spy(self, identity, *args):
+        checked.append(identity)
+        return check(self, identity, *args)
 
     monkeypatch.setattr(TSeries, "__mul__", counted)
-    monkeypatch.setattr(Verdicts, "judge", judged)
+    monkeypatch.setattr(Verdicts, "check", spy)
     assert verify_hopf0(params, ks).entries == want
-    # Delta(x_k) Delta(x_l) for k <= l is the memo entry of the PBW monomial
-    # x_k x_l, so only the 3 products with k > l are made; each sum of
-    # coproduct_element scales only its 7 terms with a coefficient other than
-    # 1.  Before, all 9 ordered pairs were multiplied and all 18 terms scaled
+    assert calls == [] and checked == []
+
+
+def test_the_inverses_of_f_and_u_ignore_the_fault():
+    # F and u do not depend on the fault, so a faulty deformation shares
+    # their inverses' memo entries
+    clean = HopfParams(2, 4)
+    faulty = replace(clean, fault=1)
+    assert hopf0._twist_inverse(faulty) is hopf0._twist_inverse(clean)
+    assert hopf0._u_inverse(faulty) is hopf0._u_inverse(clean)
+
+
+_HOPF_IDENTITIES = {
+    "coassociativity",
+    "counit-left",
+    "counit-right",
+    "antipode-left",
+    "antipode-right",
+    "coproduct-multiplicative",
+    "coproduct-bracket",
+}
+
+
+def _hopf_entries(d, ks):
+    """The Hopf block of d on ks as it runs, the identities it computed
+    rather than recorded (the certificate's own twist block left out), and
+    the same block with the certificate forced false, every entry computed."""
+    block = partial(check_hopf, ks=ks, bracket=True)
+    checked, check = [], Verdicts.check
+
+    def spy(self, identity, *args):
+        if identity in _HOPF_IDENTITIES:
+            checked.append(identity)
+        return check(self, identity, *args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Verdicts, "check", spy)
+        derived = run_checks(d, (None,), block).entries
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(series, "twist_certificate", lambda d, ks: False)
+        direct = run_checks(d, (None,), block).entries
+    return derived, checked, direct
+
+
+def _reached_letters(d, ks):
+    """ks, every k + l, and every letter in the support of Delta(L_k)."""
+    out = set(ks) | {k + l for k in ks for l in ks}
     for k in ks:
-        for l in ks:
-            if k <= l:
-                ((mono,),) = (L(k) * L(l)).terms
-                assert rhs[k, l] is mono_coproduct(params, mono)
-    assert sum(isinstance(x, TSeries) for x in calls) == 3
-    assert len(calls) == 10
+        for c in gen_coproduct(d, k).coeffs:
+            out |= c.supported_indices()
+    return out
+
+
+def test_derived_hopf_entries_equal_direct_entries_in_char0():
+    # every fault of every order up to 3, in four directions and on two sets
+    # of generators; a fault that changes Delta of a reached letter breaks
+    # the certificate, so that every entry is computed, and one that changes
+    # none leaves it holding
+    witnessed = 0
+    for i in (-2, -1, 1, 3):
+        for order in range(4):
+            for ks in (range(-2, 3), range(1, 4)):
+                clean = HopfParams(i, order)
+                for fault in (None, *range(order + 1)):
+                    d = replace(clean, fault=fault)
+                    derived, checked, direct = _hopf_entries(d, ks)
+                    assert derived == direct, (i, order, ks, fault)
+                    changed = any(gen_coproduct(d, j) != gen_coproduct(clean, j) for j in _reached_letters(d, ks))
+                    assert twist_certificate(d, ks) is not changed, (i, order, ks, fault)
+                    assert checked == ([e.identity for e in direct] if changed else []), (i, order, ks, fault)
+                    witnessed += sum(1 for e in direct if not e.passed and e.witness)
+    assert witnessed > 0
+
+
+@pytest.mark.parametrize(
+    "i, ks, j, failures",
+    [
+        # L_4 is reached only through a slot of Delta(L_1)
+        (3, range(-1, 2), 4, {"coassociativity": 1}),
+        # L_{-3} is reached only through straightening L_{-1} L_{-2}
+        (1, range(-2, 2), -3, {"coproduct-multiplicative": 1, "coproduct-bracket": 2}),
+    ],
+)
+def test_the_certificate_covers_letters_outside_ks(i, ks, j, failures, monkeypatch, fresh_certificate):
+    # Delta(L_j) + t Delta(L_j) for one letter j outside ks, in a fresh
+    # monomial memo: the certificate fails, and the block gives the direct
+    # report with the failures the corrupted letter causes
+    real = series.gen_coproduct
+
+    def corrupted(d, k):
+        g = real(d, k)
+        return g + g.shift(1) if k == j else g
+
+    monkeypatch.setattr(series, "gen_coproduct", corrupted)
+    monkeypatch.setattr(series, "mono_coproduct", series._extension(2, anti=False)(corrupted))
+    d = HopfParams(i, 2)
+    assert j not in ks and not twist_certificate(d, ks)
+    derived, checked, direct = _hopf_entries(d, ks)
+    assert derived == direct
+    assert Counter(e.identity for e in direct if not e.passed) == failures

@@ -1,5 +1,6 @@
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -8,7 +9,6 @@ from wittq import hopfp, series
 from wittq.hopfp import (
     HopfParamsP,
     PolyP,
-    _check_hopf,
     _check_relations,
     antipode_element_p,
     antipode_p,
@@ -19,7 +19,6 @@ from wittq.hopfp import (
     e_element_p,
     phi_equivariant,
     radford_check,
-    twist_certificate,
     verify_all_i,
     verify_all_p,
     verify_hopf_p,
@@ -32,6 +31,7 @@ from wittq.series import (
     Verdicts,
     _at,
     binomial_series,
+    check_hopf,
     check_twist,
     convolve,
     gen_antipode,
@@ -40,6 +40,7 @@ from wittq.series import (
     mono_antipode,
     run_checks,
     twist,
+    twist_certificate,
     u_series,
     undeformed_antipode,
     undeformed_coproduct,
@@ -369,15 +370,22 @@ def test_coproduct_accepts_fp_elem_index():
         coproduct_p(FpElem(1, 3), pp)
 
 
+def _hopf_block(p):
+    """The Hopf block of a char-p pass: check_hopf on every generator,
+    without the bracket."""
+    return partial(check_hopf, ks=range(p), bracket=False)
+
+
 def _forced_direct(block):
-    """block with the twist certificate forced false, so that
-    _check_relations computes every commutator and raises every p-power
-    directly, and _check_hopf computes every Hopf entry: the independent
-    oracle of the derivation."""
+    """block with the twist certificate forced false in every module that
+    reads it, so that _check_relations computes every commutator and raises
+    every p-power directly, and check_hopf computes every Hopf entry: the
+    independent oracle of the derivation."""
 
     def run(verdicts, d):
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(hopfp, "twist_certificate", lambda d: False)
+            for mod in (series, hopfp):
+                mp.setattr(mod, "twist_certificate", lambda d, ks: False)
             block(verdicts, d)
 
     return run
@@ -409,7 +417,7 @@ def test_derived_entries_equal_direct(p, map_cells):
         (p, i, block, fault)
         for fault in (None, 0, 1, 2)
         for i in range(1, p)
-        for block in (_check_relations, _check_hopf)
+        for block in (_check_relations, _hopf_block(p))
     ]
     witnessed = 0
     for derived, direct in map_cells(_derived_and_direct, cells):
@@ -422,7 +430,7 @@ def test_verify_all_p_t_values_unnormalized_and_repeated():
     p, i, ts = 5, 2, (None, 6, 1, -4)
     rep = verify_all_p(HopfParamsP(p, i), ts)
     want = _direct(_check_relations, p, i, ts)
-    want.extend(_direct(_check_hopf, p, i, ts))
+    want.extend(_direct(_hopf_block(p), p, i, ts))
     want.extend(radford_check(HopfParamsP(p, i)))
     assert rep.entries == want.entries
     labels = [dict(e.params)["t"] for e in rep.entries if e.identity == "coassociativity" and dict(e.params)["k"] == "0"]
@@ -558,25 +566,25 @@ _TWIST_IDENTITIES = {"twist-cocycle", "twist-counit-left", "twist-counit-right"}
 
 
 def _checked_identities(monkeypatch):
-    """The relation and Hopf identities that go through Verdicts.judge (which
-    Verdicts.check calls) from now on, i.e. are computed rather than
-    recorded, in call order; the twist certificate's own check_twist block
-    is left out."""
-    seen, judge = [], Verdicts.judge
+    """The relation and Hopf identities that go through Verdicts.check from
+    now on, i.e. are computed rather than recorded, in call order; the twist
+    certificate's own check_twist block is left out."""
+    seen, check = [], Verdicts.check
 
     def spy(self, identity, *args):
         if identity not in _TWIST_IDENTITIES:
             seen.append(identity)
-        return judge(self, identity, *args)
+        return check(self, identity, *args)
 
-    monkeypatch.setattr(Verdicts, "judge", spy)
+    monkeypatch.setattr(Verdicts, "check", spy)
     return seen
 
 
-def _blocks_derived_and_direct(d, t_values, blocks=(_check_relations, _check_hopf)):
+def _blocks_derived_and_direct(d, t_values, blocks=None):
     """The entries of each block of d over t_values (by default the relation
     entries, then the Hopf entries), as the blocks give them and with every
     entry computed directly, and the identities the first run computed."""
+    blocks = blocks or (_check_relations, _hopf_block(d.char))
     with pytest.MonkeyPatch.context() as mp:
         checked = _checked_identities(mp)
         derived = [e for block in blocks for e in run_checks(d, t_values, block).entries]
@@ -602,7 +610,7 @@ def test_derived_p_powers_equal_direct_p_powers(p, map_cells):
         assert checked == []
     for i in range(1, p):
         for t in (None, *range(p)):
-            assert twist_certificate(Deformation(p, None, i, t)), (i, t)
+            assert twist_certificate(Deformation(p, None, i, t), range(p)), (i, t)
 
 
 def test_derived_relations_equal_direct_relations_at_p7(map_cells):
@@ -611,7 +619,7 @@ def test_derived_relations_equal_direct_relations_at_p7(map_cells):
     # direction) are the slow side; the verify-p7-* goldens, recorded from
     # direct passes, pin both blocks at every i
     ts = (None, *range(7))
-    cells = [(Deformation(7, None, 1), ts)] + [(Deformation(7, None, i), ts, (_check_hopf,)) for i in range(2, 7)]
+    cells = [(Deformation(7, None, 1), ts)] + [(Deformation(7, None, i), ts, (_hopf_block(7),)) for i in range(2, 7)]
     sizes = []
     for derived, direct, checked in map_cells(_blocks_derived_and_direct, cells):
         assert derived == direct and checked == [] and all(e.passed for e in derived)
@@ -627,7 +635,7 @@ def test_every_fault_takes_the_direct_power_path(p, map_cells):
     for i in range(1, p):
         for fault in range(p):
             for t in (None, 1):
-                assert not twist_certificate(Deformation(p, None, i, t, fault)), (i, fault, t)
+                assert not twist_certificate(Deformation(p, None, i, t, fault), range(p)), (i, fault, t)
     # so every relation and Hopf entry is computed directly, with the witness
     # it had before
     cells = [(Deformation(p, None, 1, None, fault), (None, *range(p))) for fault in range(p)]
@@ -652,11 +660,13 @@ def _assert_direct_in_both_blocks(d):
 def test_corrupted_twist_takes_the_direct_power_path(name, monkeypatch, fresh_certificate):
     # 2F - 1 (or 2u - 1) is still 1 at t^0 and unipotent, but conjugates no
     # more; the corruption reaches the certificate only, not the maps it
-    # checks, so every entry still passes, computed
-    real = getattr(hopfp, name)
-    monkeypatch.setattr(hopfp, name, lambda d: real(d) * 2 - 1)
+    # checks, so every entry still passes, computed.  u is built from F, so
+    # its memo entry is filled first, from the real F
+    u_series(HopfParamsP(3, 1))
+    real = getattr(series, name)
+    monkeypatch.setattr(series, name, lambda d: real(d) * 2 - 1)
     for t in (None, 1):
-        assert not twist_certificate(HopfParamsP(3, 1, t)), t
+        assert not twist_certificate(HopfParamsP(3, 1, t), range(3)), t
     assert all(e.passed for e in _assert_direct_in_both_blocks(HopfParamsP(3, 1)))
 
 
@@ -664,15 +674,26 @@ def test_failing_cocycle_takes_the_direct_path(monkeypatch, fresh_certificate):
     # the conjugation holds, but a check_twist block forced to fail breaks the
     # certificate: both blocks compute every entry
     d = HopfParamsP(3, 2)
-    assert twist_certificate(d)
+    assert twist_certificate(d, range(3))
     twist_certificate.cache_clear()
 
     def failing(verdicts, d):
         verdicts.record("twist-cocycle", d.point, False, "forced")
 
-    monkeypatch.setattr(hopfp, "check_twist", failing)
-    assert not twist_certificate(d)
+    monkeypatch.setattr(series, "check_twist", failing)
+    assert not twist_certificate(d, range(3))
     assert all(e.passed for e in _assert_direct_in_both_blocks(d))
+
+
+def test_certificate_memo_keys_on_symbolic_t(fresh_certificate):
+    # the certificate always checks at symbolic t, so asking about a residue
+    # after symbolic t finds the memo entry the first call made
+    d = HopfParamsP(7, 3)
+    assert twist_certificate(d, range(7))
+    before = twist_certificate.cache_info()
+    assert twist_certificate(d.at(1), range(7))
+    after = twist_certificate.cache_info()
+    assert (after.hits, after.misses) == (before.hits + 1, before.misses)
 
 
 def test_p7_powers_vanish_directly():
