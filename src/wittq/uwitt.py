@@ -10,20 +10,32 @@ Straightening rewrites L_a L_b -> L_b L_a + (b - a) L_{a+b} whenever a > b,
 one inserted generator at a time.
 
 The multiply kernel works on interned monomials: each monomial the kernel
-meets gets a small int id once, in a module-level table, and the products of
-monomials are memoized on pairs of ids, because the tensor series
-computations multiply the same small monomials over and over.  Their
-structure constants are integers, so the kernel runs on integers too, over
-whole truncated t-series (series_mul, the ring hook of the series product; an
-element product is the degree-0 case): it turns each key into a tuple of ids
-and scales each operand series once to integer numerators over the lcm of all
-its denominators, sums numerator products times the monomial constants in
-plain ints per (degree, output id key) for every pair of degrees the product
-keeps, with flat loops at ranks 1 and 2, and on exit turns the ids back into
-monomials and divides by the product of the two denominators once per key.
-An id says only in which order the process first met its monomial.  The
-kernel's output keys follow the order of its terms and of the memoized
-products, never the order of ids, so no output depends on them.
+meets gets a small int id once, in module-level tables from the monomial and
+from its ascending word to the id and back, and the products of monomials
+are memoized on pairs of ids, because the tensor series computations
+multiply the same small monomials over and over.  An id's word and
+run-length monomial are both built once, when the id is made.  A missing
+product (_id_mul) folds id a's word through the letters of id b's word, one
+memoized generator insertion (_times_gen) at a time, and looks each word of
+the result up in the word table, so it builds a monomial only for a word
+that has no id yet.
+
+The structure constants of monomial products are integers, so the kernel
+runs on integers too, over whole truncated t-series (series_mul, the ring
+hook of the series product; an element product is the degree-0 case): it
+turns each key into a tuple of ids and scales each operand series once to
+integer numerators over the lcm of all its denominators, sums numerator
+products times the monomial constants in plain ints per (degree, output id
+key) for every pair of degrees the product keeps, with flat loops at ranks 1
+and 2, and on exit turns the ids back into monomials and divides by the
+product of the two denominators once per key.
+
+An id says only in which order the process first met its monomial, and a
+product lists its terms in the order its fold meets them.  The kernel's
+output keys follow the order of its terms and of the memoized products,
+never the order of ids, and no output depends on either order: the JSON and
+text writers and the witnesses sort their keys, and element equality ignores
+key order.
 """
 
 from __future__ import annotations
@@ -108,44 +120,52 @@ def _times_gen(word: Word, g: int) -> tuple[tuple[Word, int], ...]:
 _times_gen.cache_info = lambda: CacheInfo(_TIMES_HITS[0], len(_TIMES), None, len(_TIMES))
 
 
-def _fold(acc: dict[Word, int], gens) -> tuple[tuple[Mono, int], ...]:
-    """Normal form of (sum of c * w over acc, w ascending words) * L_g for g in gens."""
-    for g in gens:
-        nxt: dict[Word, int] = {}
-        for w, c in acc.items():
-            for w2, c2 in _times_gen(w, g):
-                nxt[w2] = nxt.get(w2, 0) + c * c2
-        acc = {w: c for w, c in nxt.items() if c}
-    return tuple(sorted((mono_of(w), c) for w, c in acc.items()))
-
-
-def mono_mul(a: Mono, b: Mono) -> tuple[tuple[Mono, int], ...]:
-    """Normal form of the product of two monomials, unmemoized: the kernel
-    memoizes it once, on interned ids (_id_mul)."""
-    return _fold({word_of(a): 1}, word_of(b))
-
-
 # -- the multiply kernel on interned monomial ids ------------------------------
 
+# an id names one ascending word and its run-length monomial, both built once,
+# when the id is made; the unit is 0, the empty word and the empty monomial
 _IDS: dict[Mono, int] = {ONE_MONO: 0}
+_WORD_IDS: dict[Word, int] = {(): 0}
 _MONOS: list[Mono] = [ONE_MONO]
+_WORDS: list[Word] = [()]
+
+
+def _new_id(mono: Mono, word: Word) -> int:
+    i = _IDS[mono] = _WORD_IDS[word] = len(_MONOS)
+    _MONOS.append(mono)
+    _WORDS.append(word)
+    return i
 
 
 def _intern(mono: Mono) -> int:
-    """The id of mono, assigned when the kernel first meets it; the unit is 0."""
+    """The id of mono, assigned when the kernel first meets it."""
     i = _IDS.get(mono)
-    if i is None:
-        i = _IDS[mono] = len(_MONOS)
-        _MONOS.append(mono)
-    return i
+    return _new_id(mono, word_of(mono)) if i is None else i
+
+
+def _word_id(word: Word) -> int:
+    """The id of an ascending word, assigned when the kernel first meets it."""
+    i = _WORD_IDS.get(word)
+    return _new_id(mono_of(word), word) if i is None else i
 
 
 @lru_cache(maxsize=None)
 def _id_mul(a: int, b: int) -> tuple[tuple[int, int], ...]:
-    """mono_mul on ids: ((id, constant), ...) in the order of mono_mul."""
+    """The normal form of the product of the monomials with ids a and b, as
+    ((id, integer constant), ...): id a's word times L_g for each letter g of
+    id b's word in turn (_times_gen), each word of the result then looked up
+    in the word table (_word_id)."""
     if not a or not b:
         return ((a or b, 1),)
-    return tuple((_intern(m), c) for m, c in mono_mul(_MONOS[a], _MONOS[b]))
+    acc = {_WORDS[a]: 1}
+    for g in _WORDS[b]:
+        nxt: dict[Word, int] = {}
+        get = nxt.get
+        for w, c in acc.items():
+            for w2, c2 in _times_gen(w, g):
+                nxt[w2] = get(w2, 0) + c * c2
+        acc = nxt
+    return tuple((_word_id(w), c) for w, c in acc.items() if c)
 
 
 def _scaled(x: "Element", d: int, rank: int) -> list:

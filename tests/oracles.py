@@ -3,26 +3,34 @@ written out by hand, the oracles that wittq's kernels and structure maps are
 checked against."""
 
 from fractions import Fraction
-from functools import lru_cache
+from itertools import groupby
 
 from wittq.restricted import ElementP, _residue, gen_mono
 from wittq.scalars import FpElem, check_odd_prime
 from wittq.series import counit
-from wittq.uwitt import Element, _fold
+from wittq.uwitt import Element
 
 # -- characteristic 0 -----------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def straighten(word: tuple) -> tuple:
-    """Normal form of the product L_{word[0]} ... L_{word[-1]}, as
-    ((monomial, integer constant), ...)."""
-    return _fold({(): 1}, word)
-
-
 def normal_order(word) -> Element:
-    """Canonical form of the product of generators listed by index."""
-    return Element(1, {(m,): Fraction(c) for m, c in straighten(tuple(word))})
+    """Canonical form of the product of generators listed by index, by
+    rewriting alone: the rightmost out-of-order adjacent pair L_a L_b (a > b)
+    becomes L_b L_a + (b - a) L_{a+b}, worklist style, with no memo and
+    nothing shared with the multiply kernel."""
+    pending = [(list(word), Fraction(1))]
+    acc = {}
+    while pending:
+        w, c = pending.pop()
+        pos = next((j for j in range(len(w) - 2, -1, -1) if w[j] > w[j + 1]), None)
+        if pos is None:
+            key = tuple((k, len(list(run))) for k, run in groupby(w))
+            acc[key] = acc.get(key, 0) + c
+            continue
+        a, b = w[pos], w[pos + 1]
+        pending.append((w[:pos] + [b, a] + w[pos + 2 :], c))
+        pending.append((w[:pos] + [a + b] + w[pos + 2 :], c * (b - a)))
+    return Element(1, {(m,): v for m, v in acc.items()})
 
 
 def act_on_laurent(k: int, m: int) -> tuple[int, int]:

@@ -402,6 +402,59 @@ def test_derived_hopf_entries_equal_direct_entries_in_char0():
     assert witnessed > 0
 
 
+_ROUTES = {"coproduct-cross-route", "antipode-closed-vs-twist"}
+
+
+def _route_entries(d, ks):
+    """The route block of d on ks as it runs, the (route, k) of each
+    twist-route map it called, and the same block with the certificate
+    forced false, every entry computed."""
+    block = partial(hopf0._check_routes, ks=list(ks))
+    calls = []
+
+    def spy(route, fn):
+        def call(x, params):
+            calls.append((route, *x.supported_indices()))
+            return fn(x, params)
+
+        return call
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hopf0, "coproduct_twist", spy("coproduct", hopf0.coproduct_twist))
+        mp.setattr(hopf0, "antipode_twist", spy("antipode", hopf0.antipode_twist))
+        derived = run_checks(d, (None,), block).entries
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(hopf0, "twist_certificate", lambda d, ks: False)
+        direct = run_checks(d, (None,), block).entries
+    return derived, calls, direct
+
+
+def test_derived_route_entries_equal_direct_entries_in_char0():
+    # every fault of every order up to 3, in four directions and on two sets
+    # of generators: the route block equals its fully computed form, and it
+    # builds the twist routes of every generator exactly when the
+    # certificate fails
+    failing = 0
+    for i in (-2, -1, 1, 3):
+        for order in range(4):
+            for ks in (range(-2, 3), range(1, 4)):
+                for fault in (None, *range(order + 1)):
+                    d = replace(HopfParams(i, order), fault=fault)
+                    derived, calls, direct = _route_entries(d, ks)
+                    assert derived == direct, (i, order, ks, fault)
+                    # each route verdict is the equality the route entry names
+                    routes = []
+                    for k in ks:
+                        routes.append(coproduct_closed(k, d) == coproduct_twist(L(k), d))
+                        routes.append(antipode_closed(k, d) == antipode_twist(L(k), d))
+                    assert [e.passed for e in derived if e.identity in _ROUTES] == routes
+                    certified = twist_certificate(d, ks)
+                    want = [] if certified else [(route, k) for k in ks for route in ("coproduct", "antipode")]
+                    assert calls == want, (i, order, ks, fault)
+                    failing += sum(1 for e in direct if not e.passed and e.witness)
+    assert failing > 0
+
+
 @pytest.mark.parametrize(
     "i, ks, j, failures",
     [

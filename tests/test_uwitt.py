@@ -15,7 +15,6 @@ from wittq.uwitt import (
     bracket,
     commutator,
     is_normal,
-    mono_mul,
     mono_of,
 )
 from wittq.scalars import rising
@@ -24,40 +23,31 @@ from wittq.series import Deformation, Series, h_rising
 L = Element.gen
 
 
-def oracle_normal_order(word):
-    """Independent straightening oracle: rewrite the rightmost out-of-order
-    adjacent pair first, worklist style, no caching or recursion sharing."""
-    pending = [(list(word), Fraction(1))]
-    acc = {}
-    while pending:
-        w, c = pending.pop()
-        pos = None
-        for j in range(len(w) - 2, -1, -1):
-            if w[j] > w[j + 1]:
-                pos = j
-                break
-        if pos is None:
-            key = mono_of(tuple(w))
-            acc[key] = acc.get(key, 0) + c
-            continue
-        a, b = w[pos], w[pos + 1]
-        pending.append((w[:pos] + [b, a] + w[pos + 2 :], c))
-        pending.append((w[:pos] + [a + b] + w[pos + 2 :], c * (b - a)))
-    return Element(1, {(m,): v for m, v in acc.items()})
+def _word(mono):
+    return tuple(k for k, m in mono for _ in range(m))
+
+
+def kernel_order(word):
+    """The product of the generators listed by index, through the kernel."""
+    out = Element.one()
+    for k in word:
+        out = out * L(k)
+    return out
 
 
 def oracle_mul(x, y):
-    """Pairwise Fraction product, term by term over mono_mul: the reference for
-    the integer-numerator kernel of Element.series_mul."""
+    """Pairwise Fraction product, term by term, each slot's monomial product
+    straightened by the rewriting oracle: the reference for the
+    integer-numerator kernel of Element.series_mul."""
     out = {}
     for ka, ca in x.terms.items():
         for kb, cb in y.terms.items():
-            parts = [mono_mul(ma, mb) for ma, mb in zip(ka, kb)]
+            parts = [normal_order(_word(ma) + _word(mb)).terms.items() for ma, mb in zip(ka, kb)]
             for combo in iproduct(*parts):
                 c = ca * cb
                 for _, ci in combo:
                     c *= ci
-                key = tuple(m for m, _ in combo)
+                key = tuple(m for (m,), _ in combo)
                 out[key] = out.get(key, 0) + c
     return Element(x.rank, out)
 
@@ -156,15 +146,15 @@ def test_normal_order_examples():
     assert normal_order([2, -1]) == Element(1, {(((-1, 1), (2, 1)),): 1, (((1, 1),),): -3})
     # frozen from the oracle: L_1 L_1 L_0 = L_0 L_1^2 - 2 L_1^2
     expect = Element(1, {(((0, 1), (1, 2)),): 1, (((1, 2),),): -2})
+    assert kernel_order([1, 1, 0]) == expect
     assert normal_order([1, 1, 0]) == expect
-    assert oracle_normal_order([1, 1, 0]) == expect
 
 
 def test_normal_order_against_oracle_random():
     random.seed(5)
     for _ in range(120):
         word = [random.randint(-4, 4) for _ in range(random.randint(0, 5))]
-        assert normal_order(word) == oracle_normal_order(word)
+        assert kernel_order(word) == normal_order(word)
 
 
 def test_multiply_examples():
@@ -191,7 +181,7 @@ def test_straightening_a_long_monomial_does_not_recurse():
     # above the recursion limit, inserting L_{-1} into L_1^n is straightened
     # from an explicit work stack, not one call per letter
     for n in range(1, 8):
-        assert Element.from_mono(((1, n),)) * L(-1) == oracle_normal_order([1] * n + [-1]) == _l1_power_times_lm1(n)
+        assert Element.from_mono(((1, n),)) * L(-1) == normal_order([1] * n + [-1]) == _l1_power_times_lm1(n)
     depth, frame = 0, sys._getframe()
     while frame is not None:
         depth, frame = depth + 1, frame.f_back
@@ -355,3 +345,47 @@ def test_kernel_memo_is_keyed_on_monomial_ids():
     after = uwitt._id_mul.cache_info()
     assert after.hits >= before.hits + len(x.terms) * len(y.terms)
     assert after.misses == before.misses
+
+
+def _random_mono(rng):
+    ks = sorted(rng.sample(range(-4, 5), rng.randint(0, 3)))
+    return tuple((k, rng.randint(1, 3)) for k in ks)
+
+
+def _miss_product(a, b):
+    """The memo-miss path of the kernel (_id_mul unmemoized) on the ids of
+    the monomials a and b, read back as an element; each id it returns is
+    listed once, with a nonzero integer constant, and names one ascending
+    word and that word's run-length monomial in both id tables."""
+    out = uwitt._id_mul.__wrapped__(uwitt._intern(a), uwitt._intern(b))
+    assert len({i for i, _ in out}) == len(out)
+    for i, c in out:
+        mono, word = uwitt._MONOS[i], uwitt._WORDS[i]
+        assert type(c) is int and c
+        assert word == _word(mono) and is_normal(mono)
+        assert uwitt._IDS[mono] == uwitt._WORD_IDS[word] == i
+    return Element(1, {(uwitt._MONOS[i],): c for i, c in out})
+
+
+def test_id_products_match_the_rewriting_oracle():
+    # indices -4 .. 4 and exponents up to 3, the unit on either side, each
+    # pair both ways; the leading monomials of ab and ba cancel in ab - ba.
+    # The oracle's rewriting grows exponentially in the inversions, so a
+    # pair has at most 8 letters
+    rng = random.Random(31)
+    pairs = [((), ()), ((), ((2, 3),)), (((-4, 3), (4, 1)), ()), (((1, 1),), ((-1, 1),))]
+    while len(pairs) < 124:
+        a, b = _random_mono(rng), _random_mono(rng)
+        if len(_word(a) + _word(b)) <= 8:
+            pairs.append((a, b))
+    for a, b in pairs:
+        ab, ba = _miss_product(a, b), _miss_product(b, a)
+        assert ab == normal_order(_word(a) + _word(b)), (a, b)
+        assert ba == normal_order(_word(b) + _word(a)), (b, a)
+        leading = mono_of(tuple(sorted(_word(a) + _word(b))))
+        assert ab.coeff((leading,)) == ba.coeff((leading,)) == 1
+        assert (leading,) not in (ab - ba).terms
+        # the memoized product is the unmemoized one
+        assert uwitt._id_mul(uwitt._intern(a), uwitt._intern(b)) == uwitt._id_mul.__wrapped__(
+            uwitt._intern(a), uwitt._intern(b)
+        )
