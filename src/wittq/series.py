@@ -53,7 +53,9 @@ twist certificate that decides it.  twist_certificate(d, ks) checks exactly,
 on d's generator maps (its fault included), that F and u are 1 at t^0, that
 (F - 1)^n = (u - 1)^n = 0 for n = d.degrees, that F Delta(x_j) =
 Delta_0(x_j) F and u S(x_j) = S_0(x_j) u for every letter x_j the block on
-ks reaches, and that the check_twist block passes.  The argument runs over
+ks reaches, and that the check_twist block passes (twist_entries, made once
+per fault-free deformation; characteristic 0 reports the same entries as its
+cocycle block).  The argument runs over
 the ring R of coefficients in t: the polynomials in characteristic p, and
 Q[t]/(t^{order+1}) in characteristic 0.  Truncation is a ring homomorphism,
 so a product of truncated series is the product in R, and the twist theorem
@@ -105,7 +107,7 @@ from fractions import Fraction
 from functools import lru_cache, partial, wraps
 from math import factorial
 
-from .report import VerificationReport
+from .report import ReportEntry, VerificationReport
 from .restricted import ElementP, e_element_p
 from .scalars import check_odd_prime, gen_binomial, int_coeff, rising
 from .tensor import TensorElement
@@ -546,6 +548,7 @@ def _fault_free(fn):
         return memo(d if d.fault is None else replace(d, fault=None), *args)
 
     call.cache_info = memo.cache_info
+    call.cache_clear = memo.cache_clear
     return call
 
 
@@ -772,6 +775,14 @@ def check_twist(verdicts: Verdicts, d: Deformation) -> None:
         verdicts.check(f"twist-counit-{side}", pt, counit_slot(F, slot), d.series(1, [one]))
 
 
+@_fault_free
+def twist_entries(d: Deformation) -> tuple[ReportEntry, ...]:
+    """The entries of the check_twist block of d at symbolic t, made once
+    per fault-free deformation (F and Delta_0 carry no fault) and handed out
+    as a tuple, so no caller extends or changes what another gets."""
+    return tuple(run_checks(d, (None,), check_twist).entries)
+
+
 # -- the twist certificate and the Hopf axioms on generators and pairs -------------
 
 
@@ -801,7 +812,7 @@ def _certificate(d: Deformation, ks: tuple) -> bool:
             and u * gen_antipode(d, j) == undeformed_antipode(d, d.gen(j)) * u
             for j in _letters(d, ks)
         )
-        and run_checks(d, (None,), check_twist).ok
+        and all(e.passed for e in twist_entries(d))
     )
 
 
@@ -811,13 +822,19 @@ def twist_certificate(d: Deformation, ks) -> bool:
     generator maps, fault included: F and u = m(S_0 (x) Id)(F) are 1 at t^0,
     (F - 1)^n = (u - 1)^n = 0 for n = d.degrees, F Delta(x_j) = Delta_0(x_j) F
     and u S(x_j) = S_0(x_j) u for every letter j the block reaches
-    (_letters), and the check_twist block passes.  Memoized on d at symbolic
-    t and the tuple of ks."""
+    (_letters), and the check_twist block passes (twist_entries).  Memoized
+    on d at symbolic t and the tuple of ks; cache_clear empties that memo and
+    twist_entries'."""
     return _certificate(d.at(None), tuple(ks))
 
 
+def _clear_certificate() -> None:
+    _certificate.cache_clear()
+    twist_entries.cache_clear()
+
+
 twist_certificate.cache_info = _certificate.cache_info
-twist_certificate.cache_clear = _certificate.cache_clear
+twist_certificate.cache_clear = _clear_certificate
 
 _GENERATOR_IDENTITIES = ("coassociativity", "counit-left", "counit-right", "antipode-left", "antipode-right")
 

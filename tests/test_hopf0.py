@@ -481,3 +481,34 @@ def test_the_certificate_covers_letters_outside_ks(i, ks, j, failures, monkeypat
     derived, checked, direct = _hopf_entries(d, ks)
     assert derived == direct
     assert Counter(e.identity for e in direct if not e.passed) == failures
+
+
+def test_verify_all0_checks_the_twist_once(monkeypatch, fresh_certificate):
+    # the cocycle entries and the certificate share one check_twist pass per
+    # fault-free deformation, and each report handed out is a new one
+    params = HopfParams(2, 3)
+    ks = range(-2, 3)
+    want = verify_all0(params, ks).entries
+    twist_certificate.cache_clear()
+    passes = []
+    real = series.check_twist
+
+    def spy(verdicts, d):
+        passes.append(d)
+        real(verdicts, d)
+
+    # wherever a module reads the block from
+    for module in (series, hopf0):
+        monkeypatch.setattr(module, "check_twist", spy, raising=False)
+    assert verify_all0(params, ks).entries == want
+    assert passes == [params]
+    # a faulty deformation has the same F and Delta_0: no second pass
+    verify_all0(replace(params, fault=1), ks)
+    assert passes == [params]
+    cocycle = [e for e in want if e.identity.startswith("twist-")]
+    assert len(cocycle) == 3 and all(e.passed for e in cocycle)
+    first, second = cocycle_check(params), cocycle_check(params)
+    assert first.entries == second.entries == cocycle
+    first.extend(first)
+    assert first.entries is not second.entries and second.entries == cocycle
+    assert cocycle_check(params).entries == cocycle

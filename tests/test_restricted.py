@@ -6,6 +6,8 @@ from functools import lru_cache
 import pytest
 
 from oracles import act_derivation, basis_size, bracket_p, p_power_map
+from wittq import restricted
+from wittq.hopfp import HopfParamsP, antipode_p, coproduct_p
 from wittq.restricted import (
     ElementP,
     embed_witt,
@@ -220,6 +222,43 @@ def test_insertion_memo_p_power_boundaries():
             lower = tuple(1 if j < k else e for j, e in enumerate(topk))
             assert mono_times_gen_p(_pack(lower, p), k, p) == ()
             assert straighten_p(_word_of(lower) + (k,), p) == ()
+
+
+def test_insertion_memo_accounting_and_sharing():
+    # from an empty memo, the p = 7 powers: every stored entry is one miss,
+    # equal stored pairs are one object, and cache_clear empties the tables
+    # and the pair pool
+    mono_times_gen_p.cache_clear()
+    pp = HopfParamsP(7, 1, 1)
+    assert (coproduct_p(2, pp) ** 7).is_zero()
+    assert (antipode_p(2, pp) ** 7).is_zero()
+    info = mono_times_gen_p.cache_info()
+    rows = [row for tab in restricted._TABLES.values() for row in tab.values()]
+    assert info.currsize == info.misses == len(rows) > 1000
+    assert info.hits > info.misses and info.maxsize is None
+    pairs: dict = {}
+    for row in rows:
+        assert list(row) == sorted(row)
+        for pair in row:
+            assert pairs.setdefault(pair, pair) is pair
+    assert len(pairs) < sum(map(len, rows))
+    assert all(restricted._POOL[pair] is pair for pair in pairs)
+
+    # a stored entry hits, and is the stored tuple itself; a kernel pass over
+    # stored monomials is one hit per monomial
+    g, tab = next((g, tab) for (g, q), tab in restricted._TABLES.items() if q == 7)
+    code, row = next(iter(tab.items()))
+    assert mono_times_gen_p(code, g, 7) is row
+    restricted._times_gen(dict.fromkeys(itertools.islice(tab, 5), 1), g, 7)
+    after = mono_times_gen_p.cache_info()
+    assert (after.hits, after.misses, after.currsize) == (info.hits + 6, info.misses, info.currsize)
+
+    mono_times_gen_p.cache_clear()
+    assert mono_times_gen_p.cache_info() == (0, 0, None, 0)
+    assert not restricted._TABLES and not restricted._POOL
+    # refilled from empty, the entry is equal but newly made
+    assert mono_times_gen_p(code, g, 7) == row
+    assert mono_times_gen_p.cache_info().misses >= 1
 
 
 # -- the shared-prefix fold of the multiply kernel ------------------------------
