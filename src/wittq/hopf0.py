@@ -12,14 +12,13 @@ with C_l = int_coeff(i, k-i, l), an integer.  The closed forms, the undeformed
 maps Delta_0 and S_0, F, u = m(S_0 (x) Id)(F), the cocycle block and the Hopf
 block with its twist certificate are written once for both characteristics
 in series.py, over a Deformation(0, order, i); HopfParams(i, order) is that
-value.  As in characteristic p, the Hopf entries are recorded as passing
-when the certificate holds over Q[t]/(t^{order+1}), and computed otherwise
-(the series docstring says why that is sound).  What is characteristic-0
-specific stays here: the inverses of the truncated F and u, the
-twist-conjugation routes F^{-1} Delta_0 F and u^{-1} S_0 u, the
-degree-graded antipode, the semiclassical cobracket, and the verifiers that
-check the closed forms against these routes, up to the caller-chosen
-truncation order.
+value.  As in characteristic p, the certificate decides every Hopf entry
+over Q[t]/(t^{order+1}) (the series docstring gives the argument), through
+series.Verdicts.derive.  What is characteristic-0 specific stays here: the
+inverses of the truncated F and u, the twist-conjugation routes
+F^{-1} Delta_0 F and u^{-1} S_0 u, the degree-graded antipode, the
+semiclassical cobracket, and the verifiers that check the closed forms
+against these routes, up to the caller-chosen truncation order.
 
 The same certificate, on the same generators, decides the two twist-route
 entries of the route block: coproduct-cross-route, Delta(L_k) =
@@ -29,10 +28,11 @@ u^{-1} S_0(L_k) u.  F and u are 1 at t^0 and (F - 1)^{order+1} =
 truncation is a ring homomorphism, so every truncated product is the product
 in that ring.  There F Delta(L_k) = Delta_0(L_k) F gives
 F^{-1} Delta_0(L_k) F = Delta(L_k), and u S(L_k) = S_0(L_k) u gives
-u^{-1} S_0(L_k) u = S(L_k).  So when the certificate holds both entries are
-recorded as passing and neither route is built; otherwise both are computed,
-each with its own witness.  antipode-closed-vs-general (the ad_power route),
-the cobracket and the integrality entries are always computed.
+u^{-1} S_0(L_k) u = S(L_k).  So the route block enters both entries through
+series.Verdicts.derive: passing, with neither route built, when the
+certificate holds, and computed otherwise.  antipode-closed-vs-general (the
+ad_power route), the cobracket and the integrality entries are always
+computed.
 
 Fractional powers (1-et)^(k/i) with i not dividing k are the generalized
 binomial series with exponent k/i in Q, the unique t-adically continuous
@@ -188,21 +188,16 @@ def verify_hopf0(params: Deformation, k_range) -> VerificationReport:
 def _check_routes(verdicts: Verdicts, params: Deformation, ks) -> None:
     """Per generator L_k, k in ks: the closed forms against the twist and
     graded routes, the semiclassical limit, the cocommutativity witness and
-    the integrality of the structure coefficients.  The two twist-route
-    entries are recorded as passing when twist_certificate(params, ks) holds
-    (see the module docstring), and computed otherwise."""
+    the integrality of the structure coefficients.  twist_certificate(params,
+    ks) decides the two twist-route entries (see the module docstring)."""
     i, order = params.i, params.order
-    certified = twist_certificate(params, ks)
+    entry = partial(verdicts.derive, twist_certificate(params, ks))
     for k in ks:
         pt = dict(params.point, k=k)
         gk = Element.gen(k)
         a_closed = antipode_closed(k, params)
-        if certified:
-            verdicts.record("coproduct-cross-route", pt, True)
-            verdicts.record("antipode-closed-vs-twist", pt, True)
-        else:
-            verdicts.check("coproduct-cross-route", pt, coproduct_closed(k, params), coproduct_twist(gk, params))
-            verdicts.check("antipode-closed-vs-twist", pt, a_closed, antipode_twist(gk, params))
+        entry("coproduct-cross-route", pt, lambda: coproduct_closed(k, params), lambda: coproduct_twist(gk, params))
+        entry("antipode-closed-vs-twist", pt, lambda: a_closed, lambda: antipode_twist(gk, params))
         verdicts.check("antipode-closed-vs-general", pt, a_closed, antipode_general(gk, params))
 
         try:

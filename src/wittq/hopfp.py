@@ -52,10 +52,11 @@ entry passes too:
   the two commutator entries.
 
 Evaluation at t = c is a ring homomorphism, so what the symbolic pass
-concludes holds at every residue it fans out to.  A passing entry has no
-witness, so the derived entries are those a direct computation gives.  When
-the certificate fails (every fault makes it fail), every relation and Hopf
-entry is computed directly, so each witness is a direct one.
+concludes holds at every residue it fans out to.  Both blocks enter each
+entry through series.Verdicts.derive, which says why a recorded pass equals
+a computed one.  When the certificate fails (every fault makes it fail),
+every relation and Hopf entry is computed directly, so each witness is a
+direct one.
 
 The p - 1 directions are one family with t rescaled: verify_all_i computes
 direction 1 and derives each direction m = 2 .. p-1 from it through
@@ -180,26 +181,17 @@ def _check_relations(verdicts: Verdicts, params: Deformation) -> None:
     dk = {k: coproduct_p(k, params) for k in range(p)}
     sk = {k: antipode_p(k, params) for k in range(p)}
 
-    # every entry follows from the twist certificate when it holds (see the
-    # module docstring); otherwise each is computed directly, for its witness
-    derived = twist_certificate(params, range(p))
+    # the twist certificate decides every entry (see the module docstring)
+    entry = partial(verdicts.derive, twist_certificate(params, range(p)))
     for k in range(p):
         for l in range(p):
             pt = dict(base, k=k, l=l)
-            if derived:
-                verdicts.record("coproduct-commutator", pt, True)
-                verdicts.record("antipode-commutator", pt, True)
-            else:
-                verdicts.check("coproduct-commutator", pt, commutator(dk[k], dk[l]), ((l - k) % p) * dk[(k + l) % p])
-                verdicts.check("antipode-commutator", pt, commutator(sk[l], sk[k]), ((l - k) % p) * sk[(k + l) % p])
+            entry("coproduct-commutator", pt, lambda: commutator(dk[k], dk[l]), lambda: ((l - k) % p) * dk[(k + l) % p])
+            entry("antipode-commutator", pt, lambda: commutator(sk[l], sk[k]), lambda: ((l - k) % p) * sk[(k + l) % p])
     for k in range(p):
         pt = dict(base, k=k)
-        if derived:
-            verdicts.record("coproduct-p-power", pt, True)
-            verdicts.record("antipode-p-power", pt, True)
-        else:
-            verdicts.check("coproduct-p-power", pt, dk[k] ** p, dk[0] if k == 0 else PolyP.zero(p, 2))
-            verdicts.check("antipode-p-power", pt, sk[k] ** p, sk[0] if k == 0 else PolyP.zero(p, 1))
+        entry("coproduct-p-power", pt, lambda: dk[k] ** p, lambda: dk[0] if k == 0 else PolyP.zero(p, 2))
+        entry("antipode-p-power", pt, lambda: sk[k] ** p, lambda: sk[0] if k == 0 else PolyP.zero(p, 1))
 
 
 def verify_relations_preserved(params: Deformation, corrupt_term: int | None = None) -> VerificationReport:

@@ -94,17 +94,17 @@ Group Theory, Thm 2.3.4):
   U = m(Id (x) S_0)(chi) and U^{-1} = m(S_0 (x) Id)(chi^{-1}) =
   m(S_0 (x) Id)(F) = u.  That antipode is psi, which is S.
 
-A passing entry has no witness, so the recorded entries are those a direct
-computation gives.  When the certificate fails (every fault that changes a
-reached letter makes it fail), every entry is computed, and each witness is
-a direct one.
+check_hopf enters each of these through Verdicts.derive, which says why a
+recorded pass equals a computed one.  When the certificate fails (every
+fault that changes a reached letter makes it fail), every entry is
+computed, and each witness is a direct one.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from functools import lru_cache, partial, wraps
+from functools import cache, lru_cache, partial, wraps
 from math import factorial
 
 from .report import ReportEntry, VerificationReport
@@ -366,6 +366,19 @@ class Verdicts:
         labelled as check labels it."""
         for rep, c in zip(self.reports, self.at):
             rep.add(identity, pt if c is None else dict(pt, t=c), passed, witness)
+
+    def derive(self, certified: bool, identity: str, pt: dict, lhs, rhs) -> None:
+        """Enter lhs() == rhs() as check does, or, when certified, a pass
+        per mode without calling either side.  This is the only code that
+        turns a certificate's verdict into entries.
+
+        certified must mean that the two sides are equal at symbolic t, and
+        so at every residue.  A passing entry has no witness, so the recorded
+        entries are exactly those a direct computation gives."""
+        if certified:
+            self.record(identity, pt, True)
+        else:
+            self.check(identity, pt, lhs(), rhs())
 
 
 def run_checks(d: Deformation, t_values, block) -> VerificationReport:
@@ -836,8 +849,6 @@ def _clear_certificate() -> None:
 twist_certificate.cache_info = _certificate.cache_info
 twist_certificate.cache_clear = _clear_certificate
 
-_GENERATOR_IDENTITIES = ("coassociativity", "counit-left", "counit-right", "antipode-left", "antipode-right")
-
 
 def check_hopf(verdicts: Verdicts, d: Deformation, ks, bracket: bool) -> None:
     """Check the Hopf axioms of the deformation d on the generators x_k, k in
@@ -846,38 +857,28 @@ def check_hopf(verdicts: Verdicts, d: Deformation, ks, bracket: bool) -> None:
     on x_k x_l and, if bracket is set, that it maps [x_k, x_l] to
     [Delta(x_k), Delta(x_l)].  Each point is d.point with k (and l) added.
 
-    When twist_certificate(d, ks) holds, every entry passes (see the module
-    docstring) and is recorded so, in that order and at those points;
-    otherwise each is computed.  Only the coproduct-multiplicative entries
-    with k > l carry content: for k <= l the left side, the PBW extension's
-    image of the monomial x_k x_l, is the product Delta(x_k) Delta(x_l) by
-    construction, so those entries check only the PBW order of the
-    extension, and no fault in the generator maps can make them fail."""
-    base, ks = d.point, list(ks)
-    if twist_certificate(d, ks):
-        for k in ks:
-            for identity in _GENERATOR_IDENTITIES:
-                verdicts.record(identity, dict(base, k=k), True)
-        for k in ks:
-            for l in ks:
-                pt = dict(base, k=k, l=l)
-                verdicts.record("coproduct-multiplicative", pt, True)
-                if bracket:
-                    verdicts.record("coproduct-bracket", pt, True)
-        return
-
-    gen, cp_mono, ap_mono = partial(gen_coproduct, d), partial(mono_coproduct, d), partial(mono_antipode, d)
+    twist_certificate(d, ks) decides every entry through Verdicts.derive (see
+    the module docstring): each passes when it holds, and is computed
+    otherwise, Delta(x_k) Delta(x_l) once for both entries of a pair.  Only
+    the coproduct-multiplicative entries with k > l carry content: for
+    k <= l the left side, the PBW extension's image of the monomial x_k x_l,
+    is the product Delta(x_k) Delta(x_l) by construction, so those entries
+    check only the PBW order of the extension, and no fault in the generator
+    maps can make them fail."""
+    base, ks, x = d.point, list(ks), d.gen
+    entry = partial(verdicts.derive, twist_certificate(d, ks))
+    gen, cp = partial(gen_coproduct, d), partial(element_coproduct, d)
+    cp_mono, ap_mono = partial(mono_coproduct, d), partial(mono_antipode, d)
     for k in ks:
         pt, dk = dict(base, k=k), gen(k)
-        verdicts.check("coassociativity", pt, slot_apply(dk, 0, cp_mono), slot_apply(dk, 1, cp_mono))
+        entry("coassociativity", pt, lambda: slot_apply(dk, 0, cp_mono), lambda: slot_apply(dk, 1, cp_mono))
         for side, slot in (("left", 0), ("right", 1)):
-            verdicts.check(f"counit-{side}", pt, counit_slot(dk, slot), dk._const(d.gen(k)))
+            entry(f"counit-{side}", pt, lambda: counit_slot(dk, slot), lambda: dk._const(x(k)))
         for side in ("left", "right"):
-            verdicts.check(f"antipode-{side}", pt, convolve(dk, ap_mono, side), d.series(1))
+            entry(f"antipode-{side}", pt, lambda: convolve(dk, ap_mono, side), lambda: d.series(1))
     for k in ks:
         for l in ks:
-            pt, xy, kl = dict(base, k=k, l=l), d.gen(k) * d.gen(l), gen(k) * gen(l)
-            verdicts.check("coproduct-multiplicative", pt, element_coproduct(d, xy), kl)
+            pt, xy, kl = dict(base, k=k, l=l), cache(lambda: x(k) * x(l)), cache(lambda: gen(k) * gen(l))
+            entry("coproduct-multiplicative", pt, lambda: cp(xy()), kl)
             if bracket:
-                yx, lk = d.gen(l) * d.gen(k), gen(l) * gen(k)
-                verdicts.check("coproduct-bracket", pt, element_coproduct(d, xy - yx), kl - lk)
+                entry("coproduct-bracket", pt, lambda: cp(xy() - x(l) * x(k)), lambda: kl() - gen(l) * gen(k))

@@ -331,6 +331,26 @@ def test_a_certified_block_multiplies_no_generator_pair(monkeypatch):
     assert calls == [] and checked == []
 
 
+def test_a_faulty_block_builds_each_generator_product_once(monkeypatch):
+    # the fault breaks the certificate, so every entry is computed; each of
+    # the 9 pairs multiplies Delta(L_k) Delta(L_l), shared by its two
+    # entries, and Delta(L_l) Delta(L_k) once, and the linear extension
+    # scales 7 monomial images: 25 series products in a warm run, and no more
+    params, ks = replace(HopfParams(1, 2), fault=1), range(-1, 2)
+    want = verify_hopf0(params, ks).entries
+    assert not twist_certificate(params, ks) and not all(e.passed for e in want)
+    calls, mul = [], TSeries.__mul__
+
+    def counted(self, other):
+        calls.append(other)
+        return mul(self, other)
+
+    monkeypatch.setattr(TSeries, "__mul__", counted)
+    assert verify_hopf0(params, ks).entries == want
+    assert len(calls) <= 25
+    assert sum(isinstance(other, TSeries) for other in calls) == 18
+
+
 def test_the_inverses_of_f_and_u_ignore_the_fault():
     # F and u do not depend on the fault, so a faulty deformation shares
     # their inverses' memo entries

@@ -28,6 +28,7 @@ from wittq.report import VerificationReport
 from wittq.restricted import ElementP
 from wittq.series import (
     Deformation,
+    TSeries,
     Verdicts,
     _at,
     binomial_series,
@@ -611,6 +612,31 @@ def test_derived_p_powers_equal_direct_p_powers(p, map_cells):
     for i in range(1, p):
         for t in (None, *range(p)):
             assert twist_certificate(Deformation(p, None, i, t), range(p)), (i, t)
+
+
+def test_a_warm_certified_pass_computes_nothing(monkeypatch):
+    # the char-p twin of test_hopf0's certified-block test: after a warm-up
+    # run the certificate holds, so neither block multiplies, raises a power,
+    # maps a tensor slot or convolves, not even for a side it then discards
+    d, ts = Deformation(5, None, 2), (None, 1, 3)
+    blocks = (_check_relations, _hopf_block(5))
+    want = [run_checks(d, ts, block).entries for block in blocks]
+    assert twist_certificate(d, range(5)) and all(e.passed for entries in want for e in entries)
+    calls = []
+
+    def spy(name, fn):
+        def call(*args):
+            calls.append(name)
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(TSeries, "__mul__", spy("mul", TSeries.__mul__))
+    monkeypatch.setattr(TSeries, "__pow__", spy("pow", TSeries.__pow__))
+    for name in ("slot_apply", "convolve"):
+        monkeypatch.setattr(series, name, spy(name, getattr(series, name)))
+    assert [run_checks(d, ts, block).entries for block in blocks] == want
+    assert calls == []
 
 
 def test_derived_relations_equal_direct_relations_at_p7(map_cells):

@@ -14,6 +14,7 @@ from wittq.series import (
     Deformation,
     PolyP,
     Series,
+    Verdicts,
     _meet,
     delta0_mono,
     first_mismatch,
@@ -504,6 +505,43 @@ def test_run_checks_enters_each_verdict_once_per_mode():
         ("recorded", "2", False),
         ("t-is-one", "2", False),
     ]
+
+
+def test_derive_decides_by_the_certificate():
+    # certified: neither side is called, and every mode gets one passing,
+    # witness-less entry, labelled as check labels it; otherwise each side is
+    # called once and the entries are exactly check's, residue witnesses too
+    p, one = 5, ElementP.one(5)
+    at, pt = (None, 1, 2), Deformation(p, None, 2).point
+    t, unit = PolyP(p, 1, [ElementP.zero(p), one]), PolyP.const(one)
+    calls = []
+
+    def side(name, value):
+        def call():
+            calls.append(name)
+            return value
+
+        return call
+
+    def made(fill):
+        verdicts = Verdicts(at)
+        fill(verdicts)
+        return [e for rep in verdicts.reports for e in rep.entries]
+
+    derived = made(lambda v: v.derive(True, "t-is-one", pt, side("lhs", t), side("rhs", unit)))
+    assert calls == []
+    assert derived == made(lambda v: v.check("t-is-one", pt, unit, unit))
+    assert [(dict(e.params)["t"], e.passed, e.witness) for e in derived] == [
+        ("symbolic", True, None),
+        ("1", True, None),
+        ("2", True, None),
+    ]
+
+    computed = made(lambda v: v.derive(False, "t-is-one", pt, side("lhs", t), side("rhs", unit)))
+    assert calls == ["lhs", "rhs"]
+    assert computed == made(lambda v: v.check("t-is-one", pt, t, unit))
+    assert [e.passed for e in computed] == [False, True, False]
+    assert all(e.witness for e in computed if not e.passed)
 
 
 # -- the multiplicative extension to monomials ----------------------------------
